@@ -63,7 +63,6 @@ from raag.words import (
     GroupElement,
     Letter,
     Word,
-    build_expression,
     canonical_form,
     clique_commute_check,
     commutator,

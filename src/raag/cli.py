@@ -164,13 +164,13 @@ def _cmd_check_hom(args) -> int:
 
 def _cmd_extract(args) -> int:
     h = parse_hom(_read(args.hom), base_dir=os.path.dirname(os.path.abspath(args.hom)))
-    outcome = extract_full(h, self_check=not args.no_self_check)
+    outcome = extract_full(h)
     if isinstance(outcome, FullEmbedding):
         _emit([("result", "embedding")], args.json,
               header="full embedding found (image inside the homomorphism support):")
         for v in h.source.vertices:
             print(f"embed {v} -> {outcome.mapping[v]}")
-        _emit([("verified", "true")], args.json)
+        _emit([("verified", _bool(outcome.check(h) is None))], args.json)
         return 0
     if isinstance(outcome, KernelWitness):
         _emit([("result", "witness")], args.json,
@@ -195,7 +195,7 @@ def _cmd_extract(args) -> int:
     ]
     for i, comp in enumerate(outcome.complement_components, 1):
         pairs.append((f"complement_component{i}", " ".join(comp)))
-    pairs.append(("verified", _bool(outcome.verified)))
+    pairs.append(("verified", _bool(outcome.check(h) is None)))
     _emit(pairs, args.json)
     return 2
 
@@ -277,8 +277,6 @@ def _build_parser() -> _Parser:
 
     p = add("extract", "extract an embedding or a non-injectivity certificate")
     p.add_argument("--hom", required=True)
-    p.add_argument("--no-self-check", action="store_true",
-                   help="skip the peeling self-check on witness branches")
     p.set_defaults(func=_cmd_extract)
 
     p = add("verify", "seeded randomized verification harness")

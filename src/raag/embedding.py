@@ -15,8 +15,8 @@ the functions here either
   complete components, which forces the restricted target group into a
   product of free groups where the component group cannot embed.
 
-Every output is re-checkable from its own data; injectivity of the input
-map is never assumed.
+Every output is re-checkable from its own data by its check(h) method;
+injectivity of the input map is never assumed.
 
 Per-component machinery for an anti-path component v_1 .. v_n (consecutive
 labels non-adjacent, all other pairs adjacent):
@@ -47,7 +47,6 @@ from raag.graphs import (
     induced_subgraph,
     join_decompose,
     parse_graph,
-    recognize_linear_forest_complement,
     verify_full_embedding,
     _components_of,
     _path_order,
@@ -167,6 +166,33 @@ class FullEmbedding:
     mapping: dict[str, str]
     provenance: dict[str, str] = field(default_factory=dict)
 
+    def check(self, h: HomSpec) -> Optional[str]:
+        """None when the mapping is a full embedding of the source into the
+        target that lands inside the homomorphism support, with every
+        anti-path vertex inside the support of its own image (3-vertex
+        components: inside the component support); otherwise the first
+        problem found."""
+        chk = verify_full_embedding(h.source, h.target, self.mapping)
+        if not chk:
+            return f"embedding check failed: {chk.violation}"
+        supp = set().union(*(support(w) for w in h.images.values()))
+        outside = [v for v, x in self.mapping.items() if x not in supp]
+        if outside:
+            return f"image of {outside[0]!r} lies outside the homomorphism support"
+        for comp in join_decompose(h.source).components:
+            if comp.kind == "singleton":
+                continue
+            if len(comp.graph) == 3:
+                comp_supp = set().union(*(support(h.images[v]) for v in comp.graph.vertices))
+                for v in comp.graph.vertices:
+                    if self.mapping[v] not in comp_supp:
+                        return f"vertex {v!r} mapped outside its component support"
+            else:
+                for v in comp.graph.vertices:
+                    if self.mapping[v] not in support(h.images[v]):
+                        return f"anti-path vertex {v!r} mapped outside the support of its image"
+        return None
+
 
 @dataclass(frozen=True)
 class KernelWitness:
@@ -183,6 +209,17 @@ class KernelWitness:
     def verified(self) -> bool:
         return self.nontrivial_in_source and self.trivial_image
 
+    def check(self, h: HomSpec) -> Optional[str]:
+        """None when the word is nontrivial over the source and its image
+        under h is trivial; otherwise the first problem found."""
+        if is_trivial(self.word):
+            return "witness word is trivial over the source"
+        if not is_trivial(h.apply(self.word)):
+            return "witness image does not reduce to the identity"
+        if not self.verified:
+            return "witness carries unverified checks"
+        return None
+
 
 @dataclass(frozen=True)
 class StructuralCertificate:
@@ -194,11 +231,30 @@ class StructuralCertificate:
     component: tuple[str, ...]
     supp: tuple[str, ...]
     complement_components: tuple[tuple[str, ...], ...]
-    all_complete: bool
 
-    @property
-    def verified(self) -> bool:
-        return self.all_complete
+    def check(self, h: HomSpec) -> Optional[str]:
+        """None when the component has no full embedding into the induced
+        support subgraph and that subgraph's complement is a union of
+        complete graphs; otherwise the first problem found. Repeats the
+        exhaustive embedding search."""
+        comp_graph = induced_subgraph(h.source, self.component)
+        sub = induced_subgraph(h.target, self.supp)
+        if full_embedding_search(comp_graph, sub) is not None:
+            return "certificate refuted: a full embedding into the support exists"
+        if _complete_complement_components(sub) is None:
+            return "certificate refuted: support complement component is not complete"
+        return None
+
+
+def _complete_complement_components(g: Graph) -> Optional[tuple[tuple[str, ...], ...]]:
+    """The connected components of g's complement as vertex-name tuples,
+    ordered by smallest vertex, when each spans a complete graph; None
+    otherwise."""
+    comp_c = complement(g)
+    names = tuple(tuple(comp_c.vertices[i] for i in idxs) for idxs in _components_of(comp_c))
+    if all(comp_c.spans_clique(comp) for comp in names):
+        return names
+    return None
 
 
 ExtractionOutcome = Union[FullEmbedding, KernelWitness, StructuralCertificate]
@@ -297,12 +353,10 @@ def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
     for v, e in zip(src.vertices, z):
         sign = 1 if e > 0 else -1
         letters.extend([(v, sign)] * abs(e))
-    word = Word(src, letters)
-    nontrivial = not is_trivial(word)
-    image_trivial = is_trivial(h.apply(word))
-    if not (nontrivial and image_trivial):
+    witness = KernelWitness(Word(src, letters), True, True, component=src.vertices)
+    if witness.check(h) is not None:
         raise MechanismError("abelian kernel vector failed verification")
-    return KernelWitness(word, True, True, component=src.vertices)
+    return witness
 
 
 # -- anti-path components -------------------------------------------------------------
@@ -484,23 +538,21 @@ def obstruction_commutator(h: HomSpec, labeling: PathLabeling) -> KernelWitness:
         word = commutator(conj, gens[order[-1]])
     else:
         raise ValueError("obstruction commutator is defined for n = 2 and n >= 4")
-    if is_trivial(word):
-        raise MechanismError("obstruction word is trivial over the source")
-    if not is_trivial(h.apply(word)):
-        raise MechanismError("obstruction word has a nontrivial image")
-    return KernelWitness(word, True, True, component=tuple(order))
+    witness = KernelWitness(word, True, True, component=tuple(order))
+    problem = witness.check(h)
+    if problem is not None:
+        raise MechanismError(f"obstruction commutator: {problem}")
+    return witness
 
 
-def extract_anti_path(
-    h: HomSpec, labeling: PathLabeling, self_check: bool = True
-) -> Union[FullEmbedding, KernelWitness]:
+def extract_anti_path(h: HomSpec, labeling: PathLabeling) -> Union[FullEmbedding, KernelWitness]:
     """Dichotomy for an anti-path source on n != 3 vertices.
 
     Either returns a full embedding with each vertex mapped inside the
-    support of its own image, or a verified kernel witness. With
-    self_check on (default), the witness branch for n >= 4 also re-plays
-    the reach-set and peeling argument and verifies the image of the
-    conjugated generator against the peeled tower.
+    support of its own image, or a verified kernel witness. The witness
+    branch for n >= 4 also re-plays the reach-set and peeling argument and
+    verifies the image of the conjugated generator against the peeled
+    tower.
     """
     order = labeling.order
     n = len(order)
@@ -523,13 +575,12 @@ def extract_anti_path(
             raise MechanismError(f"chain sequence is not a full embedding: {chk.violation}")
         prov = {v: f"support of image of {v}" for v in order}
         return FullEmbedding(mapping, prov)
-    peel_checked = False
-    if n >= 4 and self_check:
+    peel_checked = n >= 4
+    if peel_checked:
         reach = reach_sets(chain)
         check_reach_adjacency(chain, reach)
         peeled = peel_words(h, labeling, reach)
         _check_witness_factoring(h, labeling, peeled)
-        peel_checked = True
     witness = obstruction_commutator(h, labeling)
     return replace(witness, peel_checked=peel_checked)
 
@@ -565,16 +616,13 @@ def extract_anti_path3(h: HomSpec) -> Union[FullEmbedding, StructuralCertificate
     if mapping is not None:
         prov = {v: "support of the component image" for v in src.vertices}
         return FullEmbedding(mapping, prov)
-    comp_c = complement(sub)
-    comps = _components_of(comp_c)
-    names = tuple(tuple(comp_c.vertices[i] for i in comp) for comp in comps)
-    for comp in names:
-        if not comp_c.spans_clique(comp):
-            raise MechanismError(
-                "no full embedding found, yet the support complement is not a "
-                "union of complete graphs; instance corrupted"
-            )
-    return StructuralCertificate(src.vertices, supp, names, True)
+    names = _complete_complement_components(sub)
+    if names is None:
+        raise MechanismError(
+            "no full embedding found, yet the support complement is not a "
+            "union of complete graphs; instance corrupted"
+        )
+    return StructuralCertificate(src.vertices, supp, names)
 
 
 # -- gluing and the end-to-end pipeline ------------------------------------------------
@@ -616,7 +664,7 @@ def glue_join(embeddings: list[FullEmbedding], h: HomSpec) -> FullEmbedding:
     return FullEmbedding(merged, prov)
 
 
-def extract_full(h: HomSpec, self_check: bool = True) -> ExtractionOutcome:
+def extract_full(h: HomSpec) -> ExtractionOutcome:
     """End-to-end extraction.
 
     Validates the table (homomorphism + clique-support; anything else is
@@ -638,13 +686,12 @@ def extract_full(h: HomSpec, self_check: bool = True) -> ExtractionOutcome:
         )
     if report.trivial_images:
         v = report.trivial_images[0]
-        word = Word._make(h.source, ((v, 1),))
-        witness = KernelWitness(word, not is_trivial(word), is_trivial(h.apply(word)),
-                                component=(v,))
-        if not witness.verified:
+        witness = KernelWitness(Word._make(h.source, ((v, 1),)), True, True, component=(v,))
+        if witness.check(h) is not None:
             raise MechanismError("trivial-image witness failed verification")
         return witness
-    if recognize_linear_forest_complement(h.source) is None:
+    decomp = join_decompose(h.source) if len(h.source) else None
+    if decomp is None or any(c.labeling is None for c in decomp.components):
         raise ValueError("out of theorem scope: source is not the complement of a linear forest")
     gamma_prime = induced_subgraph(h.target, report.supp, name=h.target.name + "_supp")
     # raw image words may mention letters that cancel in reduction; only the
@@ -654,7 +701,6 @@ def extract_full(h: HomSpec, self_check: bool = True) -> ExtractionOutcome:
         gamma_prime,
         {v: Word(gamma_prime, reduce(h.images[v]).letters) for v in h.source.vertices},
     )
-    decomp = join_decompose(h.source)
     singles = [c for c in decomp.components if c.kind == "singleton"]
     paths = [c for c in decomp.components if c.kind != "singleton"]
     embeddings: list[FullEmbedding] = []
@@ -673,7 +719,7 @@ def extract_full(h: HomSpec, self_check: bool = True) -> ExtractionOutcome:
                 return out3
             embeddings.append(out3)
         else:
-            out = extract_anti_path(sub, comp.labeling, self_check=self_check)
+            out = extract_anti_path(sub, comp.labeling)
             if isinstance(out, KernelWitness):
                 return _lift_witness(out, h)
             embeddings.append(out)
@@ -682,14 +728,11 @@ def extract_full(h: HomSpec, self_check: bool = True) -> ExtractionOutcome:
 
 def _lift_witness(witness: KernelWitness, h: HomSpec) -> KernelWitness:
     """Recontextualize a component witness over the full source graph and
-    re-verify both of its claims there."""
-    word = Word(h.source, witness.word.letters)
-    nontrivial = not is_trivial(word)
-    image_trivial = is_trivial(h.apply(word))
-    if not (nontrivial and image_trivial):
+    re-verify it there."""
+    lifted = replace(witness, word=Word(h.source, witness.word.letters))
+    if lifted.check(h) is not None:
         raise MechanismError("component witness failed verification over the full source")
-    return KernelWitness(word, True, True, component=witness.component,
-                         peel_checked=witness.peel_checked)
+    return lifted
 
 
 # -- text format --------------------------------------------------------------------

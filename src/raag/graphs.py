@@ -280,33 +280,11 @@ def join_decompose(g: Graph) -> JoinDecomposition:
     connected). Components are ordered by their smallest vertex in
     insertion order; each is tagged singleton / path-complement / other,
     and path complements carry a PathLabeling.
-
-    The complement components are found by union-find over non-adjacent
-    pairs, without materializing the complement graph.
     """
-    n = len(g.vertices)
-    if n == 0:
+    if len(g) == 0:
         raise ValueError("empty input")
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j not in g._adj[i]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
     comps = []
-    for root in sorted(groups):
-        idxs = groups[root]
+    for idxs in _components_of(complement(g)):
         sub = induced_subgraph(g, [g.vertices[i] for i in idxs],
                                name=f"{g.name}_comp{len(comps) + 1}")
         if len(sub) == 1:

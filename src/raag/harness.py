@@ -2,8 +2,8 @@
 
 Each trial draws a random target graph, a random complement-of-a-linear-
 forest source, and a random clique-supported image table that passes the
-relator check; runs the full extraction; and independently re-verifies
-whatever came out (embedding, kernel witness, or structural certificate).
+relator check; runs the full extraction; and re-checks whatever came out
+(embedding, kernel witness, or structural certificate) with its check(h).
 The report is fully determined by the configuration: the generator is a
 single seeded Mersenne Twister (random.Random), trial sub-seeds are drawn
 from it, and no timing or environment data enters the output.
@@ -13,28 +13,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from raag.embedding import (
     FullEmbedding,
     HomSpec,
     KernelWitness,
-    StructuralCertificate,
     extract_full,
     validate_hom,
 )
-from raag.graphs import (
-    Graph,
-    complement,
-    full_embedding_search,
-    graph_join,
-    induced_subgraph,
-    join_decompose,
-    path_complement,
-    verify_full_embedding,
-    _components_of,
-)
-from raag.words import Word, is_trivial, support
+from raag.graphs import Graph, graph_join, path_complement
+from raag.words import Word
 
 _IMAGE_ATTEMPTS = 50
 
@@ -169,57 +157,6 @@ def _random_hom(rng: random.Random, lam: Graph, gamma: Graph) -> HomSpec:
     return HomSpec(lam, gamma, images)
 
 
-# -- re-verification ------------------------------------------------------------------
-
-
-def _reverify_embedding(h: HomSpec, emb: FullEmbedding) -> Optional[str]:
-    chk = verify_full_embedding(h.source, h.target, emb.mapping)
-    if not chk:
-        return f"embedding check failed: {chk.violation}"
-    supp = set().union(*(support(w) for w in h.images.values()))
-    outside = [v for v, x in emb.mapping.items() if x not in supp]
-    if outside:
-        return f"image of {outside[0]!r} lies outside the homomorphism support"
-    # anti-path components land inside their own per-vertex supports; the
-    # 3-vertex case only guarantees containment in the component support
-    for comp in join_decompose(h.source).components:
-        if comp.kind == "singleton":
-            continue
-        if len(comp.graph) == 3:
-            comp_supp = set().union(*(support(h.images[v]) for v in comp.graph.vertices))
-            for v in comp.graph.vertices:
-                if emb.mapping[v] not in comp_supp:
-                    return f"vertex {v!r} mapped outside its component support"
-        else:
-            for v in comp.graph.vertices:
-                if emb.mapping[v] not in support(h.images[v]):
-                    return f"anti-path vertex {v!r} mapped outside the support of its image"
-    return None
-
-
-def _reverify_witness(h: HomSpec, wit: KernelWitness) -> Optional[str]:
-    if is_trivial(wit.word):
-        return "witness word is trivial over the source"
-    if not is_trivial(h.apply(wit.word)):
-        return "witness image does not reduce to the identity"
-    if not wit.verified:
-        return "witness carries unverified checks"
-    return None
-
-
-def _reverify_certificate(h: HomSpec, cert: StructuralCertificate) -> Optional[str]:
-    comp_graph = induced_subgraph(h.source, cert.component)
-    sub = induced_subgraph(h.target, cert.supp)
-    if full_embedding_search(comp_graph, sub) is not None:
-        return "certificate refuted: a full embedding into the support exists"
-    comp_c = complement(sub)
-    for idxs in _components_of(comp_c):
-        names = [comp_c.vertices[i] for i in idxs]
-        if not comp_c.spans_clique(names):
-            return "certificate refuted: support complement component is not complete"
-    return None
-
-
 # -- driver ----------------------------------------------------------------------------
 
 
@@ -241,20 +178,18 @@ def run_harness(cfg: HarnessConfig) -> HarnessReport:
         h = _random_hom(rng, lam, gamma)
         peel_checked = False
         try:
-            outcome = extract_full(h, self_check=True)
+            outcome = extract_full(h)
         except Exception as exc:  # recorded, never raised out of the harness
             report.results.append(TrialResult(index, "error", repr(exc), False, False))
             report.failed_invariants.append(f"trial {index}: extraction error: {exc!r}")
             continue
+        problem = outcome.check(h)
         if isinstance(outcome, FullEmbedding):
-            problem = _reverify_embedding(h, outcome)
             kind, detail = "embedding", f"|V|={len(outcome.mapping)}"
         elif isinstance(outcome, KernelWitness):
-            problem = _reverify_witness(h, outcome)
             peel_checked = outcome.peel_checked
             kind, detail = "witness", f"len={len(outcome.word)}"
         else:
-            problem = _reverify_certificate(h, outcome)
             kind, detail = "certificate", f"supp={len(outcome.supp)}"
         if problem is not None:
             report.failed_invariants.append(f"trial {index}: {problem}")

@@ -124,11 +124,6 @@ def _same_ambient(w1: Word, w2: Word) -> None:
         raise ValueError("ambient graph mismatch")
 
 
-def word(graph: Graph, text: str) -> Word:
-    """Shorthand for parse_word."""
-    return parse_word(graph, text)
-
-
 def parse_word(graph: Graph, text: str) -> Word:
     """Parse the word syntax: whitespace-separated letters, inverses marked
     with a ^-1 suffix (e.g. "a b^-1 c"); the empty word is written "1".
@@ -269,26 +264,6 @@ def conjugate(x: Word, y: Word) -> Word:
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x y x^-1 y^-1."""
     return product(x, y, x.inverse(), y.inverse())
-
-
-def build_expression(kind: str, *args: Word) -> Word:
-    """Kind-dispatching wrapper over the expression builders:
-    conjugate(x, y), commutator(x, y), inverse(x), product(x, ...)."""
-    if kind == "conjugate":
-        if len(args) != 2:
-            raise ValueError("conjugate takes two words")
-        return conjugate(*args)
-    if kind == "commutator":
-        if len(args) != 2:
-            raise ValueError("commutator takes two words")
-        return commutator(*args)
-    if kind == "inverse":
-        if len(args) != 1:
-            raise ValueError("inverse takes one word")
-        return inverse(*args)
-    if kind == "product":
-        return product(*args)
-    raise ValueError(f"unknown expression kind {kind!r}")
 
 
 # -- brute-force oracle --------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from raag.cli import main
@@ -164,6 +166,13 @@ def test_verify_reports_and_is_reproducible(capsys):
     code, out2, _ = run(capsys, ["verify", "--trials", "8", "--seed", "3"])
     assert out1 == out2
     assert "trials: 8" in out1 and "failed_invariants: 0" in out1
+
+
+def test_verify_report_pinned_across_commits(capsys):
+    code, out, _ = run(capsys, ["verify", "--trials", "25", "--seed", "2017"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "aa4caeb5be5b77e597fca801ea19d0ab0466ea69cabd1896af2dec0f9f4aa3e2"
 
 
 def test_verify_density_flag(capsys):

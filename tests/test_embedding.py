@@ -502,7 +502,7 @@ def test_anti_path3_into_triangle_gives_certificate():
     out = extract_anti_path3(h)
     assert isinstance(out, StructuralCertificate)
     assert out.complement_components == (("a1",), ("a2",), ("a3",))
-    assert out.verified
+    assert out.check(h) is None
 
 
 def test_anti_path3_support_c4_gives_certificate():
@@ -689,7 +689,7 @@ def test_extract_full_p3c_certificate_component():
     )
     out = extract_full(h)
     assert isinstance(out, StructuralCertificate)
-    assert out.verified and out.component == ("v1", "v2", "v3")
+    assert out.check(h) is None and out.component == ("v1", "v2", "v3")
 
 
 def test_extract_full_mixed_join_with_p3c():
@@ -697,6 +697,68 @@ def test_extract_full_mixed_join_with_p3c():
     out = extract_full(identity_spec(lam))
     assert isinstance(out, FullEmbedding)
     assert len(out.mapping) == 4
+
+
+# -- outcome checkers -------------------------------------------------------------------------------
+
+
+def test_check_accepts_each_extracted_outcome_type():
+    p3c = path_complement(3)
+    t = complete_graph(4, prefix="t")
+    certificate_spec = HomSpec(
+        p3c, t, {"v1": parse_word(t, "t1"), "v2": parse_word(t, "t2 t3"), "v3": parse_word(t, "t4")}
+    )
+    specs = {
+        FullEmbedding: identity_spec(path_complement(4)),
+        KernelWitness: collapsed_spec(path_complement(4), complete_graph(2, prefix="t"), "t1"),
+        StructuralCertificate: certificate_spec,
+    }
+    for kind, h in specs.items():
+        out = extract_full(h)
+        assert isinstance(out, kind)
+        assert out.check(h) is None
+
+
+def _free_pair_spec():
+    # v1, v2 non-adjacent; images a, b inside an edgeless 4-vertex target
+    t = Graph("t", ["a", "b", "c", "d"])
+    return HomSpec(path_complement(2), t, {"v1": parse_word(t, "a"), "v2": parse_word(t, "b")})
+
+
+def test_embedding_check_rejects_non_injective_mapping():
+    h = identity_spec(path_complement(4))
+    bad = FullEmbedding({"v1": "v1", "v2": "v1", "v3": "v3", "v4": "v4"})
+    assert "injectivity violation" in bad.check(h)
+
+
+def test_embedding_check_rejects_mapping_outside_support():
+    bad = FullEmbedding({"v1": "c", "v2": "d"})
+    assert "outside the homomorphism support" in bad.check(_free_pair_spec())
+
+
+def test_embedding_check_rejects_anti_path_vertex_outside_own_support():
+    bad = FullEmbedding({"v1": "b", "v2": "a"})
+    assert bad.check(_free_pair_spec()) == (
+        "anti-path vertex 'v1' mapped outside the support of its image"
+    )
+
+
+def test_witness_check_rejects_word_trivial_over_source():
+    h = identity_spec(path_complement(2))
+    bad = KernelWitness(parse_word(h.source, "v1 v1^-1"), True, True)
+    assert bad.check(h) == "witness word is trivial over the source"
+
+
+def test_witness_check_rejects_nontrivial_image():
+    h = identity_spec(path_complement(2))
+    bad = KernelWitness(parse_word(h.source, "v1 v2 v1^-1 v2^-1"), True, True)
+    assert bad.check(h) == "witness image does not reduce to the identity"
+
+
+def test_certificate_check_rejects_existing_embedding():
+    h = identity_spec(path_complement(3))
+    bad = StructuralCertificate(("v1", "v2", "v3"), ("v1", "v2", "v3"), (("v1", "v3"), ("v2",)))
+    assert bad.check(h) == "certificate refuted: a full embedding into the support exists"
 
 
 # -- homomorphism files ------------------------------------------------------------------------------

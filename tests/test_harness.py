@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from raag.harness import HarnessConfig, HarnessReport, run_harness
@@ -61,3 +63,13 @@ def test_report_format_shape():
     assert text.startswith("raag verification harness\ntrials: 3\nseed: 5\n")
     assert "failed_invariants: 0" in text
     assert isinstance(report, HarnessReport)
+
+
+def test_report_pinned_across_commits():
+    # any change to instance generation, extraction or re-checking that moves
+    # a single byte of the report changes this digest
+    report = run_harness(HarnessConfig(trials=40, seed=11, component_sizes=(1, 2, 3, 4, 5)))
+    assert (report.count("embedding"), report.count("witness"), report.count("certificate")) == (8, 28, 4)
+    assert report.peel_checked_trials == 6
+    digest = hashlib.sha256(report.format().encode()).hexdigest()
+    assert digest == "4e9c898acb3c01f2eeea8ee2b49ad1d3838b1150cce20ea8db601ef93198b6e4"

@@ -9,7 +9,6 @@ from raag.graphs import Graph, path_complement
 from raag.words import (
     GroupElement,
     Word,
-    build_expression,
     canonical_form,
     clique_commute_check,
     commutator,
@@ -314,18 +313,6 @@ def test_inverse_reverses_and_flips():
 def test_commutator_definition():
     got = commutator(parse_word(EDGE, "a"), parse_word(EDGE, "b"))
     assert str(got) == "a b a^-1 b^-1"
-
-
-def test_build_expression_dispatch():
-    a, b = parse_word(EDGE, "a"), parse_word(EDGE, "b")
-    assert build_expression("conjugate", a, b) == conjugate(a, b)
-    assert build_expression("commutator", a, b) == commutator(a, b)
-    assert build_expression("inverse", a) == inverse(a)
-    assert build_expression("product", a, b, a) == product(a, b, a)
-    with pytest.raises(ValueError, match="unknown expression kind"):
-        build_expression("square", a)
-    with pytest.raises(ValueError):
-        build_expression("inverse", a, b)
 
 
 # -- brute-force oracle -----------------------------------------------------------------------
