@@ -64,7 +64,6 @@ from raag.words import (
     Letter,
     Word,
     canonical_form,
-    clique_commute_check,
     commutator,
     commutes,
     conjugate,

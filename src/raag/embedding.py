@@ -62,6 +62,7 @@ from raag.words import (
     product,
     reduce,
     support,
+    _centralizer_commutes,
 )
 
 
@@ -140,12 +141,17 @@ class HomReport:
 def validate_hom(h: HomSpec) -> HomReport:
     """Relator check (images of adjacent generators commute), clique-support
     check, union of image supports (in target vertex order), and the list of
-    generators mapped to the identity."""
+    generators mapped to the identity. A relator whose images have a
+    clique-spanning support is decided from the supports alone (centralizer
+    theorem); only the others are decided by reducing their commutator."""
+    supports = {v: support(h.images[v]) for v in h.source.vertices}
     failures = []
     for u, v in h.source.edges():
-        if not commutes(h.images[u], h.images[v]):
+        decided = _centralizer_commutes(h.target, supports[u], supports[v])
+        if decided is None:
+            decided = is_trivial(commutator(h.images[u], h.images[v]))
+        if not decided:
             failures.append((u, v))
-    supports = {v: support(h.images[v]) for v in h.source.vertices}
     violations = tuple(
         (v, supports[v]) for v in h.source.vertices if not h.target.spans_clique(supports[v])
     )

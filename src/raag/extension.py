@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from raag.graphs import Graph
-from raag.words import GroupElement, Word, canonical_form, commutes, conjugate, is_reduced
+from raag.words import (
+    GroupElement,
+    Word,
+    canonical_form,
+    commutes,
+    conjugate,
+    is_reduced,
+    support,
+)
 
 
 @dataclass(frozen=True)
@@ -96,22 +104,49 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     Conjugators are enumerated in shortlex order and conjugates are
     deduplicated by canonical representative, so the vertex order is
     deterministic and the radius-0 slice comes first, in g's vertex order.
+
+    Adjacency uses the centralizer of a generator v, the subgroup generated
+    by its star st(v) (Servatius, J. Algebra 1989). With h the first
+    conjugator that produced x = h^-1 v h, the centralizer of x is
+    h^-1 <st(v)> h, so y commutes with x iff the support of h y h^-1 lies
+    in st(v). Two necessary conditions reject most pairs without a
+    normalization. The bases of x and y are adjacent in g: conjugates of
+    one generator commute only when equal, and the retraction onto the
+    subgroup generated by two non-adjacent generators, a free group, maps
+    their conjugates to non-commuting elements. And every element of
+    h^-1 <st(v)> h has its support in the union of supp(h) and st(v).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    verts: dict[tuple, ExtVertex] = {}
+    verts: dict[tuple, tuple[ExtVertex, Word]] = {}
     for w in enumerate_reduced_words(g, radius):
         for v in g.vertices:
             x = ext_vertex(v, w)
             key = x.element.word.letters
             if key not in verts:
-                verts[key] = x
-    vlist = tuple(verts.values())
+                verts[key] = (x, w)
+    firsts = tuple(verts.values())
+    vlist = tuple(x for x, _ in firsts)
+    star = {v: frozenset((v, *g.neighbors(v))) for v in g.vertices}
+    with_base: dict[str, list[int]] = {v: [] for v in g.vertices}
+    for j, x in enumerate(vlist):
+        with_base[x.base].append(j)
+    letters = [x.element.word.letters for x in vlist]
+    # canonical words are reduced, so their letters are their support
+    supports = [frozenset(u for u, _ in lets) for lets in letters]
+    reach = [star[x.base].union(u for u, _ in h.letters) for x, h in firsts]
     edges = set()
-    for i in range(len(vlist)):
-        for j in range(i + 1, len(vlist)):
-            if commutes(vlist[i].element.word, vlist[j].element.word):
-                edges.add((i, j))
+    for i, (x, h) in enumerate(firsts):
+        head, tail = h.letters, h.inverse().letters
+        for u in g.neighbors(x.base):
+            for j in with_base[u]:
+                if (
+                    j > i
+                    and supports[j] <= reach[i]
+                    and supports[i] <= reach[j]
+                    and support(Word._make(g, head + letters[j] + tail)) <= star[x.base]
+                ):
+                    edges.add((i, j))
     return ExtBall(g, radius, vlist, frozenset(edges))
 
 

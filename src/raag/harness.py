@@ -169,6 +169,10 @@ def run_harness(cfg: HarnessConfig) -> HarnessReport:
         raise ValueError("trials must be >= 1")
     if not 0.0 <= cfg.edge_density <= 1.0:
         raise ValueError("edge density must lie in [0, 1]")
+    if cfg.max_target_vertices < 1:
+        raise ValueError("max target vertices must be >= 1")
+    if not cfg.component_sizes or min(cfg.component_sizes) < 1:
+        raise ValueError("component sizes must be a non-empty list of sizes >= 1")
     master = random.Random(cfg.seed)
     report = HarnessReport(cfg)
     for index in range(1, cfg.trials + 1):

@@ -180,6 +180,12 @@ def test_verify_density_flag(capsys):
     assert code == 0 and "edge_density: 0.9" in out
 
 
+def test_verify_rejects_empty_target_range(capsys):
+    code, out, err = run(capsys, ["verify", "--trials", "4", "--seed", "3", "--max-target", "0"])
+    assert code == 1 and out == ""
+    assert err == "error: max target vertices must be >= 1\n"
+
+
 def test_usage_error_exit_one(capsys):
     code, _, err = run(capsys, ["reduce"])
     assert code == 1 and "usage error" in err

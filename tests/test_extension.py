@@ -23,7 +23,7 @@ from raag.words import (
     support,
 )
 
-from conftest import all_labeled_graphs, random_graph, random_word_letters
+from conftest import all_labeled_graphs, iso_class_representatives, random_graph, random_word_letters
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
 FREE2 = Graph("free2", ["a", "b"])
@@ -145,6 +145,35 @@ def test_ball_edges_match_pairwise_commutation_oracle():
             verdict = oracle_is_trivial(commutator(wi, wj))
             assert verdict is not None
             assert ball.adjacent(i, j) == verdict
+
+
+def _commutator_edges(ball, trivial):
+    words = [x.element.word for x in ball.vertices]
+    edges = set()
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            verdict = trivial(commutator(words[i], words[j]))
+            assert verdict is not None
+            if verdict:
+                edges.add((i, j))
+    return edges
+
+
+def test_ball_edges_match_commutator_reference_on_small_graphs():
+    # ext_ball decides adjacency from conjugator supports; the reduced
+    # commutator, and on the smallest balls the brute-force oracle, decide it
+    # independently (radius 1 on at most 4 vertices is covered by the 5-vertex
+    # pass)
+    for n in range(1, 5):
+        for g in iso_class_representatives(n):
+            for radius in (0, 2):
+                ball = ext_ball(g, radius)
+                assert ball.edges == _commutator_edges(ball, is_trivial), (g.edges(), radius)
+    for n in range(1, 6):
+        for g in iso_class_representatives(n):
+            ball = ext_ball(g, 1)
+            assert ball.edges == _commutator_edges(ball, is_trivial), g.edges()
+            assert ball.edges == _commutator_edges(ball, oracle_is_trivial), g.edges()
 
 
 def test_ball_vertices_monotone_in_radius():

@@ -10,7 +10,6 @@ from raag.words import (
     GroupElement,
     Word,
     canonical_form,
-    clique_commute_check,
     commutator,
     commutes,
     conjugate,
@@ -284,18 +283,46 @@ def test_commutes_symmetric(gw):
     assert commutes(w1, w2) == commutes(w2, w1)
 
 
-def test_clique_commute_check_examples():
-    assert clique_commute_check(parse_word(EDGE, "a"), parse_word(EDGE, "b"))
-    assert not clique_commute_check(parse_word(FREE2, "a"), parse_word(FREE2, "b"))
+def test_commutes_clique_support_examples():
+    assert commutes(parse_word(EDGE, "a"), parse_word(EDGE, "b"))
+    assert not commutes(parse_word(FREE2, "a"), parse_word(FREE2, "b"))
     # {a,b} is a clique, c adjacent to a but not to b: union is not a clique
     g = Graph("g", ["a", "b", "c"], [("a", "b"), ("a", "c")])
-    assert not clique_commute_check(parse_word(g, "a b"), parse_word(g, "c"))
+    assert not commutes(parse_word(g, "a b"), parse_word(g, "c"))
+    # only one side clique-supported: {b, c} lies in st(a) but not in st(c)
+    assert commutes(parse_word(g, "a^-1 a^-1"), parse_word(g, "b c b^-1"))
+    assert not commutes(parse_word(g, "c"), parse_word(g, "b c b^-1"))
 
 
-def test_clique_commute_check_rejects_non_clique_support():
-    w = parse_word(FREE2, "a b")
-    with pytest.raises(ValueError, match="not clique-shaped"):
-        clique_commute_check(w, parse_word(FREE2, "a"))
+_COMMUTES_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def graph_and_two_words(draw, max_vertices=6, max_len=8):
+    """A graph on at most 6 vertices and two words over it, each drawn over
+    its own small alphabet so that clique supports are common."""
+    g, _ = draw(graph_and_word(max_vertices=max_vertices, max_len=0))
+    words = []
+    for _ in range(2):
+        alphabet = draw(st.lists(st.sampled_from(g.vertices), min_size=1, max_size=3, unique=True))
+        letters = draw(st.lists(st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1))), max_size=max_len))
+        words.append(Word(g, letters))
+    return g, words[0], words[1]
+
+
+def test_commutes_matches_commutator_reference():
+    cases = set()
+
+    @_COMMUTES_PROPERTY
+    @given(graph_and_two_words())
+    def check(gww):
+        g, w1, w2 = gww
+        cases.add(sum(g.spans_clique(support(w)) for w in (w1, w2)))
+        assert commutes(w1, w2) == is_trivial(commutator(w1, w2))
+
+    check()
+    # both supports span cliques, exactly one does, neither does
+    assert cases == {2, 1, 0}
 
 
 # -- expression builders --------------------------------------------------------------------
