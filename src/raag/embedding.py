@@ -48,7 +48,9 @@ from raag.graphs import (
     join_decompose,
     parse_graph,
     verify_full_embedding,
+    _adjacency_masks,
     _components_of,
+    _forward_check,
     _path_order,
 )
 from raag.words import (
@@ -178,7 +180,10 @@ class FullEmbedding:
         anti-path vertex inside the support of its own image (3-vertex
         components: inside the component support); otherwise the first
         problem found."""
-        chk = verify_full_embedding(h.source, h.target, self.mapping)
+        try:
+            chk = verify_full_embedding(h.source, h.target, self.mapping)
+        except ValueError as exc:  # not total on the source, or names non-source vertices
+            return f"embedding check failed: {exc}"
         if not chk:
             return f"embedding check failed: {chk.violation}"
         supp = set().union(*(support(w) for w in h.images.values()))
@@ -218,6 +223,8 @@ class KernelWitness:
     def check(self, h: HomSpec) -> Optional[str]:
         """None when the word is nontrivial over the source and its image
         under h is trivial; otherwise the first problem found."""
+        if self.word.graph != h.source:
+            return "witness word is not over the source graph"
         if is_trivial(self.word):
             return "witness word is trivial over the source"
         if not is_trivial(h.apply(self.word)):
@@ -239,17 +246,37 @@ class StructuralCertificate:
     complement_components: tuple[tuple[str, ...], ...]
 
     def check(self, h: HomSpec) -> Optional[str]:
-        """None when the component has no full embedding into the induced
-        support subgraph and that subgraph's complement is a union of
-        complete graphs; otherwise the first problem found. Repeats the
-        exhaustive embedding search."""
-        comp_graph = induced_subgraph(h.source, self.component)
-        sub = induced_subgraph(h.target, self.supp)
+        """None when the component is a 3-vertex anti-path of the source,
+        supp is the union of its image supports in target order, the
+        component has no full embedding into the induced support subgraph,
+        and complement_components are that subgraph's complement
+        components, each complete; otherwise the first problem found.
+        Repeats the exhaustive embedding search."""
+        comp = tuple(self.component)
+        if len(comp) != 3 or len(set(comp)) != 3 or any(v not in h.source for v in comp):
+            return "certificate component does not name three distinct source vertices"
+        comp_graph = induced_subgraph(h.source, comp)
+        if _path_order(complement(comp_graph)) is None:
+            return "certificate component is not a 3-vertex anti-path"
+        supp = _support_union(h, comp)
+        if self.supp != supp:
+            return "certificate support is not the union of the component image supports"
+        sub = induced_subgraph(h.target, supp)
         if full_embedding_search(comp_graph, sub) is not None:
             return "certificate refuted: a full embedding into the support exists"
-        if _complete_complement_components(sub) is None:
+        names = _complete_complement_components(sub)
+        if names is None:
             return "certificate refuted: support complement component is not complete"
+        if self.complement_components != names:
+            return "certificate complement components differ from those of the support"
         return None
+
+
+def _support_union(h: HomSpec, vertices) -> tuple[str, ...]:
+    """Union of the reduced supports of the images of the given source
+    vertices, in target vertex order."""
+    union = set().union(*(support(h.images[v]) for v in vertices))
+    return tuple(v for v in h.target.vertices if v in union)
 
 
 def _complete_complement_components(g: Graph) -> Optional[tuple[tuple[str, ...], ...]]:
@@ -345,8 +372,7 @@ def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
         for b in range(a + 1, n):
             if not src.adjacent(src.vertices[a], src.vertices[b]):
                 raise ValueError("source of extract_abelian must be a complete graph")
-    union = set().union(*(support(h.images[v]) for v in src.vertices)) if n else set()
-    supp = tuple(v for v in h.target.vertices if v in union)
+    supp = _support_union(h, src.vertices)
     if not h.target.spans_clique(supp):
         raise ValueError("image supports are not contained in a clique of the target")
     matrix = _exponent_matrix(h, supp)
@@ -371,8 +397,8 @@ def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
 @dataclass(frozen=True)
 class CliqueChain:
     """Supports of the images of v_1..v_n, each spanning a clique of the
-    target; every cross pair at label distance > 1 is identical or
-    adjacent."""
+    target and listed in target vertex order; every cross pair at label
+    distance > 1 is identical or adjacent."""
 
     graph: Graph
     cliques: tuple[tuple[str, ...], ...]
@@ -428,35 +454,29 @@ def build_clique_chain(h: HomSpec, labeling: PathLabeling) -> CliqueChain:
 
 
 def sequence_search(chain: CliqueChain) -> Optional[tuple[str, ...]]:
-    """Backtracking search for mutually distinct y_i in C_i with y_{i-1}
-    non-adjacent to y_i. First solution in vertex insertion order; None
-    means no such sequence exists anywhere in the chain."""
+    """Search for mutually distinct y_i in C_i with y_{i-1} non-adjacent to
+    y_i; None means no such sequence exists anywhere in the chain.
+
+    Positions are filled in chain order and each tries the vertices of its
+    clique in target insertion order; the first solution is returned. The
+    forward-checking engine of raag.graphs keeps every unfilled position's
+    remaining vertices as a bitmask: choosing y_i keeps only the distinct
+    non-neighbours of y_i at position i + 1 and removes y_i everywhere
+    further on, and a choice that empties some position is dropped. That
+    pruning discards only choices without a solution, so the result is the
+    first solution of the plain backtracking scan in the same orders."""
     n = len(chain.cliques)
     if n < 2:
         raise ValueError("sequence search needs a chain of length >= 2")
     g = chain.graph
-    chosen: list[str] = []
-    used: set[str] = set()
-
-    def step(i: int) -> bool:
-        if i == n:
-            return True
-        for y in chain.cliques[i]:
-            if y in used:
-                continue
-            if i > 0 and g.adjacent(chosen[-1], y):
-                continue
-            chosen.append(y)
-            used.add(y)
-            if step(i + 1):
-                return True
-            used.discard(y)
-            chosen.pop()
-        return False
-
-    if step(0):
-        return tuple(chosen)
-    return None
+    _, non = _adjacency_masks(g)
+    other = [~(1 << t) for t in range(len(g))]
+    domains = [sum(1 << g.index(y) for y in clique) for clique in chain.cliques]
+    links = [[(j, non if j == i + 1 else other) for j in range(i + 1, n)] for i in range(n)]
+    found = _forward_check(domains, links)
+    if found is None:
+        return None
+    return tuple(g.vertices[t] for t in found)
 
 
 def reach_sets(chain: CliqueChain) -> ReachSets:
@@ -615,8 +635,7 @@ def extract_anti_path3(h: HomSpec) -> Union[FullEmbedding, StructuralCertificate
     src = h.source
     if len(src) != 3 or _path_order(complement(src)) is None:
         raise ValueError("source of extract_anti_path3 must be a 3-vertex anti-path")
-    union = set().union(*(support(h.images[v]) for v in src.vertices))
-    supp = tuple(v for v in h.target.vertices if v in union)
+    supp = _support_union(h, src.vertices)
     sub = induced_subgraph(h.target, supp)
     mapping = full_embedding_search(src, sub)
     if mapping is not None:

@@ -3,8 +3,9 @@
 This module is the substrate for everything else in the package: graph
 algebra (complement, join, induced subgraphs), join decomposition via the
 connected components of the complement, recognition of complements of
-linear forests, and a deterministic backtracking search for full (induced)
-embeddings.
+linear forests, and a deterministic forward-checking search for full
+(induced) embeddings, whose engine the clique-chain sequence search of
+raag.embedding shares.
 
 Vertex insertion order is significant: it is the tie-breaker for every
 deterministic search built on top, so two graphs with the same vertex set
@@ -318,6 +319,51 @@ def recognize_linear_forest_complement(g: Graph) -> Optional[list[PathLabeling]]
 # -- full embeddings -----------------------------------------------------------
 
 
+def _forward_check(
+    domains: list[int], links: Sequence[Sequence[tuple[int, Sequence[int]]]]
+) -> Optional[list[int]]:
+    """First assignment of one target index to each of n >= 1 positions,
+    by depth-first forward checking.
+
+    domains[s] is the bitmask of target indices allowed at position s.
+    Positions are assigned in order 0, 1, ..., and values in ascending bit
+    order. links[s] lists, for later positions s2 only, a table indexed by
+    target: placing t at s ANDs domains[s2] with table[t]. A branch is cut
+    as soon as a later domain becomes empty, which loses no solution, so
+    the first assignment found is the one a plain backtracking scan in the
+    same orders would find. None when no assignment exists.
+    """
+    n = len(domains)
+    out = [0] * n
+
+    def place(s: int, doms: list[int]) -> bool:
+        d = doms[s]
+        while d:
+            low = d & -d
+            d ^= low
+            t = low.bit_length() - 1
+            nxt = doms[:]
+            for s2, table in links[s]:
+                nxt[s2] &= table[t]
+                if not nxt[s2]:
+                    break
+            else:
+                out[s] = t
+                if s + 1 == n or place(s + 1, nxt):
+                    return True
+        return False
+
+    return out if place(0, domains) else None
+
+
+def _adjacency_masks(g: Graph) -> tuple[list[int], list[int]]:
+    """Per vertex index t, the bitmasks of its neighbours and of its
+    distinct non-neighbours; neither contains t itself."""
+    nbr = [sum(1 << j for j in adj) for adj in g._adj]
+    full = (1 << len(nbr)) - 1
+    return nbr, [full ^ a ^ (1 << t) for t, a in enumerate(nbr)]
+
+
 def full_embedding_search(
     lam: Graph, gamma: Graph, restrict: Optional[Iterable[str]] = None
 ) -> Optional[dict[str, str]]:
@@ -325,55 +371,42 @@ def full_embedding_search(
 
     Returns an injective vertex map preserving both adjacency and
     non-adjacency, or None if no such map exists. When restrict is given
-    the image must lie inside that subset of gamma's vertices. The search
-    is a backtracking scan in vertex insertion order (first solution found
-    is returned), with candidates pruned by degree and complement-degree
-    compatibility inside the searched subgraph.
+    the image must lie inside that subset of gamma's vertices.
+
+    Source vertices are placed in insertion order and each tries its
+    candidate targets (those passing a degree and complement-degree
+    prefilter) in insertion order; the first solution is returned. The
+    search keeps each unplaced source vertex's remaining candidates as a
+    bitmask: placing u at t keeps only the neighbours of t for the source
+    neighbours of u and only the distinct non-neighbours of t for the
+    others, and abandons the branch when some candidate set runs empty.
+    That pruning discards only branches without a solution, so the result
+    is the first solution of the plain backtracking scan in the same
+    orders.
     """
     if restrict is not None:
-        sub = induced_subgraph(gamma, restrict)
-        found = full_embedding_search(lam, sub)
-        return found
+        return full_embedding_search(lam, induced_subgraph(gamma, restrict))
     n, m = len(lam), len(gamma)
     if n == 0:
         return {}
     if n > m:
         return None
-    ldeg = [len(lam._adj[i]) for i in range(n)]
-    gdeg = [len(gamma._adj[j]) for j in range(m)]
+    ldeg = [len(a) for a in lam._adj]
+    gdeg = [len(a) for a in gamma._adj]
     # t can host s only if t has enough neighbors and enough non-neighbors
     # inside any n-vertex induced image.
-    cands = [
-        [t for t in range(m) if gdeg[t] >= ldeg[s] and (m - 1 - gdeg[t]) >= (n - 1 - ldeg[s])]
+    domains = [
+        sum(1 << t for t in range(m) if gdeg[t] >= ldeg[s] and m - 1 - gdeg[t] >= n - 1 - ldeg[s])
         for s in range(n)
     ]
-    assignment = [-1] * n
-    used = [False] * m
-
-    def place(s: int) -> bool:
-        if s == n:
-            return True
-        for t in cands[s]:
-            if used[t]:
-                continue
-            ok = True
-            for s2 in range(s):
-                if (s2 in lam._adj[s]) != (assignment[s2] in gamma._adj[t]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[s] = t
-            used[t] = True
-            if place(s + 1):
-                return True
-            used[t] = False
-            assignment[s] = -1
-        return False
-
-    if not place(0):
+    nbr, non = _adjacency_masks(gamma)
+    links = [
+        [(s2, nbr if s2 in lam._adj[s] else non) for s2 in range(s + 1, n)] for s in range(n)
+    ]
+    found = _forward_check(domains, links)
+    if found is None:
         return None
-    return {lam.vertices[s]: gamma.vertices[assignment[s]] for s in range(n)}
+    return {lam.vertices[s]: gamma.vertices[found[s]] for s in range(n)}
 
 
 @dataclass(frozen=True)

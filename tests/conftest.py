@@ -1,9 +1,16 @@
 """Shared builders for the test suite."""
 
+import importlib.util
 import itertools
+import os
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from raag.graphs import Graph
 
@@ -56,6 +63,18 @@ def random_word_letters(rng, g, max_len):
     return [(rng.choice(g.vertices), rng.choice((1, -1))) for _ in range(length)]
 
 
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def drawn_graphs(draw, min_vertices, max_vertices, prefix):
+    """Hypothesis strategy: a random_graph on prefix1, prefix2, ... with
+    size and edge density drawn uniformly from a seeded Random (hypothesis'
+    own draws favour small values, which rarely reach the larger cases)."""
+    rnd = random.Random(draw(SEEDS))
+    return random_graph(rnd, rnd.randint(min_vertices, max_vertices), rnd.random(), prefix=prefix)
+
+
 def cycle_graph(n, prefix="a"):
     verts = [f"{prefix}{i}" for i in range(1, n + 1)]
     edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
@@ -65,3 +84,29 @@ def cycle_graph(n, prefix="a"):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The committed src/raag/_speedups.c, compiled and linked the way this
+    Python builds extensions, and loaded under a private module name: never
+    as raag._speedups, so the kernel raag._kernel selects for the rest of
+    the suite stays the one it imported. Skips only when there are no
+    Python headers or no compiler."""
+    include = sysconfig.get_paths()["include"]
+    if not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip(f"no Python headers in {include}")
+    link = (sysconfig.get_config_var("LDSHARED") or "").split()
+    if not link or shutil.which(link[0]) is None:
+        pytest.skip(f"no C compiler to build extensions with (LDSHARED={link!r})")
+    source = Path(__file__).resolve().parent.parent / "src" / "raag" / "_speedups.c"
+    out = tmp_path_factory.mktemp("kernel") / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "").split(), "-O2", f"-I{include}",
+           str(source), "-o", str(out)]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+    if done.returncode != 0:
+        pytest.fail(f"building the compiled kernel failed: {' '.join(cmd)}\n{done.stderr}")
+    spec = importlib.util.spec_from_file_location("_raag_kernel_under_test._speedups", out)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raag.embedding import (
     CliqueChain,
@@ -33,7 +35,7 @@ from raag.graphs import (
 )
 from raag.words import Word, is_trivial, parse_word, support
 
-from conftest import cycle_graph
+from conftest import SEEDS, cycle_graph, drawn_graphs
 
 
 def identity_spec(g):
@@ -263,6 +265,65 @@ def test_sequence_search_needs_two_cliques():
     t = Graph("t", ["a"])
     with pytest.raises(ValueError):
         sequence_search(CliqueChain(t, (("a",),)))
+
+
+def _reference_sequence_search(chain):
+    """The plain backtracking scan that sequence_search prunes: positions
+    in chain order, each trying its clique in order, skipping used vertices
+    and neighbours of the previous choice. Its first solution is the one
+    the search must return."""
+    n = len(chain.cliques)
+    g = chain.graph
+    chosen = []
+    used = set()
+
+    def step(i):
+        if i == n:
+            return True
+        for y in chain.cliques[i]:
+            if y in used:
+                continue
+            if i > 0 and g.adjacent(chosen[-1], y):
+                continue
+            chosen.append(y)
+            used.add(y)
+            if step(i + 1):
+                return True
+            used.discard(y)
+            chosen.pop()
+        return False
+
+    if step(0):
+        return tuple(chosen)
+    return None
+
+
+@st.composite
+def _chains(draw):
+    """Chains of 2 to 6 vertex sets over a graph on at most 10 vertices,
+    each set in target order like build_clique_chain's. The sets need not
+    be cliques: the search does not rely on it."""
+    g = draw(drawn_graphs(1, 10, "t"))
+    rnd = random.Random(draw(SEEDS))
+    sets = []
+    for _ in range(rnd.randint(2, 6)):
+        members = rnd.sample(g.vertices, rnd.randint(1, min(5, len(g))))
+        sets.append(tuple(v for v in g.vertices if v in members))
+    return CliqueChain(g, tuple(sets))
+
+
+def test_sequence_search_returns_the_reference_sequence():
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_chains())
+    def check(chain):
+        want = _reference_sequence_search(chain)
+        outcomes.add(want is not None)
+        assert sequence_search(chain) == want
+
+    check()
+    assert outcomes == {True, False}
 
 
 # -- reach sets and peeling ---------------------------------------------------------------------
@@ -759,6 +820,72 @@ def test_certificate_check_rejects_existing_embedding():
     h = identity_spec(path_complement(3))
     bad = StructuralCertificate(("v1", "v2", "v3"), ("v1", "v2", "v3"), (("v1", "v3"), ("v2",)))
     assert bad.check(h) == "certificate refuted: a full embedding into the support exists"
+
+
+def _p3c_into_edge_plus_point_spec():
+    # a1-a3 is the one source edge; images a1 -> x, a2 -> z, a3 -> y
+    lam = path_complement(3, prefix="a")
+    t = Graph("t", ["x", "y", "z"], [("x", "y")])
+    images = {"a1": parse_word(t, "x"), "a2": parse_word(t, "z"), "a3": parse_word(t, "y")}
+    return HomSpec(lam, t, images)
+
+
+def test_certificate_check_rejects_forged_support():
+    h = _p3c_into_edge_plus_point_spec()
+    assert isinstance(extract_full(h), FullEmbedding)
+    forged = StructuralCertificate(h.source.vertices, ("x",), (("x",),))
+    assert forged.check(h) == "certificate support is not the union of the component image supports"
+
+
+def test_certificate_check_rejects_unknown_support_names():
+    h = _p3c_into_edge_plus_point_spec()
+    forged = StructuralCertificate(h.source.vertices, ("x", "y", "nope"), (("x",),))
+    assert forged.check(h) == "certificate support is not the union of the component image supports"
+
+
+def test_certificate_check_rejects_unknown_component_names():
+    h = _p3c_into_edge_plus_point_spec()
+    forged = StructuralCertificate(("a1", "a2", "nope"), ("x", "y", "z"), ())
+    assert forged.check(h) == "certificate component does not name three distinct source vertices"
+
+
+def test_certificate_check_rejects_component_that_is_not_an_anti_path():
+    k3 = complete_graph(3, prefix="a")
+    t = complete_graph(3, prefix="t")
+    h = HomSpec(k3, t, {f"a{i}": parse_word(t, f"t{i}") for i in (1, 2, 3)})
+    forged = StructuralCertificate(k3.vertices, t.vertices, tuple((v,) for v in t.vertices))
+    assert forged.check(h) == "certificate component is not a 3-vertex anti-path"
+
+
+def test_certificate_check_rejects_wrong_complement_components():
+    p3c = path_complement(3)
+    t = complete_graph(4, prefix="t")
+    h = HomSpec(
+        p3c, t, {"v1": parse_word(t, "t1"), "v2": parse_word(t, "t2 t3"), "v3": parse_word(t, "t4")}
+    )
+    cert = extract_full(h)
+    assert isinstance(cert, StructuralCertificate)
+    forged = StructuralCertificate(cert.component, cert.supp, cert.complement_components[:1])
+    assert forged.check(h) == "certificate complement components differ from those of the support"
+
+
+def test_embedding_check_rejects_map_that_is_not_total():
+    h = identity_spec(path_complement(2))
+    assert FullEmbedding({}).check(h) == (
+        "embedding check failed: map is not total on the source: missing 'v1'"
+    )
+
+
+def test_embedding_check_rejects_map_naming_non_source_vertices():
+    h = identity_spec(path_complement(2))
+    bad = FullEmbedding({"v1": "v1", "v2": "v2", "zz": "v1"})
+    assert bad.check(h) == "embedding check failed: map mentions non-source vertex 'zz'"
+
+
+def test_witness_check_rejects_word_over_another_graph():
+    h = identity_spec(path_complement(4))
+    bad = KernelWitness(parse_word(path_complement(2), "v1 v2 v1^-1 v2^-1"), True, True)
+    assert bad.check(h) == "witness word is not over the source graph"
 
 
 # -- homomorphism files ------------------------------------------------------------------------------

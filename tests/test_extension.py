@@ -9,7 +9,13 @@ from raag.extension import (
     ext_ball,
     ext_vertex,
 )
-from raag.graphs import Graph, complete_graph
+from raag.graphs import (
+    Graph,
+    complete_graph,
+    full_embedding_search,
+    path_complement,
+    path_graph,
+)
 from raag.words import (
     Word,
     canonical_form,
@@ -23,7 +29,13 @@ from raag.words import (
     support,
 )
 
-from conftest import all_labeled_graphs, iso_class_representatives, random_graph, random_word_letters
+from conftest import (
+    all_labeled_graphs,
+    cycle_graph,
+    iso_class_representatives,
+    random_graph,
+    random_word_letters,
+)
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
 FREE2 = Graph("free2", ["a", "b"])
@@ -241,3 +253,18 @@ def test_radius0_adjacency_equals_source_adjacency_exhaustive():
             for i in range(n):
                 for j in range(i + 1, n):
                     assert ball.adjacent(i, j) == g.adjacent(g.vertices[i], g.vertices[j])
+
+
+# -- full embeddings into balls ---------------------------------------------------
+
+
+@pytest.mark.parametrize("target, lam", [
+    (path_complement(5, prefix="a"), path_complement(6, prefix="x")),
+    (cycle_graph(4), path_graph(6, prefix="x")),
+    (cycle_graph(4), cycle_graph(5, prefix="x")),
+])
+def test_no_full_embedding_into_radius2_ball(target, lam):
+    # the most expensive negatives of the ext_query benchmark workload: the
+    # search has to rule out every placement in a 105- or 36-vertex ball
+    bg = ball_as_graph(ext_ball(target, 2))
+    assert full_embedding_search(lam, bg) is None

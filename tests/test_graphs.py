@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raag.graphs import (
     Graph,
@@ -20,7 +22,7 @@ from raag.graphs import (
     verify_full_embedding,
 )
 
-from conftest import all_labeled_graphs, cycle_graph, random_graph
+from conftest import all_labeled_graphs, cycle_graph, drawn_graphs, random_graph
 
 
 # -- construction and basic accessors ------------------------------------------
@@ -252,6 +254,70 @@ def test_search_is_deterministic():
         lam = random_graph(rng, 3, 0.5, prefix="u")
         gam = random_graph(rng, 5, 0.5, prefix="t")
         assert full_embedding_search(lam, gam) == full_embedding_search(lam, gam)
+
+
+def _reference_full_embedding_search(lam, gamma):
+    """The plain backtracking scan that full_embedding_search prunes: the
+    same degree prefilter, source vertices placed in insertion order, each
+    trying its candidates in insertion order and checked against every
+    placed vertex. Its first solution is the one the search must return."""
+    n, m = len(lam), len(gamma)
+    if n == 0:
+        return {}
+    if n > m:
+        return None
+    ldeg = [len(lam._adj[i]) for i in range(n)]
+    gdeg = [len(gamma._adj[j]) for j in range(m)]
+    cands = [
+        [t for t in range(m) if gdeg[t] >= ldeg[s] and (m - 1 - gdeg[t]) >= (n - 1 - ldeg[s])]
+        for s in range(n)
+    ]
+    assignment = [-1] * n
+    used = [False] * m
+
+    def place(s):
+        if s == n:
+            return True
+        for t in cands[s]:
+            if used[t]:
+                continue
+            ok = True
+            for s2 in range(s):
+                if (s2 in lam._adj[s]) != (assignment[s2] in gamma._adj[t]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            assignment[s] = t
+            used[t] = True
+            if place(s + 1):
+                return True
+            used[t] = False
+            assignment[s] = -1
+        return False
+
+    if not place(0):
+        return None
+    return {lam.vertices[s]: gamma.vertices[assignment[s]] for s in range(n)}
+
+
+def test_search_returns_the_reference_mapping():
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn_graphs(1, 6, "u"), drawn_graphs(1, 10, "t"), st.data())
+    def check(lam, gamma, data):
+        restrict = data.draw(st.none() | st.lists(st.sampled_from(gamma.vertices), unique=True))
+        if restrict is None:
+            want = _reference_full_embedding_search(lam, gamma)
+        else:
+            want = _reference_full_embedding_search(lam, induced_subgraph(gamma, restrict))
+        outcomes.add((want is not None, restrict is not None))
+        assert full_embedding_search(lam, gamma, restrict) == want
+
+    check()
+    # found and not found, each with and without restrict
+    assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
 
 
 # -- embedding verification --------------------------------------------------------------

@@ -23,7 +23,7 @@ from raag.words import (
     support,
 )
 
-from conftest import random_graph, random_word_letters
+from conftest import SEEDS, drawn_graphs, random_graph, random_word_letters
 
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
@@ -372,15 +372,29 @@ def test_kernel_agrees_with_oracle_on_random_words():
 # -- pure/compiled kernel parity -----------------------------------------------------------------
 
 
-def test_kernel_parity():
+def test_kernel_parity(compiled_kernel):
     from raag import _purekernel
 
-    speedups = pytest.importorskip("raag._speedups")
     rng = random.Random(555)
     for _ in range(500):
         g = random_graph(rng, rng.randint(1, 6), rng.random())
         w = Word(g, random_word_letters(rng, g, 14))
         nn = g.nonneighbor_table()
-        assert _purekernel.normalize(w.codes(), len(g), nn) == speedups.normalize(
+        assert _purekernel.normalize(w.codes(), len(g), nn) == compiled_kernel.normalize(
             w.codes(), len(g), nn
         )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_graphs(1, 20, "g"), SEEDS)
+def test_kernel_parity_on_long_words(compiled_kernel, g, seed):
+    # letters from a random sub-alphabet, so that long words cancel and pile
+    # up deeply as well as rarely
+    from raag import _purekernel
+
+    rnd = random.Random(seed)
+    alphabet = rnd.sample(g.vertices, rnd.randint(1, len(g)))
+    letters = [(rnd.choice(alphabet), rnd.choice((1, -1))) for _ in range(rnd.randint(0, 400))]
+    codes = Word(g, letters).codes()
+    nn = g.nonneighbor_table()
+    assert _purekernel.normalize(codes, len(g), nn) == compiled_kernel.normalize(codes, len(g), nn)
