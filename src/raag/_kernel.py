@@ -1,7 +1,8 @@
 """Kernel selection: compiled extension when built, pure Python otherwise.
 
 Set RAAG_PURE=1 in the environment to force the pure-Python fallback (the
-benchmark and the parity tests import both implementations directly).
+benchmark and the parity tests import both implementations directly). Only
+normalize has a compiled version; survivors is always the pure one.
 """
 
 import os
@@ -21,6 +22,7 @@ if os.environ.get("RAAG_PURE", "").strip().lower() not in {"1", "true", "yes"}:
         COMPILED = True
 
 normalize = _impl.normalize
+survivors = _purekernel.survivors
 
 
 def kernel_name() -> str:

@@ -1,12 +1,13 @@
 """Pure-Python word normalization via the piling construction.
 
 A word over a partially commutative alphabet is pushed letter by letter
-onto per-generator stacks ("piles"): pushing generator i appends a signed
-entry to pile i and a zero marker to every pile of a generator that does
-not commute with i. When the incoming letter finds its own inverse on top
-of its pile, only commuting letters separate the two occurrences, so the
-pair cancels and its footprint is popped. The result after one pass is a
-maximally cancelled (reduced) word.
+onto per-generator stacks ("piles"): pushing generator i appends the
+letter's 1-based position in the word to pile i and a zero marker to every
+pile of a generator that does not commute with i. When the incoming letter
+finds its own inverse on top of its pile, only commuting letters separate
+the two occurrences, so the pair cancels and its footprint is popped. The
+letters left on the piles after this one pass are the survivors: in their
+original order they spell a maximally cancelled (reduced) word.
 
 Depiling then emits, at every step, the smallest available generator
 (front of its pile holds a real letter, i.e. no earlier non-commuting
@@ -14,9 +15,33 @@ letter remains). This yields the lexicographically least reduced word of
 the commutation class, which is the canonical form used for equality
 tests throughout the package.
 
-This module mirrors raag._speedups exactly; the compiled module is
-preferred when available.
+normalize has the same contract as raag._speedups.normalize, which is
+preferred when built; survivors exists only here.
 """
+
+
+def _pile(codes, n, noncomm):
+    """The push pass: per generator, the pile of 1-based positions of its
+    surviving letters, with 0 marking a letter of a non-commuting
+    generator; and the number of survivors."""
+    piles = [[] for _ in range(n)]
+    count = 0
+    pos = 0
+    for c in codes:
+        pos += 1
+        i = c - 1 if c > 0 else -c - 1
+        p = piles[i]
+        if p and p[-1] and codes[p[-1] - 1] == -c:
+            p.pop()
+            for j in noncomm[i]:
+                piles[j].pop()
+            count -= 1
+        else:
+            p.append(pos)
+            for j in noncomm[i]:
+                piles[j].append(0)
+            count += 1
+    return piles, count
 
 
 def normalize(codes, n, noncomm):
@@ -32,26 +57,7 @@ def normalize(codes, n, noncomm):
     smallest in letter order (generator index ascending) among all
     commutation-equivalent reduced words.
     """
-    piles = [[] for _ in range(n)]
-    count = 0
-    for c in codes:
-        if c > 0:
-            i = c - 1
-            eps = 1
-        else:
-            i = -c - 1
-            eps = -1
-        p = piles[i]
-        if p and p[-1] == -eps:
-            p.pop()
-            for j in noncomm[i]:
-                piles[j].pop()
-            count -= 1
-        else:
-            p.append(eps)
-            for j in noncomm[i]:
-                piles[j].append(0)
-            count += 1
+    piles, count = _pile(codes, n, noncomm)
     out = []
     ptr = [0] * n
     while count:
@@ -59,10 +65,19 @@ def normalize(codes, n, noncomm):
             k = ptr[i]
             p = piles[i]
             if k < len(p) and p[k]:
-                out.append((i + 1) * p[k])
+                out.append(codes[p[k] - 1])
                 ptr[i] = k + 1
                 for j in noncomm[i]:
                     ptr[j] += 1
                 count -= 1
                 break
     return out
+
+
+def survivors(codes, n, noncomm):
+    """The 0-based positions of the letters of codes that survive the
+    piling pass, ascending. The letters at these positions, in this order,
+    form a reduced word for the same element, as long as normalize's
+    output. Arguments as for normalize."""
+    piles, _ = _pile(codes, n, noncomm)
+    return sorted(pos - 1 for p in piles for pos in p if pos)

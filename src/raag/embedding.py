@@ -34,6 +34,7 @@ labels non-adjacent, all other pairs adjacent):
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -105,11 +106,12 @@ class HomSpec:
         """Image of a source word, by letterwise substitution."""
         if w.graph != self.source:
             raise ValueError("word is not over the source graph")
-        letters: list = []
-        for v, s in w.letters:
-            img = self.images[v]
-            letters.extend(img.letters if s > 0 else img.inverse().letters)
-        return Word._make(self.target, tuple(letters))
+        verts = self.source.vertices
+        codes: list = []
+        for c in w.codes():
+            img = self.images[verts[abs(c) - 1]]
+            codes.extend(img.codes() if c > 0 else img.inverse().codes())
+        return Word._from_codes(self.target, tuple(codes))
 
     def restricted(self, component: Graph) -> "HomSpec":
         """Restriction to an induced subgraph of the source."""
@@ -335,24 +337,14 @@ def _integer_left_nullvector(rows: list[list[int]]) -> Optional[list[int]]:
         return None
     # row r of the M-part is zero; its I-part records the combination
     vec = aug[r][l:]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     first = next(x for x in ints if x != 0)
     if first < 0:
         ints = [-x for x in ints]
     return ints
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
@@ -532,11 +524,12 @@ def peel_words(h: HomSpec, labeling: PathLabeling, reach: ReachSets) -> tuple[Wo
     """
     order = labeling.order
     originals = [reduce(h.images[v]) for v in order[:-1]]
+    verts = h.target.vertices
     peeled: list[Word] = []
     for i, w in enumerate(originals):
         allowed = set(reach.sets[i])
-        kept = tuple(let for let in w.letters if let[0] in allowed)
-        peeled.append(Word._make(h.target, kept))
+        kept = tuple(c for c in w.codes() if verts[abs(c) - 1] in allowed)
+        peeled.append(Word._from_codes(h.target, kept))
         if i >= 1:
             lhs = canonical_form(_tower(peeled))
             rhs = canonical_form(_tower(originals[: i + 1]))
@@ -556,7 +549,7 @@ def obstruction_commutator(h: HomSpec, labeling: PathLabeling) -> KernelWitness:
     """
     order = labeling.order
     n = len(order)
-    gens = {v: Word._make(h.source, ((v, 1),)) for v in order}
+    gens = {v: Word(h.source, ((v, 1),)) for v in order}
     if n == 2:
         word = commutator(gens[order[0]], gens[order[1]])
     elif n >= 4:
@@ -616,7 +609,7 @@ def _check_witness_factoring(h: HomSpec, labeling: PathLabeling, peeled: tuple[W
     tower as a group element, and that element must commute with the image
     of v_n."""
     order = labeling.order
-    gens = [Word._make(h.source, ((v, 1),)) for v in order]
+    gens = [Word(h.source, ((v, 1),)) for v in order]
     conj_src = conjugate(gens[0], product(*gens[1:-1]))
     lhs = canonical_form(h.apply(conj_src))
     tower = _tower(list(peeled))
@@ -711,7 +704,7 @@ def extract_full(h: HomSpec) -> ExtractionOutcome:
         )
     if report.trivial_images:
         v = report.trivial_images[0]
-        witness = KernelWitness(Word._make(h.source, ((v, 1),)), True, True, component=(v,))
+        witness = KernelWitness(Word(h.source, ((v, 1),)), True, True, component=(v,))
         if witness.check(h) is not None:
             raise MechanismError("trivial-image witness failed verification")
         return witness

@@ -47,7 +47,7 @@ def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
     g = conjugator.graph
     if v not in g:
         raise ValueError(f"foreign vertex {v!r} for graph {g.name!r}")
-    rep = canonical_form(conjugate(Word._make(g, ((v, 1),)), conjugator))
+    rep = canonical_form(conjugate(Word(g, ((v, 1),)), conjugator))
     return ExtVertex(v, rep)
 
 
@@ -63,18 +63,15 @@ def ext_adjacent(x: ExtVertex, y: ExtVertex) -> bool:
 def enumerate_reduced_words(g: Graph, max_len: int) -> Iterator[Word]:
     """All reduced words of length <= max_len, in shortlex order (length
     ascending, then letter order)."""
-    empty = Word._make(g, ())
+    empty = Word(g, ())
     yield empty
-    letters = []
-    for v in g.vertices:
-        letters.append((v, 1))
-        letters.append((v, -1))
+    letters = [(c,) for i in range(1, len(g.vertices) + 1) for c in (i, -i)]
     level = [empty]
     for _ in range(max_len):
         nxt = []
         for w in level:
             for letter in letters:
-                cand = Word._make(g, w.letters + (letter,))
+                cand = Word._from_codes(g, w.codes() + letter)
                 if is_reduced(cand):
                     nxt.append(cand)
                     yield cand
@@ -122,7 +119,7 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     for w in enumerate_reduced_words(g, radius):
         for v in g.vertices:
             x = ext_vertex(v, w)
-            key = x.element.word.letters
+            key = x.element.word.codes()
             if key not in verts:
                 verts[key] = (x, w)
     firsts = tuple(verts.values())
@@ -131,20 +128,21 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     with_base: dict[str, list[int]] = {v: [] for v in g.vertices}
     for j, x in enumerate(vlist):
         with_base[x.base].append(j)
-    letters = [x.element.word.letters for x in vlist]
+    codes = [x.element.word.codes() for x in vlist]
+    names = g.vertices
     # canonical words are reduced, so their letters are their support
-    supports = [frozenset(u for u, _ in lets) for lets in letters]
-    reach = [star[x.base].union(u for u, _ in h.letters) for x, h in firsts]
+    supports = [frozenset(names[abs(c) - 1] for c in cs) for cs in codes]
+    reach = [star[x.base].union(names[abs(c) - 1] for c in h.codes()) for x, h in firsts]
     edges = set()
     for i, (x, h) in enumerate(firsts):
-        head, tail = h.letters, h.inverse().letters
+        head, tail = h.codes(), h.inverse().codes()
         for u in g.neighbors(x.base):
             for j in with_base[u]:
                 if (
                     j > i
                     and supports[j] <= reach[i]
                     and supports[i] <= reach[j]
-                    and support(Word._make(g, head + letters[j] + tail)) <= star[x.base]
+                    and support(Word._from_codes(g, head + codes[j] + tail)) <= star[x.base]
                 ):
                     edges.add((i, j))
     return ExtBall(g, radius, vlist, frozenset(edges))

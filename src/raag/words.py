@@ -37,59 +37,65 @@ _DEFAULT_ORACLE_BUDGET = 2_000_000
 
 
 class Word:
-    """A raw (not necessarily reduced) word over an ambient graph.
+    """A raw (not necessarily reduced) word over an ambient graph, held as
+    signed generator codes: +(i+1) for the vertex of insertion index i,
+    -(i+1) for its inverse.
 
     Immutable by convention; all operations return new words. Words refuse
     to combine with words over a different ambient graph.
     """
 
-    __slots__ = ("graph", "letters", "_codes")
+    __slots__ = ("graph", "_signed")
 
     def __init__(self, graph: Graph, letters: Iterable[Letter]):
-        lets = tuple((v, int(s)) for v, s in letters)
-        for v, s in lets:
-            if v not in graph:
+        index = graph._index
+        codes = []
+        for v, s in letters:
+            s = int(s)
+            if v not in index:
                 raise ValueError(f"foreign vertex {v!r} for graph {graph.name!r}")
             if s not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {s!r}")
+            codes.append((index[v] + 1) * s)
         self.graph = graph
-        self.letters = lets
-        self._codes = None
+        self._signed = tuple(codes)
 
     @classmethod
-    def _make(cls, graph: Graph, letters: tuple[Letter, ...]) -> "Word":
+    def _from_codes(cls, graph: Graph, codes: tuple[int, ...]) -> "Word":
         w = object.__new__(cls)
         w.graph = graph
-        w.letters = letters
-        w._codes = None
+        w._signed = codes
         return w
 
     def codes(self) -> tuple[int, ...]:
-        if self._codes is None:
-            idx = self.graph._index
-            self._codes = tuple((idx[v] + 1) * s for v, s in self.letters)
-        return self._codes
+        return self._signed
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The word as (vertex name, sign) pairs."""
+        verts = self.graph.vertices
+        return tuple((verts[c - 1], 1) if c > 0 else (verts[-c - 1], -1) for c in self._signed)
 
     def inverse(self) -> "Word":
-        return Word._make(self.graph, tuple((v, -s) for v, s in reversed(self.letters)))
+        return Word._from_codes(self.graph, tuple(-c for c in reversed(self._signed)))
 
     def __mul__(self, other: "Word") -> "Word":
         _same_ambient(self, other)
-        return Word._make(self.graph, self.letters + other.letters)
+        return Word._from_codes(self.graph, self._signed + other._signed)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._signed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self.graph == other.graph and self.letters == other.letters
+        return self.graph == other.graph and self._signed == other._signed
 
     def __hash__(self) -> int:
-        return hash((self.graph, self.letters))
+        return hash((self.graph, self._signed))
 
     def __str__(self) -> str:
-        if not self.letters:
+        if not self._signed:
             return "1"
         return " ".join(v if s > 0 else f"{v}^-1" for v, s in self.letters)
 
@@ -111,7 +117,7 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        return not self.word.letters
+        return not len(self.word)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
@@ -144,7 +150,7 @@ def parse_word(graph: Graph, text: str) -> Word:
     if not tokens:
         raise ValueError("empty input; the empty word is written '1'")
     if tokens == ["1"] and "1" not in graph:
-        return Word._make(graph, ())
+        return Word._from_codes(graph, ())
     letters = []
     for tok in tokens:
         if tok.endswith("^-1"):
@@ -162,49 +168,27 @@ def _normal_codes(w: Word) -> list[int]:
     return _kernel.normalize(w.codes(), len(g.vertices), g.nonneighbor_table())
 
 
-def _decode(g: Graph, codes) -> tuple[Letter, ...]:
-    verts = g.vertices
-    return tuple((verts[c - 1], 1) if c > 0 else (verts[-c - 1], -1) for c in codes)
-
-
 def reduce(w: Word) -> Word:
-    """One reduced word representing the same element, obtained by
-    leftmost-innermost pair deletion.
+    """One reduced word representing the same element: the letters of w
+    that survive the piling pass of the kernel, in their original order.
 
-    Repeatedly finds a letter v^e followed, after intermediate letters
-    whose vertices are all adjacent to v, by v^-e, and deletes the pair
-    (the intermediates commute past v, so the element is unchanged).
-    Iterates to a fixpoint; the surviving letters keep their original
-    relative order.
+    A letter cancels against the last surviving letter of its generator
+    when that one is its inverse and every surviving letter since commutes
+    with it, so each cancelled pair deletes letters that commute past
+    everything between them and the element is unchanged. The survivors
+    admit no further cancellation, so they are as many as the letters of
+    the canonical form.
     """
-    letters = list(w.letters)
     g = w.graph
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters)):
-            vi, si = letters[i]
-            for j in range(i + 1, len(letters)):
-                vj, sj = letters[j]
-                if vj == vi:
-                    if sj == -si:
-                        del letters[j]
-                        del letters[i]
-                        changed = True
-                    # same vertex, same sign: blocks (a vertex is not
-                    # adjacent to itself)
-                    break
-                if not g.adjacent(vi, vj):
-                    break
-            if changed:
-                break
-    return Word._make(w.graph, tuple(letters))
+    codes = w.codes()
+    keep = _kernel.survivors(codes, len(g.vertices), g.nonneighbor_table())
+    return Word._from_codes(g, tuple(codes[k] for k in keep))
 
 
 def is_reduced(w: Word) -> bool:
     """Reduced words are exactly the length-minimal representatives, so a
     word is reduced iff normalization preserves its length."""
-    return len(_normal_codes(w)) == len(w.letters)
+    return len(_normal_codes(w)) == len(w)
 
 
 def canonical_form(w: Word) -> GroupElement:
@@ -212,8 +196,7 @@ def canonical_form(w: Word) -> GroupElement:
     shortlex-least among all words reachable from a reduced form by
     swapping adjacent commuting letters. Idempotent; equal elements yield
     letter-identical canonical words."""
-    g = w.graph
-    return GroupElement(Word._make(g, _decode(g, _normal_codes(w))))
+    return GroupElement(Word._from_codes(w.graph, tuple(_normal_codes(w))))
 
 
 def is_trivial(w: Word) -> bool:

@@ -147,6 +147,16 @@ def test_abelian_rank_deficit_yields_witness():
     assert is_trivial(h.apply(out.word))
 
 
+def test_abelian_witness_is_primitive_and_sign_normalized():
+    # exponent sums 2 and 3: the kernel is spanned by (3, -2), first entry positive
+    k2 = complete_graph(2, prefix="u")
+    t = complete_graph(1, prefix="a")
+    h = HomSpec(k2, t, {"u1": parse_word(t, "a1 a1"), "u2": parse_word(t, "a1 a1 a1")})
+    out = extract_abelian(h)
+    assert isinstance(out, KernelWitness)
+    assert str(out.word) == "u1 u1 u1 u2^-1 u2^-1"
+
+
 def test_abelian_full_rank_yields_order_first_embedding():
     k2 = complete_graph(2, prefix="u")
     t = complete_graph(3, prefix="a")

@@ -125,6 +125,64 @@ def test_reduce_properties(gw):
     assert canonical_form(r) == canonical_form(w)
 
 
+def _reference_reduce(w):
+    """Leftmost-innermost pair deletion to a fixpoint: find a letter v^e
+    followed, after letters whose vertices are all adjacent to v, by v^-e,
+    delete the pair, and start again. O(L^3) in the worst case; reduce
+    must keep the same letters."""
+    letters = list(w.letters)
+    g = w.graph
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(letters)):
+            vi, si = letters[i]
+            for j in range(i + 1, len(letters)):
+                vj, sj = letters[j]
+                if vj == vi:
+                    if sj == -si:
+                        del letters[j]
+                        del letters[i]
+                        changed = True
+                    # same vertex, same sign: blocks (a vertex is not
+                    # adjacent to itself)
+                    break
+                if not g.adjacent(vi, vj):
+                    break
+            if changed:
+                break
+    return tuple(letters)
+
+
+def _long_word(g, seed):
+    # letters from a random sub-alphabet, so that long words cancel and pile
+    # up deeply as well as rarely
+    rnd = random.Random(seed)
+    alphabet = rnd.sample(g.vertices, rnd.randint(1, len(g)))
+    return Word(g, [(rnd.choice(alphabet), rnd.choice((1, -1))) for _ in range(rnd.randint(0, 160))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn_graphs(1, 8, "g"), SEEDS)
+def test_reduce_matches_reference(g, seed):
+    w = _long_word(g, seed)
+    assert reduce(w).letters == _reference_reduce(w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn_graphs(1, 8, "g"), SEEDS)
+def test_survivors_spell_the_normal_form(g, seed):
+    from raag import _purekernel
+
+    codes = _long_word(g, seed).codes()
+    n, nn = len(g), g.nonneighbor_table()
+    normal = _purekernel.normalize(codes, n, nn)
+    keep = _purekernel.survivors(codes, n, nn)
+    assert keep == sorted(set(keep))
+    assert len(keep) == len(normal)
+    assert _purekernel.normalize([codes[k] for k in keep], n, nn) == normal
+
+
 # -- canonical form ----------------------------------------------------------------------
 
 
