@@ -1,26 +1,10 @@
-"""Build script: compiles the optional word-normalization speedup module.
+"""Build script: compiles the optional piling kernel src/raag/_speedups.c.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time), so the build is marked optional and any compiler failure
-degrades gracefully.
+The package works without the extension (raag._kernel then selects the
+pure-Python kernel at import time), so the build is marked optional and a
+compiler failure leaves a working install.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "raag._speedups",
-                ["src/raag/_speedups.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("raag._speedups", ["src/raag/_speedups.c"], optional=True)])

@@ -1,28 +1,15 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
+"""Kernel selection: the compiled raag._speedups when it was built, the pure
+raag._purekernel otherwise. Both export normalize and survivors with the
+same contracts; kernel_name() says which one this process uses."""
 
-Set RAAG_PURE=1 in the environment to force the pure-Python fallback (the
-benchmark and the parity tests import both implementations directly). Only
-normalize has a compiled version; survivors is always the pure one.
-"""
+try:
+    from raag._speedups import normalize, survivors
+except ImportError:
+    from raag._purekernel import normalize, survivors
 
-import os
-
-from raag import _purekernel
-
-COMPILED = False
-_impl = _purekernel
-
-if os.environ.get("RAAG_PURE", "").strip().lower() not in {"1", "true", "yes"}:
-    try:
-        from raag import _speedups
-    except ImportError:
-        pass
-    else:
-        _impl = _speedups
-        COMPILED = True
-
-normalize = _impl.normalize
-survivors = _purekernel.survivors
+    COMPILED = False
+else:
+    COMPILED = True
 
 
 def kernel_name() -> str:

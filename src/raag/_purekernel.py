@@ -15,8 +15,11 @@ letter remains). This yields the lexicographically least reduced word of
 the commutation class, which is the canonical form used for equality
 tests throughout the package.
 
-normalize has the same contract as raag._speedups.normalize, which is
-preferred when built; survivors exists only here.
+raag._speedups, when built, exports normalize and survivors with the same
+contracts and is preferred (see raag._kernel). Unlike it, this module does
+not check each letter code against n: the package calls the kernel only on
+the codes of a Word, whose letters are checked when the Word is built, so a
+per-letter check here would only slow the hot path.
 """
 
 
@@ -71,6 +74,9 @@ def normalize(codes, n, noncomm):
                     ptr[j] += 1
                 count -= 1
                 break
+        else:
+            # a consistent push pass always leaves some pile showing a letter
+            raise ValueError("no letter can be emitted while letters remain; is noncomm symmetric?")
     return out
 
 

@@ -91,8 +91,8 @@ def compiled_kernel(tmp_path_factory):
     """The committed src/raag/_speedups.c, compiled and linked the way this
     Python builds extensions, and loaded under a private module name: never
     as raag._speedups, so the kernel raag._kernel selects for the rest of
-    the suite stays the one it imported. Skips only when there are no
-    Python headers or no compiler."""
+    the suite stays the one it imported. Any compiler warning fails the
+    build. Skips only when there are no Python headers or no compiler."""
     include = sysconfig.get_paths()["include"]
     if not os.path.exists(os.path.join(include, "Python.h")):
         pytest.skip(f"no Python headers in {include}")
@@ -101,8 +101,8 @@ def compiled_kernel(tmp_path_factory):
         pytest.skip(f"no C compiler to build extensions with (LDSHARED={link!r})")
     source = Path(__file__).resolve().parent.parent / "src" / "raag" / "_speedups.c"
     out = tmp_path_factory.mktemp("kernel") / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "").split(), "-O2", f"-I{include}",
-           str(source), "-o", str(out)]
+    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "").split(), "-O2", "-Wall", "-Wextra", "-Werror",
+           f"-I{include}", str(source), "-o", str(out)]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     if done.returncode != 0:
         pytest.fail(f"building the compiled kernel failed: {' '.join(cmd)}\n{done.stderr}")

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -441,10 +445,12 @@ def test_kernel_parity(compiled_kernel):
         assert _purekernel.normalize(w.codes(), len(g), nn) == compiled_kernel.normalize(
             w.codes(), len(g), nn
         )
+        for codes in (w.codes(), list(w.codes())):
+            assert _purekernel.survivors(codes, len(g), nn) == compiled_kernel.survivors(codes, len(g), nn)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(drawn_graphs(1, 20, "g"), SEEDS)
+@given(drawn_graphs(1, 64, "g"), SEEDS)
 def test_kernel_parity_on_long_words(compiled_kernel, g, seed):
     # letters from a random sub-alphabet, so that long words cancel and pile
     # up deeply as well as rarely
@@ -456,3 +462,54 @@ def test_kernel_parity_on_long_words(compiled_kernel, g, seed):
     codes = Word(g, letters).codes()
     nn = g.nonneighbor_table()
     assert _purekernel.normalize(codes, len(g), nn) == compiled_kernel.normalize(codes, len(g), nn)
+    assert _purekernel.survivors(codes, len(g), nn) == compiled_kernel.survivors(codes, len(g), nn)
+
+
+def _kernel_outcomes(compiled_kernel, calls):
+    """Evaluates each call, such as "pure.normalize([1], 1, ((),))", in a
+    child interpreter where pure is raag._purekernel and compiled is the
+    compiled_kernel build, and returns per call the name of the exception
+    it raised, or "returned". A call that hangs times out and one that
+    crashes the child fails here, so neither stalls or kills the suite."""
+    script = "\n".join([
+        "import importlib.util",
+        "from raag import _purekernel as pure",
+        f"spec = importlib.util.spec_from_file_location('_raag_kernel_under_test._speedups', {compiled_kernel.__file__!r})",
+        "compiled = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(compiled)",
+        f"for call in {calls!r}:",
+        "    try:",
+        "        eval(call)",
+        "    except Exception as e:",
+        "        print(type(e).__name__)",
+        "    else:",
+        "        print('returned')",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_normalize_raises_when_no_letter_can_be_emitted(compiled_kernel):
+    # generator 0 lists 1 as non-commuting but not the other way round: the
+    # letter of generator 0 leaves a marker on pile 1, and emitting it moves
+    # pile 1's read head past the letter of generator 1 onto that marker
+    calls = [f"{kernel}.normalize([2, 1], 2, ((1,), ()))" for kernel in ("pure", "compiled")]
+    assert _kernel_outcomes(compiled_kernel, calls) == ["ValueError", "ValueError"]
+
+
+def test_compiled_kernel_rejects_out_of_range_input(compiled_kernel):
+    arguments = [
+        "[3, 1], 2, ((), ())",
+        "[-3], 2, ((), ())",
+        "[0, 1], 2, ((), ())",
+        "[1], 2, ((5,), ())",
+        "[1], 2, ((-1,), ())",
+        "[1], 2, ((0,), ())",
+        "[1], 2, ((),)",
+        "[1], 2, ((), (), ())",
+    ]
+    calls = [f"compiled.{f}({a})" for f in ("normalize", "survivors") for a in arguments]
+    assert _kernel_outcomes(compiled_kernel, calls) == ["ValueError"] * len(calls)
