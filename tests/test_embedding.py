@@ -23,6 +23,7 @@ from raag.embedding import (
     reach_sets,
     sequence_search,
     validate_hom,
+    _lift_witness,
 )
 from raag.graphs import (
     Graph,
@@ -30,12 +31,14 @@ from raag.graphs import (
     complete_graph,
     format_graph,
     graph_join,
+    induced_subgraph,
+    join_decompose,
     path_complement,
     verify_full_embedding,
 )
-from raag.words import Word, is_trivial, parse_word, support
+from raag.words import Word, is_trivial, parse_word, reduce, support
 
-from conftest import SEEDS, cycle_graph, drawn_graphs
+from conftest import SEEDS, cycle_graph, drawn_graphs, random_graph
 
 
 def identity_spec(g):
@@ -637,7 +640,7 @@ def test_glue_rejects_overlapping_images():
         t,
         {"u": parse_word(t, "a"), "v1": parse_word(t, "a"), "v2": parse_word(t, "b")},
     )
-    with pytest.raises(ValueError, match=r"glue condition \(i\)"):
+    with pytest.raises(ValueError, match="injectivity violation"):
         glue_join(
             [FullEmbedding({"u": "a"}, {}), FullEmbedding({"v1": "a", "v2": "b"}, {})], h
         )
@@ -651,7 +654,7 @@ def test_glue_rejects_non_adjacent_cross_pair():
         t,
         {"u": parse_word(t, "x"), "v1": parse_word(t, "a"), "v2": parse_word(t, "b")},
     )
-    with pytest.raises(ValueError, match=r"glue condition \(ii\)"):
+    with pytest.raises(ValueError, match="adjacency violation"):
         glue_join(
             [FullEmbedding({"u": "x"}, {}), FullEmbedding({"v1": "a", "v2": "b"}, {})], h
         )
@@ -768,6 +771,81 @@ def test_extract_full_mixed_join_with_p3c():
     out = extract_full(identity_spec(lam))
     assert isinstance(out, FullEmbedding)
     assert len(out.mapping) == 4
+
+
+def _k1_join_p4c_into_target_with_spare_vertex():
+    # source u * P4c; target x * P4c(a1..a4) plus z, adjacent to every other
+    # target vertex and outside every image support
+    lam = graph_join([Graph("k1", ["u"]), path_complement(4)], name="lam")
+    base = graph_join([Graph("kx", ["x"]), path_complement(4, prefix="a")], name="base")
+    t = Graph("t", base.vertices + ("z",), list(base.edges()) + [(v, "z") for v in base.vertices])
+    return lam, t
+
+
+@pytest.mark.parametrize(
+    "images, kind",
+    [
+        (
+            {"u": "z z^-1 x", "v1": "a1 z a2 a2^-1 z^-1", "v2": "z a2 z^-1",
+             "v3": "a3 z^-1 z", "v4": "a4 z z^-1"},
+            FullEmbedding,
+        ),
+        (
+            {"u": "x z z^-1", "v1": "a1 z z^-1", "v2": "z a3 z^-1 a1",
+             "v3": "a1 a1 a3", "v4": "a3 z a3 z^-1"},
+            KernelWitness,
+        ),
+    ],
+)
+def test_extract_full_ignores_letters_cancelling_outside_the_support(images, kind):
+    lam, t = _k1_join_p4c_into_target_with_spare_vertex()
+    h = HomSpec(lam, t, {v: parse_word(t, w) for v, w in images.items()})
+    out = extract_full(h)
+    assert isinstance(out, kind)
+    assert out == extract_full(HomSpec(lam, t, {v: reduce(w) for v, w in h.images.items()}))
+    assert out.check(h) is None
+    if kind is KernelWitness:
+        assert out.peel_checked and out.component == ("v1", "v2", "v3", "v4")
+    else:
+        assert "z" not in out.mapping.values()
+
+
+def _one_clique_join_spec(rng):
+    from raag.harness import _random_clique
+
+    # K_k * P_n^c (n in 2, 4, 5), sometimes * P_2^c, every image a word over
+    # one clique of a random target
+    n = rng.choice((2, 4, 5))
+    parts = [complete_graph(rng.randint(1, 3), prefix="u"), path_complement(n)]
+    if rng.random() < 0.5:
+        parts.append(path_complement(2, prefix="w"))
+    lam = graph_join(parts, name="lam")
+    t = random_graph(rng, rng.randint(2, 7), rng.random(), prefix="t")
+    clique = _random_clique(rng, t)
+    images = {
+        v: Word(t, [(rng.choice(clique), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))])
+        for v in lam.vertices
+    }
+    return HomSpec(lam, t, images)
+
+
+def test_component_witnesses_hold_over_the_full_source():
+    rng = random.Random(4711)
+    anti_path = abelian = 0
+    for _ in range(120):
+        h = _one_clique_join_spec(rng)
+        components = join_decompose(h.source).components
+        singles = [v for c in components if c.kind == "singleton" for v in c.graph.vertices]
+        out = extract_abelian(h.restricted(induced_subgraph(h.source, singles)))
+        if isinstance(out, KernelWitness):
+            abelian += 1
+            assert _lift_witness(out, h).check(h) is None
+        for comp in components:
+            if comp.kind != "singleton" and len(comp.graph) != 3:
+                anti_path += 1
+                out = obstruction_commutator(h.restricted(comp.graph), comp.labeling)
+                assert _lift_witness(out, h).check(h) is None
+    assert anti_path > 150 and abelian > 40
 
 
 # -- outcome checkers -------------------------------------------------------------------------------

@@ -513,3 +513,36 @@ def test_compiled_kernel_rejects_out_of_range_input(compiled_kernel):
     ]
     calls = [f"compiled.{f}({a})" for f in ("normalize", "survivors") for a in arguments]
     assert _kernel_outcomes(compiled_kernel, calls) == ["ValueError"] * len(calls)
+
+
+def _kernel_selection(setup):
+    """Runs setup, then imports raag._kernel in a child interpreter, and
+    returns the messages of the warnings the import emitted and the kernel
+    name it selected."""
+    script = "\n".join([
+        "import sys, types, warnings",
+        setup,
+        "with warnings.catch_warnings(record=True) as caught:",
+        "    warnings.simplefilter('always')",
+        "    from raag._kernel import kernel_name",
+        "for w in caught:",
+        "    print(w.category.__name__, w.message)",
+        "print(kernel_name())",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_missing_extension_selects_pure_kernel_silently():
+    assert _kernel_selection("sys.modules['raag._speedups'] = None") == ["pure"]
+
+
+def test_broken_extension_warns_and_selects_pure_kernel():
+    # a built module without the kernel entry points, like a stale build
+    lines = _kernel_selection("sys.modules['raag._speedups'] = types.ModuleType('raag._speedups')")
+    assert len(lines) == 2 and lines[1] == "pure"
+    assert lines[0].startswith("RuntimeWarning raag._speedups failed to import")
+    assert "cannot import name" in lines[0]
