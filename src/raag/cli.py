@@ -178,8 +178,8 @@ def _cmd_extract(args) -> int:
         print(f"witness {outcome.word}")
         _emit(
             [
-                ("witness_nontrivial", _bool(outcome.nontrivial_in_source)),
-                ("witness_image_trivial", _bool(outcome.trivial_image)),
+                ("witness_nontrivial", _bool(not is_trivial(outcome.word))),
+                ("witness_image_trivial", _bool(is_trivial(h.apply(outcome.word)))),
                 ("component", " ".join(outcome.component or ())),
             ],
             args.json,

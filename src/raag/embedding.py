@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -170,11 +170,10 @@ def validate_hom(h: HomSpec) -> HomReport:
 
 @dataclass(frozen=True)
 class FullEmbedding:
-    """A verified full embedding, with a per-vertex note recording which
-    support each image vertex was drawn from."""
+    """A full embedding of the source into the target, as a vertex map
+    from source to target names; check(h) decides whether it is one."""
 
     mapping: dict[str, str]
-    provenance: dict[str, str] = field(default_factory=dict)
 
     def check(self, h: HomSpec) -> Optional[str]:
         """None when the mapping is a full embedding of the source into the
@@ -188,7 +187,7 @@ class FullEmbedding:
             return f"embedding check failed: {exc}"
         if not chk:
             return f"embedding check failed: {chk.violation}"
-        supp = set().union(*(support(w) for w in h.images.values()))
+        supp = _support_union(h, h.source.vertices)
         outside = [v for v, x in self.mapping.items() if x not in supp]
         if outside:
             return f"image of {outside[0]!r} lies outside the homomorphism support"
@@ -196,7 +195,7 @@ class FullEmbedding:
             if comp.kind == "singleton":
                 continue
             if len(comp.graph) == 3:
-                comp_supp = set().union(*(support(h.images[v]) for v in comp.graph.vertices))
+                comp_supp = _support_union(h, comp.graph.vertices)
                 for v in comp.graph.vertices:
                     if self.mapping[v] not in comp_supp:
                         return f"vertex {v!r} mapped outside its component support"
@@ -359,20 +358,15 @@ def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
     a kernel witness.
     """
     src = h.source
-    n = len(src)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not src.adjacent(src.vertices[a], src.vertices[b]):
-                raise ValueError("source of extract_abelian must be a complete graph")
+    if not src.spans_clique(src.vertices):
+        raise ValueError("source of extract_abelian must be a complete graph")
     supp = _support_union(h, src.vertices)
     if not h.target.spans_clique(supp):
         raise ValueError("image supports are not contained in a clique of the target")
     matrix = _exponent_matrix(h, supp)
     z = _integer_left_nullvector(matrix)
     if z is None:
-        mapping = {src.vertices[i]: supp[i] for i in range(n)}
-        prov = {v: "support clique of the abelian factor" for v in src.vertices}
-        return FullEmbedding(mapping, prov)
+        return FullEmbedding(dict(zip(src.vertices, supp)))
     letters = []
     for v, e in zip(src.vertices, z):
         sign = 1 if e > 0 else -1
@@ -421,28 +415,27 @@ def _check_labeling(src: Graph, labeling: PathLabeling) -> None:
 
 def build_clique_chain(h: HomSpec, labeling: PathLabeling) -> CliqueChain:
     """Collect C_i = supp(image of v_i) and check the cross-adjacency
-    forced by commuting clique-supported images: for |i-j| > 1, every
-    vertex of C_i is identical to or adjacent to every vertex of C_j."""
+    forced by commuting clique-supported images: for |i-j| > 1 the images
+    of v_i and v_j commute, which the centralizer theorem decides from the
+    two supports (every vertex of C_i identical to or adjacent to every
+    vertex of C_j)."""
     _check_labeling(h.source, labeling)
     gamma = h.target
-    cliques = []
-    for v in labeling.order:
-        supp_v = support(h.images[v])
+    order = labeling.order
+    supports = [support(h.images[v]) for v in order]
+    for v, supp_v in zip(order, supports):
         if not gamma.spans_clique(supp_v):
             raise ValueError(f"clique-support condition violated at {v!r}")
-        cliques.append(tuple(u for u in gamma.vertices if u in supp_v))
-    n = len(cliques)
+    n = len(order)
     for i in range(n):
         for j in range(i + 2, n):
-            for x in cliques[i]:
-                for y in cliques[j]:
-                    if x != y and not gamma.adjacent(x, y):
-                        raise ValueError(
-                            "not a homomorphism on this component: supports of "
-                            f"{labeling.order[i]!r} and {labeling.order[j]!r} "
-                            f"contain the non-adjacent pair ({x!r}, {y!r})"
-                        )
-    return CliqueChain(gamma, tuple(cliques))
+            if not _centralizer_commutes(gamma, supports[i], supports[j]):
+                raise ValueError(
+                    "not a homomorphism on this component: images of "
+                    f"{order[i]!r} and {order[j]!r} do not commute"
+                )
+    cliques = tuple(tuple(u for u in gamma.vertices if u in s) for s in supports)
+    return CliqueChain(gamma, cliques)
 
 
 def sequence_search(chain: CliqueChain) -> Optional[tuple[str, ...]]:
@@ -503,40 +496,33 @@ def check_reach_adjacency(chain: CliqueChain, reach: ReachSets) -> None:
                     )
 
 
-def _tower(words: list[Word]) -> Word:
-    """w_k^-1 ... w_2^-1 w_1 w_2 ... w_k."""
-    out = words[0]
-    for w in words[1:]:
-        out = product(w.inverse(), out, w)
-    return out
-
-
 def peel_words(h: HomSpec, labeling: PathLabeling, reach: ReachSets) -> tuple[Word, ...]:
     """Peel the reduced image words down to their reach sets.
 
-    With W_i = reduce(image of v_i), the peeled word of W_i keeps exactly
-    the letters whose vertex lies in Y_i: each discarded letter commutes
-    with everything it has to pass, so conjugating by the peeled words
-    agrees with conjugating by the originals. That invariant is verified
-    here step by step as a canonical-form identity; a failure is an
-    internal error, since it cannot happen once no distinct non-adjacent
-    sequence exists in the chain.
+    With W_i = reduce(image of v_i), the peeled word P_i keeps exactly the
+    letters whose vertex lies in Y_i: each discarded letter commutes with
+    everything it has to pass, so conjugating by the peeled words agrees
+    with conjugating by the originals. That invariant is verified here
+    stage by stage: stage i conjugates the canonical tower of stage i - 1
+    once more, by P_i on one side and by W_i on the other, and compares the
+    canonical forms. A failure is an internal error, since it cannot happen
+    once no distinct non-adjacent sequence exists in the chain.
     """
     order = labeling.order
-    originals = [reduce(h.images[v]) for v in order[:-1]]
     verts = h.target.vertices
     peeled: list[Word] = []
-    for i, w in enumerate(originals):
+    for i, v in enumerate(order[:-1]):
+        w = reduce(h.images[v])
         allowed = set(reach.sets[i])
-        kept = tuple(c for c in w.codes() if verts[abs(c) - 1] in allowed)
-        peeled.append(Word._from_codes(h.target, kept))
-        if i >= 1:
-            lhs = canonical_form(_tower(peeled))
-            rhs = canonical_form(_tower(originals[: i + 1]))
-            if lhs != rhs:
-                raise MechanismError(
-                    f"peeled conjugation tower diverged at stage {i + 1}"
-                )
+        p = Word._from_codes(h.target, tuple(c for c in w.codes() if verts[abs(c) - 1] in allowed))
+        peeled.append(p)
+        if i == 0:
+            lhs, rhs = p, w
+            continue
+        lhs = canonical_form(conjugate(lhs, p)).word
+        rhs = canonical_form(conjugate(rhs, w)).word
+        if lhs != rhs:
+            raise MechanismError(f"peeled conjugation tower diverged at stage {i + 1}")
     return tuple(peeled)
 
 
@@ -565,7 +551,7 @@ def obstruction_commutator(h: HomSpec, labeling: PathLabeling) -> KernelWitness:
 
 
 def extract_anti_path(h: HomSpec, labeling: PathLabeling) -> Union[FullEmbedding, KernelWitness]:
-    """Dichotomy for an anti-path source on n != 3 vertices.
+    """Dichotomy for an anti-path source on n = 2 or n >= 4 vertices.
 
     Either returns a full embedding with each vertex mapped inside the
     support of its own image, or a verified kernel witness. The witness
@@ -575,16 +561,10 @@ def extract_anti_path(h: HomSpec, labeling: PathLabeling) -> Union[FullEmbedding
     """
     order = labeling.order
     n = len(order)
+    if n == 1:
+        raise ValueError("use extract_abelian for single-vertex components")
     if n == 3:
         raise ValueError("use extract_anti_path3 for 3-vertex anti-path components")
-    if n == 1:
-        _check_labeling(h.source, labeling)
-        v = order[0]
-        supp_v = support(h.images[v])
-        if not supp_v:
-            raise ValueError(f"image of {v!r} is trivial; no support vertex to map to")
-        target_v = next(u for u in h.target.vertices if u in supp_v)
-        return FullEmbedding({v: target_v}, {v: f"support of image of {v}"})
     chain = build_clique_chain(h, labeling)
     seq = sequence_search(chain)
     if seq is not None:
@@ -592,8 +572,7 @@ def extract_anti_path(h: HomSpec, labeling: PathLabeling) -> Union[FullEmbedding
         chk = verify_full_embedding(h.source, h.target, mapping)
         if not chk:
             raise MechanismError(f"chain sequence is not a full embedding: {chk.violation}")
-        prov = {v: f"support of image of {v}" for v in order}
-        return FullEmbedding(mapping, prov)
+        return FullEmbedding(mapping)
     peel_checked = n >= 4
     if peel_checked:
         reach = reach_sets(chain)
@@ -616,8 +595,7 @@ def extract_anti_path3(h: HomSpec) -> Union[FullEmbedding, StructuralCertificate
     sub = induced_subgraph(h.target, supp)
     mapping = full_embedding_search(src, sub)
     if mapping is not None:
-        prov = {v: "support of the component image" for v in src.vertices}
-        return FullEmbedding(mapping, prov)
+        return FullEmbedding(mapping)
     names = _complete_complement_components(sub)
     if names is None:
         raise MechanismError(
@@ -637,17 +615,15 @@ def glue_join(embeddings: list[FullEmbedding], h: HomSpec) -> FullEmbedding:
     on non-adjacent target vertices, raises ValueError naming the first
     violating pair."""
     merged: dict[str, str] = {}
-    prov: dict[str, str] = {}
     for emb in embeddings:
         for v in emb.mapping:
             if v in merged:
                 raise ValueError(f"component embeddings overlap on source vertex {v!r}")
         merged.update(emb.mapping)
-        prov.update(emb.provenance)
     chk = verify_full_embedding(h.source, h.target, merged)
     if not chk:
         raise ValueError(f"glued map is not a full embedding: {chk.violation}")
-    return FullEmbedding(merged, prov)
+    return FullEmbedding(merged)
 
 
 def extract_full(h: HomSpec) -> ExtractionOutcome:

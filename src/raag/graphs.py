@@ -331,13 +331,17 @@ def _forward_check(
     target: placing t at s ANDs domains[s2] with table[t]. A branch is cut
     as soon as a later domain becomes empty, which loses no solution, so
     the first assignment found is the one a plain backtracking scan in the
-    same orders would find. None when no assignment exists.
+    same orders would find. None when no assignment exists. The search
+    keeps an explicit stack, one frame per placed position, so its depth
+    is not bounded by the interpreter's recursion limit.
     """
     n = len(domains)
     out = [0] * n
-
-    def place(s: int, doms: list[int]) -> bool:
-        d = doms[s]
+    # position s tries the values in d against doms, the domains left by
+    # the placements before it; stack holds (d, doms) of positions < s
+    stack: list[tuple[int, list[int]]] = []
+    s, d, doms = 0, domains[0], domains
+    while True:
         while d:
             low = d & -d
             d ^= low
@@ -349,11 +353,14 @@ def _forward_check(
                     break
             else:
                 out[s] = t
-                if s + 1 == n or place(s + 1, nxt):
-                    return True
-        return False
-
-    return out if place(0, domains) else None
+                if s + 1 == n:
+                    return out
+                stack.append((d, doms))
+                s, d, doms = s + 1, nxt[s + 1], nxt
+        if not stack:
+            return None
+        d, doms = stack.pop()
+        s -= 1
 
 
 def _adjacency_masks(g: Graph) -> tuple[list[int], list[int]]:

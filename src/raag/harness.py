@@ -115,14 +115,12 @@ def _random_source(rng: random.Random, sizes: tuple[int, ...]) -> Graph:
 
 def _random_clique(rng: random.Random, g: Graph) -> list[str]:
     clique = [rng.choice(g.vertices)]
-    while True:
-        candidates = [
-            v for v in g.vertices
-            if v not in clique and all(g.adjacent(v, u) for u in clique)
-        ]
-        if not candidates or rng.random() >= 0.7:
-            return clique
+    # the common neighbours of the clique so far, in vertex order
+    candidates = list(g.neighbors(clique[0]))
+    while candidates and rng.random() < 0.7:
         clique.append(rng.choice(candidates))
+        candidates = [v for v in candidates if g.adjacent(v, clique[-1])]
+    return clique
 
 
 def _maximal_clique(rng: random.Random, g: Graph) -> list[str]:

@@ -132,6 +132,23 @@ def test_extract_witness_exit_two(capsys, tmp_path):
     assert "witness_image_trivial: true" in out
 
 
+def test_extract_witness_flags_come_from_the_word(capsys, tmp_path, monkeypatch):
+    # a forged witness that claims both facts: the printed flags come from
+    # the word itself, so the nontrivial image shows
+    import raag.cli
+    from raag.embedding import KernelWitness
+    from raag.words import Word
+
+    hom = _hom_files(tmp_path, "map a = a\nmap b = b\nmap c = c\nmap d = d\n")
+    monkeypatch.setattr(
+        raag.cli, "extract_full", lambda h: KernelWitness(Word(h.source, (("a", 1),)), True, True)
+    )
+    code, out, _ = run(capsys, ["extract", "--hom", hom])
+    assert code == 2
+    assert "witness_nontrivial: true" in out
+    assert "witness_image_trivial: false" in out
+
+
 def test_extract_certificate_exit_two(capsys, tmp_path):
     p3c = "graph P3c\nvertices: v1 v2 v3\nedges: v1-v3\n"
     k3 = format_graph(complete_graph(3, prefix="t"))

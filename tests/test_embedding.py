@@ -10,6 +10,7 @@ from raag.embedding import (
     HomSpec,
     KernelWitness,
     MechanismError,
+    ReachSets,
     StructuralCertificate,
     build_clique_chain,
     extract_abelian,
@@ -256,6 +257,49 @@ def test_chain_rejects_bad_labeling():
         build_clique_chain(h, PathLabeling(("v1", "v3", "v2", "v4")))
 
 
+def _reference_cross_pair(chain, order):
+    """The first (v_i, v_j) with j >= i + 2 whose cliques hold a distinct
+    non-adjacent pair, by the pairwise scan over every cross pair."""
+    g, cliques = chain.graph, chain.cliques
+    for i in range(len(cliques)):
+        for j in range(i + 2, len(cliques)):
+            for x in cliques[i]:
+                for y in cliques[j]:
+                    if x != y and not g.adjacent(x, y):
+                        return order[i], order[j]
+    return None
+
+
+def test_chain_cross_check_matches_the_pairwise_rule():
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn_graphs(1, 8, "t"), st.sampled_from((2, 4, 5, 6)), SEEDS)
+    def check(t, n, seed):
+        from raag.harness import _random_clique
+
+        rnd = random.Random(seed)
+        src = path_complement(n)
+        images = {}
+        for v in src.vertices:
+            clique = _random_clique(rnd, t)
+            images[v] = Word(t, [(rnd.choice(clique), rnd.choice((1, -1))) for _ in range(rnd.randint(1, 4))])
+        h = HomSpec(src, t, images)
+        labeling = PathLabeling(src.vertices)
+        cliques = tuple(tuple(u for u in t.vertices if u in support(h.images[v])) for v in src.vertices)
+        want = _reference_cross_pair(CliqueChain(t, cliques), src.vertices)
+        outcomes.add(want is None)
+        if want is None:
+            assert build_clique_chain(h, labeling) == CliqueChain(t, cliques)
+        else:
+            with pytest.raises(ValueError, match="not a homomorphism on this component") as exc:
+                build_clique_chain(h, labeling)
+            assert f"{want[0]!r} and {want[1]!r}" in str(exc.value)
+
+    check()
+    assert outcomes == {True, False}
+
+
 def test_sequence_search_identity_p4c():
     h = identity_spec(path_complement(4))
     chain = build_clique_chain(h, PathLabeling(("v1", "v2", "v3", "v4")))
@@ -421,6 +465,17 @@ def test_peel_deletes_single_blocking_letter():
     assert isinstance(out, KernelWitness) and out.verified and out.peel_checked
 
 
+def test_peel_rejects_forged_reach_sets():
+    # a and b do not commute, so dropping b from the second word changes
+    # the conjugate of a: the towers part at stage 2
+    t = Graph("t", ["a", "b"])
+    p3c = path_complement(3)
+    h = HomSpec(p3c, t, {"v1": parse_word(t, "a"), "v2": parse_word(t, "b"), "v3": parse_word(t, "a")})
+    forged = ReachSets((("a",), ()))
+    with pytest.raises(MechanismError, match="diverged at stage 2"):
+        peel_words(h, PathLabeling(("v1", "v2", "v3")), forged)
+
+
 # -- obstruction commutators -------------------------------------------------------------------
 
 
@@ -476,12 +531,13 @@ def test_obstruction_raises_when_image_nontrivial():
 
 
 def test_anti_path_single_vertex():
+    # one-vertex factors take the abelian route
     src = Graph("s", ["u"])
     t = complete_graph(2, prefix="a")
-    out = extract_anti_path(
-        HomSpec(src, t, {"u": parse_word(t, "a2 a1")}), PathLabeling(("u",))
-    )
-    assert out.mapping == {"u": "a1"}
+    h = HomSpec(src, t, {"u": parse_word(t, "a2 a1")})
+    with pytest.raises(ValueError, match="extract_abelian"):
+        extract_anti_path(h, PathLabeling(("u",)))
+    assert extract_abelian(h).mapping == {"u": "a1"}
 
 
 def test_anti_path_two_vertices_embedding():
@@ -611,7 +667,7 @@ def test_anti_path3_rejects_other_sources():
 def test_glue_single_component_is_identity():
     g = path_complement(4)
     h = identity_spec(g)
-    emb = FullEmbedding({v: v for v in g.vertices}, {})
+    emb = FullEmbedding({v: v for v in g.vertices})
     assert glue_join([emb], h).mapping == emb.mapping
 
 
@@ -626,7 +682,7 @@ def test_glue_k1_with_p2c():
         {"u": parse_word(t, "x"), "v1": parse_word(t, "a"), "v2": parse_word(t, "b")},
     )
     merged = glue_join(
-        [FullEmbedding({"u": "x"}, {}), FullEmbedding({"v1": "a", "v2": "b"}, {})], h
+        [FullEmbedding({"u": "x"}), FullEmbedding({"v1": "a", "v2": "b"})], h
     )
     assert merged.mapping == {"u": "x", "v1": "a", "v2": "b"}
     assert verify_full_embedding(lam, t, merged.mapping)
@@ -642,7 +698,7 @@ def test_glue_rejects_overlapping_images():
     )
     with pytest.raises(ValueError, match="injectivity violation"):
         glue_join(
-            [FullEmbedding({"u": "a"}, {}), FullEmbedding({"v1": "a", "v2": "b"}, {})], h
+            [FullEmbedding({"u": "a"}), FullEmbedding({"v1": "a", "v2": "b"})], h
         )
 
 
@@ -656,7 +712,7 @@ def test_glue_rejects_non_adjacent_cross_pair():
     )
     with pytest.raises(ValueError, match="adjacency violation"):
         glue_join(
-            [FullEmbedding({"u": "x"}, {}), FullEmbedding({"v1": "a", "v2": "b"}, {})], h
+            [FullEmbedding({"u": "x"}), FullEmbedding({"v1": "a", "v2": "b"})], h
         )
 
 

@@ -320,6 +320,13 @@ def test_search_returns_the_reference_mapping():
     assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
 
 
+def test_search_deeper_than_the_recursion_limit():
+    # one search frame per source vertex, more of them than the default
+    # recursion limit of 1000
+    g = path_graph(1100)
+    assert full_embedding_search(g, g) == {v: v for v in g.vertices}
+
+
 # -- embedding verification --------------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
 import hashlib
+import random
 
 import pytest
 
-from raag.harness import HarnessConfig, HarnessReport, run_harness
+from raag.harness import HarnessConfig, HarnessReport, _random_clique, run_harness
+
+from conftest import random_graph
 
 
 def test_rejects_bad_config():
@@ -78,3 +81,31 @@ def test_report_pinned_across_commits():
     assert report.peel_checked_trials == 6
     digest = hashlib.sha256(report.format().encode()).hexdigest()
     assert digest == "4e9c898acb3c01f2eeea8ee2b49ad1d3838b1150cce20ea8db601ef93198b6e4"
+
+
+def _reference_random_clique(rng, g):
+    """The clique draw that rescans every vertex against the whole clique
+    at each step; _random_clique must consume rng call for call like it."""
+    clique = [rng.choice(g.vertices)]
+    while True:
+        candidates = [
+            v for v in g.vertices
+            if v not in clique and all(g.adjacent(v, u) for u in clique)
+        ]
+        if not candidates or rng.random() >= 0.7:
+            return clique
+        clique.append(rng.choice(candidates))
+
+
+def test_random_clique_draws_like_the_reference():
+    graphs = random.Random(2024)
+    sizes = set()
+    for trial in range(300):
+        g = random_graph(graphs, graphs.randint(1, 9), graphs.random(), prefix="t")
+        ours, ref = random.Random(trial), random.Random(trial)
+        for _ in range(5):
+            clique = _random_clique(ours, g)
+            assert clique == _reference_random_clique(ref, g)
+            assert ours.getstate() == ref.getstate()
+            sizes.add(len(clique))
+    assert {1, 2, 3} <= sizes
