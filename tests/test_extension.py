@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from raag import _kernel, _purekernel
 from raag.extension import (
     ball_as_graph,
     enumerate_reduced_words,
@@ -32,6 +35,7 @@ from raag.words import (
 from conftest import (
     all_labeled_graphs,
     cycle_graph,
+    drawn_graphs,
     iso_class_representatives,
     random_graph,
     random_word_letters,
@@ -105,6 +109,11 @@ def test_enumerate_reduced_words_shortlex():
     assert len({w.letters for w in words}) == len(words)
     # free group on 2 generators: 1 + 4 + 4*3 reduced words up to length 2
     assert len(words) == 17
+
+
+def test_enumerate_reduced_words_rejects_negative_length():
+    with pytest.raises(ValueError, match="max_len must be >= 0"):
+        list(enumerate_reduced_words(FREE2, -1))
 
 
 def test_enumerate_reduced_words_collapses_on_abelian():
@@ -186,6 +195,60 @@ def test_ball_edges_match_commutator_reference_on_small_graphs():
             ball = ext_ball(g, 1)
             assert ball.edges == _commutator_edges(ball, is_trivial), g.edges()
             assert ball.edges == _commutator_edges(ball, oracle_is_trivial), g.edges()
+
+
+def _reference_ext_ball(g, radius):
+    """The ball by the direct rule: the canonical form of v^w for every
+    conjugator w and generator v, and each pair (x, y) that passes the two
+    support pre-tests decided by whether the support of h y h^-1 lies in
+    st(v), where h is the first conjugator of x = v^h."""
+    verts = {}
+    for w in enumerate_reduced_words(g, radius):
+        for v in g.vertices:
+            rep = canonical_form(conjugate(Word(g, [(v, 1)]), w))
+            verts.setdefault(rep.word.codes(), (v, rep, w))
+    firsts = list(verts.values())
+    star = {v: frozenset((v, *g.neighbors(v))) for v in g.vertices}
+    supports = [support(rep.word) for _, rep, _ in firsts]
+    reach = [star[v] | support(h) for v, _, h in firsts]
+    edges = set()
+    for i, (v, _, h) in enumerate(firsts):
+        for j, (u, rep, _) in enumerate(firsts):
+            if (
+                j > i
+                and g.adjacent(u, v)
+                and supports[j] <= reach[i]
+                and supports[i] <= reach[j]
+                and support(product(h, rep.word, h.inverse())) <= star[v]
+            ):
+                edges.add((i, j))
+    return [(v, rep.word.codes()) for v, rep, _ in firsts], edges
+
+
+def _ball_summary(ball):
+    return [(x.base, x.element.word.codes()) for x in ball.vertices], set(ball.edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn_graphs(1, 6, "a"), st.integers(1, 2))
+def test_ball_matches_the_support_reference(g, radius):
+    # the double-coset scan of k h^-1 decides the same edges as the support
+    # of h y h^-1, and vertices built from codes come in the same order
+    assert _ball_summary(ext_ball(g, radius)) == _reference_ext_ball(g, radius), (g.edges(), radius)
+
+
+def test_ball_under_the_compiled_kernel_matches_the_pure_kernel(compiled_kernel, monkeypatch):
+    rng = random.Random(2013)
+    graphs = [(cycle_graph(5), 2), (path_graph(4), 3)] + [
+        (random_graph(rng, rng.randint(2, 6), rng.random()), rng.randint(1, 2)) for _ in range(6)
+    ]
+    monkeypatch.setattr(_kernel, "normalize", _purekernel.normalize)
+    monkeypatch.setattr(_kernel, "survivors", _purekernel.survivors)
+    pure = [ext_ball(g, radius) for g, radius in graphs]
+    monkeypatch.setattr(_kernel, "normalize", compiled_kernel.normalize)
+    monkeypatch.setattr(_kernel, "survivors", compiled_kernel.survivors)
+    for (g, radius), expected in zip(graphs, pure):
+        assert ext_ball(g, radius) == expected, (g.edges(), radius)
 
 
 def test_ball_vertices_monotone_in_radius():
