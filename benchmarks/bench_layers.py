@@ -1,12 +1,14 @@
 """Time each layer of raag under the pure kernel and, when raag._speedups
-was built, under the compiled one, and write the rows to BENCH_9.json.
+was built, under the compiled one, and write the rows to BENCH_10.json.
 
 Rows:
 - kernel: normalize and survivors on long single words, on large batches of
   short commutator-shaped words, and on long words over a wide alphabet,
   where the piles of the compiled kernel are sized per generator;
 - ext_ball: the path P5 at radius 2 and 3, the path P4 at radius 3 and 4;
-- harness: run_harness with 500 trials and seed 42, end to end.
+- harness: run_harness with 500 trials and seed 42, end to end, and its
+  instance generation alone (the _random_graph, _random_source and
+  _random_hom draws of those 500 trials).
 
 Each row runs under each kernel by rebinding raag._kernel.normalize and
 raag._kernel.survivors, which every caller looks up there. Each figure is
@@ -32,14 +34,14 @@ from pathlib import Path
 from raag import _kernel, _purekernel
 from raag.extension import ext_ball
 from raag.graphs import Graph, path_graph
-from raag.harness import HarnessConfig, run_harness
+from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
 
 try:
     from raag import _speedups
 except ImportError:
     _speedups = None
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_9.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_10.json"
 REPEATS = 3
 
 
@@ -81,6 +83,18 @@ def best_of(run):
     return min(times)
 
 
+def draw_instances(cfg):
+    """The instances run_harness(cfg) draws, without extracting from them;
+    built from the draw helpers alone, so the row also runs against older
+    checkouts."""
+    master = random.Random(cfg.seed)
+    for _ in range(cfg.trials):
+        rng = random.Random(master.getrandbits(64))
+        gamma = _random_graph(rng, cfg.max_target_vertices, cfg.edge_density)
+        lam = _random_source(rng, cfg.component_sizes)
+        _random_hom(rng, lam, gamma)
+
+
 def use_kernel(module):
     _kernel.normalize = module.normalize
     _kernel.survivors = module.survivors
@@ -116,6 +130,7 @@ def rows():
         row("ext_ball", f"P{n} radius {radius}", lambda g=g, radius=radius: ext_ball(g, radius))
     config = HarnessConfig(trials=500, seed=42)
     row("harness", "run_harness(500 trials, seed 42)", lambda: run_harness(config))
+    row("harness", "instance generation of run_harness(500 trials, seed 42)", lambda: draw_instances(config))
     return out
 
 

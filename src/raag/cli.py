@@ -8,6 +8,7 @@ unsuccessful embedding search); 1 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -220,7 +221,11 @@ def _read(path: str) -> str:
 # -- parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and each handler looks its callees up in the module at call
+    time."""
     parser = _Parser(prog="raag", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 

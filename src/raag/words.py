@@ -51,10 +51,9 @@ class Word:
         index = graph._index
         codes = []
         for v, s in letters:
-            s = int(s)
             if v not in index:
                 raise ValueError(f"foreign vertex {v!r} for graph {graph.name!r}")
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {s!r}")
             codes.append((index[v] + 1) * s)
         self.graph = graph

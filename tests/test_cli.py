@@ -219,6 +219,20 @@ def test_bad_word_exit_one(capsys, graph_file):
     assert code == 1 and "unknown generator" in err
 
 
+def test_main_runs_again_in_one_process(capsys, graph_file):
+    # the parser is built once per process; a usage error must not leave
+    # state behind for the next call
+    g = graph_file(EDGE_TEXT)
+    code, out, err = run(capsys, ["reduce", "--graph", g, "a b a^-1"])
+    assert (code, out, err) == (0, "reduced: b\n", "")
+    code, out, err = run(capsys, ["commute", "--graph", g])
+    assert code == 1 and out == "" and err.startswith("usage error: ")
+    code, out, err = run(capsys, ["commute", "--graph", g, "a", "b"])
+    assert (code, out, err) == (0, "commute: true\n", "")
+    code, out, err = run(capsys, ["verify", "--trials", "3", "--seed", "5"])
+    assert code == 0 and out.startswith("raag verification harness\ntrials: 3\nseed: 5\n")
+
+
 def test_kernel_subcommand(capsys):
     code, out, _ = run(capsys, ["kernel"])
     assert code == 0 and out.startswith("kernel: ")

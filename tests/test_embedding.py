@@ -276,13 +276,13 @@ def test_chain_cross_check_matches_the_pairwise_rule():
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(drawn_graphs(1, 8, "t"), st.sampled_from((2, 4, 5, 6)), SEEDS)
     def check(t, n, seed):
-        from raag.harness import _random_clique
+        from raag.harness import _random_clique, _tables
 
         rnd = random.Random(seed)
         src = path_complement(n)
         images = {}
         for v in src.vertices:
-            clique = _random_clique(rnd, t)
+            clique = [t.vertices[c - 1] for c in _random_clique(rnd, _tables(t))]
             images[v] = Word(t, [(rnd.choice(clique), rnd.choice((1, -1))) for _ in range(rnd.randint(1, 4))])
         h = HomSpec(src, t, images)
         labeling = PathLabeling(src.vertices)
@@ -867,7 +867,7 @@ def test_extract_full_ignores_letters_cancelling_outside_the_support(images, kin
 
 
 def _one_clique_join_spec(rng):
-    from raag.harness import _random_clique
+    from raag.harness import _random_clique, _tables
 
     # K_k * P_n^c (n in 2, 4, 5), sometimes * P_2^c, every image a word over
     # one clique of a random target
@@ -877,7 +877,7 @@ def _one_clique_join_spec(rng):
         parts.append(path_complement(2, prefix="w"))
     lam = graph_join(parts, name="lam")
     t = random_graph(rng, rng.randint(2, 7), rng.random(), prefix="t")
-    clique = _random_clique(rng, t)
+    clique = [t.vertices[c - 1] for c in _random_clique(rng, _tables(t))]
     images = {
         v: Word(t, [(rng.choice(clique), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))])
         for v in lam.vertices

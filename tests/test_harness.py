@@ -2,10 +2,25 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from raag.harness import HarnessConfig, HarnessReport, _random_clique, run_harness
+from raag.embedding import HomSpec, validate_hom
+from raag.harness import (
+    _IMAGE_ATTEMPTS,
+    HarnessConfig,
+    HarnessReport,
+    _random_clique,
+    _random_graph,
+    _random_hom,
+    _random_source,
+    _random_word_over,
+    _relators_hold,
+    _tables,
+    run_harness,
+)
+from raag.words import Word
 
-from conftest import random_graph
+from conftest import SEEDS, drawn_graphs, random_graph
 
 
 def test_rejects_bad_config():
@@ -104,8 +119,79 @@ def test_random_clique_draws_like_the_reference():
         g = random_graph(graphs, graphs.randint(1, 9), graphs.random(), prefix="t")
         ours, ref = random.Random(trial), random.Random(trial)
         for _ in range(5):
-            clique = _random_clique(ours, g)
+            clique = [g.vertices[c - 1] for c in _random_clique(ours, _tables(g))]
             assert clique == _reference_random_clique(ref, g)
             assert ours.getstate() == ref.getstate()
             sizes.add(len(clique))
     assert {1, 2, 3} <= sizes
+
+
+def _reference_maximal_clique(rng, g):
+    clique = [rng.choice(g.vertices)]
+    order = list(g.vertices)
+    rng.shuffle(order)
+    for v in order:
+        if v not in clique and all(g.adjacent(v, u) for u in clique):
+            clique.append(v)
+    return clique
+
+
+def _reference_random_word_over(rng, g, clique):
+    length = rng.randint(1, 4)
+    return Word(g, [(rng.choice(clique), rng.choice((1, -1))) for _ in range(length)])
+
+
+def _reference_random_hom(rng, lam, gamma):
+    """The name-based generator that rejects a table by validate_hom; the
+    code-based _random_hom must draw the same tables call for call. Also
+    says whether the shared-clique fallback was taken."""
+    for _ in range(_IMAGE_ATTEMPTS):
+        images = {
+            v: _reference_random_word_over(rng, gamma, _reference_random_clique(rng, gamma))
+            for v in lam.vertices
+        }
+        h = HomSpec(lam, gamma, images)
+        if validate_hom(h).is_homomorphism:
+            return h, False
+    shared = _reference_maximal_clique(rng, gamma)
+    images = {v: _reference_random_word_over(rng, gamma, shared) for v in lam.vertices}
+    return HomSpec(lam, gamma, images), True
+
+
+def test_random_hom_draws_like_the_reference():
+    instances = random.Random(77)
+    fallbacks = dict.fromkeys((0.0, 0.2, 0.5, 0.8, 1.0), 0)
+    for density in fallbacks:
+        for trial in range(80):
+            gamma = _random_graph(instances, 8, density)
+            lam = _random_source(instances, (1, 2, 3, 4, 5, 6))
+            seed = instances.getrandbits(32)
+            ours, ref = random.Random(seed), random.Random(seed)
+            h = _random_hom(ours, lam, gamma)
+            expected, fell_back = _reference_random_hom(ref, lam, gamma)
+            assert {v: w.codes() for v, w in h.images.items()} == {
+                v: w.codes() for v, w in expected.images.items()
+            }
+            assert ours.getstate() == ref.getstate()
+            fallbacks[density] += fell_back
+    # over single-vertex cliques the fallback is reached; over one clique never
+    assert fallbacks[0.0] >= 10 and fallbacks[1.0] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=drawn_graphs(1, 7, "t"), lam=drawn_graphs(1, 6, "s"), seed=SEEDS)
+def test_relator_rule_matches_validate_hom(gamma, lam, seed):
+    # clique-supported tables, some images cancelled in part or to the
+    # identity by inverse letters shuffled in
+    rng = random.Random(seed)
+    t = _tables(gamma)
+    words = []
+    for _ in lam.vertices:
+        w = list(_random_word_over(rng, _random_clique(rng, t)))
+        if rng.random() < 0.5:
+            w += [-c for c in w if rng.random() < 0.7]
+            rng.shuffle(w)
+        words.append(tuple(w))
+    h = HomSpec(lam, gamma, {v: Word._from_codes(gamma, w) for v, w in zip(lam.vertices, words)})
+    edges = [(lam.index(u), lam.index(v)) for u, v in lam.edges()]
+    assert _relators_hold(edges, words, t.star) == validate_hom(h).is_homomorphism

@@ -66,6 +66,14 @@ def test_word_rejects_bad_sign():
         Word(EDGE, [("a", 2)])
 
 
+@pytest.mark.parametrize("sign", [1.5, -1.9, 1.0, "1", True, None])
+def test_word_accepts_only_int_signs(sign):
+    # int() used to truncate 1.5 and -1.9 and parse "1" before the check
+    with pytest.raises(ValueError, match="letter sign must be \\+1 or -1"):
+        Word(EDGE, [("b", 1), ("a", sign)])
+    assert Word(EDGE, [("a", 1), ("b", -1)]).codes() == (1, -2)
+
+
 def test_parse_and_str_roundtrip():
     w = parse_word(EDGE, "a b^-1 a")
     assert str(w) == "a b^-1 a"
