@@ -1,5 +1,5 @@
 """Time each layer of raag under the pure kernel and, when raag._speedups
-was built, under the compiled one, and write the rows to BENCH_10.json.
+was built, under the compiled one, and write the rows to BENCH_11.json.
 
 Rows:
 - kernel: normalize and survivors on long single words, on large batches of
@@ -41,7 +41,7 @@ try:
 except ImportError:
     _speedups = None
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_10.json"
+OUT = Path(__file__).resolve().parent.parent / "BENCH_11.json"
 REPEATS = 3
 
 
@@ -61,7 +61,7 @@ def make_codes(rng, n, length):
 
 
 def kernel_jobs():
-    """(name, jobs) per kernel workload; a job is (codes, n, noncomm)."""
+    """(name, jobs) per kernel workload; a job is (codes, noncomm)."""
     rng = random.Random(20240)
     out = []
     for name, n, p, count, length in (
@@ -70,7 +70,7 @@ def kernel_jobs():
         ("wide alphabet (20 x len 5000, 200 generators)", 200, 0.5, 20, 5000),
     ):
         nn = make_graph(rng, n, p).nonneighbor_table()
-        out.append((name, [(make_codes(rng, n, length), n, nn) for _ in range(count)]))
+        out.append((name, [(make_codes(rng, n, length), nn) for _ in range(count)]))
     return out
 
 

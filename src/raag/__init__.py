@@ -8,7 +8,6 @@ homomorphisms whose source is the complement of a linear forest.
 
 from raag.embedding import (
     CliqueChain,
-    CliqueSupportReport,
     FullEmbedding,
     HomReport,
     HomSpec,

@@ -1,6 +1,7 @@
 """Kernel selection: the compiled raag._speedups when it was built, the pure
-raag._purekernel otherwise. Both export normalize and survivors with the
-same contracts; kernel_name() says which one this process uses. An
+raag._purekernel otherwise. Both export normalize(codes, noncomm) and
+survivors(codes, noncomm) with the same contracts, the number of generators
+being len(noncomm); kernel_name() says which one this process uses. An
 extension that is present but fails to import (say, a stale build missing
 an entry point) falls back too, with a RuntimeWarning naming the error."""
 

@@ -17,17 +17,17 @@ tests throughout the package.
 
 raag._speedups, when built, exports normalize and survivors with the same
 contracts and is preferred (see raag._kernel). Unlike it, this module does
-not check each letter code against n: the package calls the kernel only on
-the codes of a Word, whose letters are checked when the Word is built, so a
-per-letter check here would only slow the hot path.
+not check each letter code against len(noncomm): the package calls the
+kernel only on the codes of a Word, whose letters are checked when the Word
+is built, so a per-letter check here would only slow the hot path.
 """
 
 
-def _pile(codes, n, noncomm):
+def _pile(codes, noncomm):
     """The push pass: per generator, the pile of 1-based positions of its
     surviving letters, with 0 marking a letter of a non-commuting
     generator; and the number of survivors."""
-    piles = [[] for _ in range(n)]
+    piles = [[] for _ in noncomm]
     count = 0
     pos = 0
     for c in codes:
@@ -47,20 +47,21 @@ def _pile(codes, n, noncomm):
     return piles, count
 
 
-def normalize(codes, n, noncomm):
+def normalize(codes, noncomm):
     """Canonical reduced form of a word.
 
     codes: sequence of signed generator codes, +(i+1) for generator i,
         -(i+1) for its inverse.
-    n: number of generators.
     noncomm: per generator index, the indices of the *distinct*
-        non-adjacent (non-commuting) generators.
+        non-adjacent (non-commuting) generators; its length is the number
+        of generators.
 
     Returns the canonical word as a list of signed codes: reduced, and
     smallest in letter order (generator index ascending) among all
     commutation-equivalent reduced words.
     """
-    piles, count = _pile(codes, n, noncomm)
+    piles, count = _pile(codes, noncomm)
+    n = len(noncomm)
     out = []
     ptr = [0] * n
     while count:
@@ -80,10 +81,10 @@ def normalize(codes, n, noncomm):
     return out
 
 
-def survivors(codes, n, noncomm):
+def survivors(codes, noncomm):
     """The 0-based positions of the letters of codes that survive the
     piling pass, ascending. The letters at these positions, in this order,
     form a reduced word for the same element, as long as normalize's
     output. Arguments as for normalize."""
-    piles, _ = _pile(codes, n, noncomm)
+    piles, _ = _pile(codes, noncomm)
     return sorted(pos - 1 for p in piles for pos in p if pos)

@@ -78,9 +78,9 @@ static int read_noncomm(PyObject *rows, Piles *p)
     return 0;
 }
 
-/* Parses and checks (codes, n, noncomm), lays out the piles and runs the
- * push pass. On success the caller frees p with piles_free; on failure p
- * holds nothing and an exception is set. */
+/* Parses and checks (codes, noncomm), lays out the piles and runs the push
+ * pass; the generators are the len(noncomm) rows. On success the caller frees
+ * p with piles_free; on failure p holds nothing and an exception is set. */
 static int pile(PyObject *const *args, Py_ssize_t nargs, Piles *p)
 {
     Py_ssize_t L, n, i, j, k, t, q, *cnt, *bound;
@@ -89,21 +89,17 @@ static int pile(PyObject *const *args, Py_ssize_t nargs, Piles *p)
     signed char *e, **top;
     int status = -1;
     memset(p, 0, sizeof(*p));
-    if (nargs != 3) {
-        PyErr_Format(PyExc_TypeError, "expected (codes, n, noncomm), got %zd arguments", nargs);
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "expected (codes, noncomm), got %zd arguments", nargs);
         return -1;
     }
-    if ((n = PyLong_AsSsize_t(args[1])) == -1 && PyErr_Occurred())
-        return -1;
     if ((codes = PySequence_Fast(args[0], "codes must be a sequence")) == NULL
-            || (rows = PySequence_Fast(args[2], "noncomm must be a sequence")) == NULL)
+            || (rows = PySequence_Fast(args[1], "noncomm must be a sequence")) == NULL)
         goto fail;
-    if ((L = PySequence_Fast_GET_SIZE(codes)) > INT32_MAX || n > INT32_MAX) {
+    L = PySequence_Fast_GET_SIZE(codes);
+    n = PySequence_Fast_GET_SIZE(rows);
+    if (L > INT32_MAX || n > INT32_MAX) {
         PyErr_SetString(PyExc_OverflowError, "words and alphabets are limited to 2**31 - 1 letters");
-        goto fail;
-    }
-    if (PySequence_Fast_GET_SIZE(rows) != n) {
-        PyErr_Format(PyExc_ValueError, "noncomm has %zd rows for %zd generators", PySequence_Fast_GET_SIZE(rows), n);
         goto fail;
     }
     p->L = L;
@@ -228,9 +224,9 @@ static PyObject *survivors(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
 
 static PyMethodDef methods[] = {
     {"normalize", (PyCFunction)(void (*)(void))normalize, METH_FASTCALL,
-     "normalize(codes, n, noncomm): the canonical reduced word, as raag._purekernel.normalize."},
+     "normalize(codes, noncomm): the canonical reduced word, as raag._purekernel.normalize."},
     {"survivors", (PyCFunction)(void (*)(void))survivors, METH_FASTCALL,
-     "survivors(codes, n, noncomm): the positions left by the piling pass, as raag._purekernel.survivors."},
+     "survivors(codes, noncomm): the positions left by the piling pass, as raag._purekernel.survivors."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -61,9 +61,7 @@ def _bool(b: bool) -> str:
     return "true" if b else "false"
 
 
-def _emit(pairs, json_mode: bool, header: str = ""):
-    if header and not json_mode:
-        print(header)
+def _emit(pairs):
     for key, value in pairs:
         print(f"{key}: {value}")
 
@@ -75,15 +73,15 @@ def _cmd_word(args) -> int:
     g = _load_graph(args.graph)
     w = parse_word(g, args.word)
     if args.cmd == "reduce":
-        _emit([("reduced", str(reduce(w)))], args.json)
+        _emit([("reduced", str(reduce(w)))])
     elif args.cmd == "canon":
-        _emit([("canonical", str(canonical_form(w)))], args.json)
+        _emit([("canonical", str(canonical_form(w)))])
     elif args.cmd == "triv":
-        _emit([("trivial", _bool(is_trivial(w)))], args.json)
+        _emit([("trivial", _bool(is_trivial(w)))])
     else:  # support
         supp = support(w)
         ordered = " ".join(v for v in g.vertices if v in supp)
-        _emit([("support", ordered)], args.json)
+        _emit([("support", ordered)])
     return 0
 
 
@@ -91,7 +89,7 @@ def _cmd_commute(args) -> int:
     g = _load_graph(args.graph)
     w1 = parse_word(g, args.word1)
     w2 = parse_word(g, args.word2)
-    _emit([("commute", _bool(commutes(w1, w2)))], args.json)
+    _emit([("commute", _bool(commutes(w1, w2)))])
     return 0
 
 
@@ -111,7 +109,7 @@ def _cmd_decompose(args) -> int:
         pairs.append((f"kind{i}", comp.kind))
         if comp.labeling is not None:
             pairs.append((f"labeling{i}", " ".join(comp.labeling.order)))
-    _emit(pairs, args.json)
+    _emit(pairs)
     return 0
 
 
@@ -122,7 +120,7 @@ def _cmd_recognize(args) -> int:
     if labelings is not None:
         for i, lab in enumerate(labelings, 1):
             pairs.append((f"labeling{i}", " ".join(lab.order)))
-    _emit(pairs, args.json)
+    _emit(pairs)
     return 0
 
 
@@ -131,7 +129,7 @@ def _cmd_embed_search(args) -> int:
     gamma = _load_graph(args.target)
     restrict = args.restrict.split(",") if args.restrict else None
     found = full_embedding_search(lam, gamma, restrict)
-    _emit([("found", _bool(found is not None))], args.json)
+    _emit([("found", _bool(found is not None))])
     if found is None:
         return 2
     for v in lam.vertices:
@@ -153,13 +151,13 @@ def _cmd_check_hom(args) -> int:
     pairs = [("homomorphism", _bool(report.is_homomorphism))]
     for u, v in report.relator_failures:
         pairs.append(("relator_failure", f"{u} {v}"))
-    pairs.append(("clique_support", _bool(report.clique_support.holds)))
-    for v, supp_v in report.clique_support.violations:
+    pairs.append(("clique_support", _bool(not report.clique_violations)))
+    for v, supp_v in report.clique_violations:
         pairs.append(("clique_support_violation", f"{v} : " + " ".join(sorted(supp_v))))
     pairs.append(("supp", " ".join(report.supp)))
     for v in report.trivial_images:
         pairs.append(("trivial_image", v))
-    _emit(pairs, args.json)
+    _emit(pairs)
     return 0
 
 
@@ -167,28 +165,28 @@ def _cmd_extract(args) -> int:
     h = parse_hom(_read(args.hom), base_dir=os.path.dirname(os.path.abspath(args.hom)))
     outcome = extract_full(h)
     if isinstance(outcome, FullEmbedding):
-        _emit([("result", "embedding")], args.json,
-              header="full embedding found (image inside the homomorphism support):")
+        if not args.json:
+            print("full embedding found (image inside the homomorphism support):")
+        _emit([("result", "embedding")])
         for v in h.source.vertices:
             print(f"embed {v} -> {outcome.mapping[v]}")
-        _emit([("verified", _bool(outcome.check(h) is None))], args.json)
+        _emit([("verified", _bool(outcome.check(h) is None))])
         return 0
     if isinstance(outcome, KernelWitness):
-        _emit([("result", "witness")], args.json,
-              header="non-injectivity witness (nontrivial source word with trivial image):")
+        if not args.json:
+            print("non-injectivity witness (nontrivial source word with trivial image):")
+        _emit([("result", "witness")])
         print(f"witness {outcome.word}")
-        _emit(
-            [
-                ("witness_nontrivial", _bool(not is_trivial(outcome.word))),
-                ("witness_image_trivial", _bool(is_trivial(h.apply(outcome.word)))),
-                ("component", " ".join(outcome.component or ())),
-            ],
-            args.json,
-        )
+        _emit([
+            ("witness_nontrivial", _bool(not is_trivial(outcome.word))),
+            ("witness_image_trivial", _bool(is_trivial(h.apply(outcome.word)))),
+            ("component", " ".join(outcome.component or ())),
+        ])
         return 2
     assert isinstance(outcome, StructuralCertificate)
-    _emit([("result", "certificate")], args.json,
-          header="non-injectivity certificate for a 3-vertex anti-path component:")
+    if not args.json:
+        print("non-injectivity certificate for a 3-vertex anti-path component:")
+    _emit([("result", "certificate")])
     print("certificate complement-of-supp-is-union-of-cliques")
     pairs = [
         ("component", " ".join(outcome.component)),
@@ -197,7 +195,7 @@ def _cmd_extract(args) -> int:
     for i, comp in enumerate(outcome.complement_components, 1):
         pairs.append((f"complement_component{i}", " ".join(comp)))
     pairs.append(("verified", _bool(outcome.check(h) is None)))
-    _emit(pairs, args.json)
+    _emit(pairs)
     return 2
 
 
@@ -229,70 +227,66 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="raag", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="flat key: value output only")
-        return p
-
     for name, help_text in [
         ("reduce", "reduce a word"),
         ("canon", "canonical form of a word"),
         ("triv", "decide whether a word is trivial"),
         ("support", "support of a word"),
     ]:
-        p = add(name, help_text)
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--graph", required=True, help="ambient graph file")
         p.add_argument("word", help="word, e.g. 'a b^-1'; empty word is '1'")
         p.set_defaults(func=_cmd_word)
 
-    p = add("commute", "decide whether two words commute")
+    p = sub.add_parser("commute", help="decide whether two words commute")
     p.add_argument("--graph", required=True)
     p.add_argument("word1")
     p.add_argument("word2")
     p.set_defaults(func=_cmd_commute)
 
-    p = add("complement", "complement of a graph")
+    p = sub.add_parser("complement", help="complement of a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--format", choices=["plain", "dot"], default="plain")
     p.set_defaults(func=_cmd_complement)
 
-    p = add("decompose", "join decomposition of a graph")
+    p = sub.add_parser("decompose", help="join decomposition of a graph")
     p.add_argument("--graph", required=True)
     p.set_defaults(func=_cmd_decompose)
 
-    p = add("recognize", "recognize a complement of a linear forest")
+    p = sub.add_parser("recognize", help="recognize a complement of a linear forest")
     p.add_argument("--graph", required=True)
     p.set_defaults(func=_cmd_recognize)
 
-    p = add("embed-search", "search a full embedding of --graph into --target")
+    p = sub.add_parser("embed-search", help="search a full embedding of --graph into --target")
     p.add_argument("--graph", required=True, help="source graph file")
     p.add_argument("--target", required=True, help="target graph file")
     p.add_argument("--restrict", help="comma-separated target vertices restricting the image")
     p.set_defaults(func=_cmd_embed_search)
 
-    p = add("ext-ball", "finite ball of the extension graph")
+    p = sub.add_parser("ext-ball", help="finite ball of the extension graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--format", choices=["plain", "dot"], default="plain")
     p.set_defaults(func=_cmd_ext_ball)
 
-    p = add("check-hom", "validate a homomorphism table")
+    p = sub.add_parser("check-hom", help="validate a homomorphism table")
     p.add_argument("--hom", required=True, help="homomorphism file")
     p.set_defaults(func=_cmd_check_hom)
 
-    p = add("extract", "extract an embedding or a non-injectivity certificate")
+    p = sub.add_parser("extract", help="extract an embedding or a non-injectivity certificate")
     p.add_argument("--hom", required=True)
+    p.add_argument("--json", action="store_true", help="omit the prose header line")
     p.set_defaults(func=_cmd_extract)
 
-    p = add("verify", "seeded randomized verification harness")
+    p = sub.add_parser("verify", help="seeded randomized verification harness")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--max-target", type=int, default=7)
     p.set_defaults(func=_cmd_verify)
 
-    p = add("kernel", "report which normalization kernel is active")
-    p.set_defaults(func=lambda args: (_emit([("kernel", _kernel.kernel_name())], args.json), 0)[1])
+    p = sub.add_parser("kernel", help="report which normalization kernel is active")
+    p.set_defaults(func=lambda args: (_emit([("kernel", _kernel.kernel_name())]), 0)[1])
 
     return parser
 

@@ -35,10 +35,10 @@ class ExtVertex:
         return f"{self.base}@{rep}"
 
 
-def _conjugate_codes(winv: tuple[int, ...], gen: int, wcodes: tuple[int, ...], n: int, noncomm) -> tuple:
+def _conjugate_codes(winv: tuple[int, ...], gen: int, wcodes: tuple[int, ...], noncomm) -> tuple:
     """The canonical codes of w^-1 v w, for the generator v of index gen,
     given the codes of w and of its inverse."""
-    return tuple(_kernel.normalize(winv + (gen + 1,) + wcodes, n, noncomm))
+    return tuple(_kernel.normalize(winv + (gen + 1,) + wcodes, noncomm))
 
 
 def _letter_mask(codes: tuple[int, ...]) -> int:
@@ -55,7 +55,7 @@ def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
     if v not in g:
         raise ValueError(f"foreign vertex {v!r} for graph {g.name!r}")
     key = _conjugate_codes(conjugator.inverse().codes(), g._index[v], conjugator.codes(),
-                           len(g.vertices), g.nonneighbor_table())
+                           g.nonneighbor_table())
     return ExtVertex(v, GroupElement(Word._from_codes(g, key)))
 
 
@@ -136,7 +136,7 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    n, noncomm = len(g.vertices), g.nonneighbor_table()
+    noncomm = g.nonneighbor_table()
     nbr, noncomm_mask = _adjacency_masks(g)
     st_mask = [m | 1 << a for a, m in enumerate(nbr)]
     verts: dict[tuple[int, ...], tuple[ExtVertex, tuple[int, ...]]] = {}
@@ -144,13 +144,13 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
         wcodes = w.codes()
         winv = tuple(-c for c in reversed(wcodes))
         for gen, v in enumerate(g.vertices):
-            key = _conjugate_codes(winv, gen, wcodes, n, noncomm)
+            key = _conjugate_codes(winv, gen, wcodes, noncomm)
             if key not in verts:
                 verts[key] = (ExtVertex(v, GroupElement(Word._from_codes(g, key))), wcodes)
     vlist = tuple(x for x, _ in verts.values())
     hcodes = [h for _, h in verts.values()]
     bases = [g._index[x.base] for x in vlist]
-    with_base: list[list[int]] = [[] for _ in range(n)]
+    with_base: list[list[int]] = [[] for _ in g.vertices]
     for j, b in enumerate(bases):
         with_base[b].append(j)
     # canonical words are reduced, so their letters are their support
@@ -167,7 +167,7 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
                     continue
                 m = hcodes[j] + tail
                 kept = 0
-                for p in _kernel.survivors(m, n, noncomm):
+                for p in _kernel.survivors(m, noncomm):
                     a = abs(m[p]) - 1
                     if st_u >> a & 1 and not kept & noncomm_mask[a]:
                         continue

@@ -418,11 +418,12 @@ def full_embedding_search(
 
 @dataclass(frozen=True)
 class EmbeddingCheck:
-    ok: bool
+    """The result of verify_full_embedding: true iff there is no violation."""
+
     violation: Optional[str] = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.violation is None
 
 
 def verify_full_embedding(lam: Graph, gamma: Graph, mapping: Mapping[str, str]) -> EmbeddingCheck:
@@ -441,21 +442,21 @@ def verify_full_embedding(lam: Graph, gamma: Graph, mapping: Mapping[str, str]) 
         raise ValueError(f"map mentions non-source vertex {extra[0]!r}")
     for v in lam.vertices:
         if mapping[v] not in gamma:
-            return EmbeddingCheck(False, f"image {mapping[v]!r} of {v!r} is not a target vertex")
+            return EmbeddingCheck(f"image {mapping[v]!r} of {v!r} is not a target vertex")
     verts = lam.vertices
     for a in range(len(verts)):
         for b in range(a + 1, len(verts)):
             u, v = verts[a], verts[b]
             xu, xv = mapping[u], mapping[v]
             if xu == xv:
-                return EmbeddingCheck(False, f"injectivity violation: {u!r} and {v!r} both map to {xu!r}")
+                return EmbeddingCheck(f"injectivity violation: {u!r} and {v!r} both map to {xu!r}")
             la = lam.adjacent(u, v)
             ga = gamma.adjacent(xu, xv)
             if la and not ga:
-                return EmbeddingCheck(False, f"adjacency violation at pair ({u!r}, {v!r})")
+                return EmbeddingCheck(f"adjacency violation at pair ({u!r}, {v!r})")
             if ga and not la:
-                return EmbeddingCheck(False, f"fullness violation at pair ({u!r}, {v!r})")
-    return EmbeddingCheck(True, None)
+                return EmbeddingCheck(f"fullness violation at pair ({u!r}, {v!r})")
+    return EmbeddingCheck()
 
 
 # -- text formats ----------------------------------------------------------------

@@ -163,8 +163,7 @@ def parse_word(graph: Graph, text: str) -> Word:
 
 
 def _normal_codes(w: Word) -> list[int]:
-    g = w.graph
-    return _kernel.normalize(w.codes(), len(g.vertices), g.nonneighbor_table())
+    return _kernel.normalize(w.codes(), w.graph.nonneighbor_table())
 
 
 def reduce(w: Word) -> Word:
@@ -180,7 +179,7 @@ def reduce(w: Word) -> Word:
     """
     g = w.graph
     codes = w.codes()
-    keep = _kernel.survivors(codes, len(g.vertices), g.nonneighbor_table())
+    keep = _kernel.survivors(codes, g.nonneighbor_table())
     return Word._from_codes(g, tuple(codes[k] for k in keep))
 
 

@@ -193,7 +193,7 @@ def test_criterion_5_peel_mechanism(harness_500):
             {v: Word(t1, [("t1", 1)] * (i + 1)) for i, v in enumerate(lam.vertices)},
         )
         out = extract_anti_path(h, PathLabeling(lam.vertices))
-        synthetic_ok &= isinstance(out, KernelWitness) and out.peel_checked and out.verified
+        synthetic_ok &= isinstance(out, KernelWitness) and out.peel_checked and out.check(h) is None
     t2 = Graph(
         "t",
         ["a", "b", "c", "d"],
@@ -211,7 +211,7 @@ def test_criterion_5_peel_mechanism(harness_500):
         },
     )
     out = extract_anti_path(h, PathLabeling(lam.vertices))
-    synthetic_ok &= isinstance(out, KernelWitness) and out.peel_checked and out.verified
+    synthetic_ok &= isinstance(out, KernelWitness) and out.peel_checked and out.check(h) is None
 
     _report(
         5,
@@ -332,6 +332,6 @@ def test_criterion_8_end_to_end_smoke():
         if not isinstance(out, KernelWitness):
             problems.append(f"{label}: collapse produced {type(out).__name__}")
             continue
-        if not out.verified or is_trivial(out.word) or not is_trivial(collapsed.apply(out.word)):
+        if out.check(collapsed) is not None or is_trivial(out.word) or not is_trivial(collapsed.apply(out.word)):
             problems.append(f"{label}: collapse witness failed re-verification")
     _report(8, "end-to-end smoke", not problems, "; ".join(problems) or "4 sources, both branches")

@@ -169,12 +169,16 @@ def test_extract_rejects_non_homomorphism(capsys, tmp_path):
     assert "not a homomorphism" in err
 
 
-def test_json_mode_strips_prose(capsys, tmp_path):
+def test_json_mode_strips_prose(capsys, tmp_path, graph_file):
     hom = _hom_files(tmp_path, "map a = a\nmap b = b\nmap c = c\nmap d = d\n")
     code, out, _ = run(capsys, ["extract", "--hom", hom, "--json"])
     assert code == 0
     assert "full embedding found" not in out
     assert out.splitlines()[0] == "result: embedding"
+    # only extract prints prose, so only extract takes --json
+    code, out, err = run(capsys, ["reduce", "--graph", graph_file(EDGE_TEXT), "--json", "a"])
+    assert code == 1 and out == ""
+    assert err == "usage error: unrecognized arguments: --json\n"
 
 
 def test_verify_reports_and_is_reproducible(capsys):

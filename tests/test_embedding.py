@@ -82,7 +82,7 @@ def test_homspec_rejects_wrong_ambient():
 def test_validate_identity_on_p4c():
     report = validate_hom(identity_spec(path_complement(4)))
     assert report.is_homomorphism
-    assert report.clique_support.holds
+    assert report.clique_violations == ()
     assert report.supp == ("v1", "v2", "v3", "v4")
     assert report.trivial_images == ()
 
@@ -101,7 +101,7 @@ def test_validate_clique_support_with_triangle():
     src = Graph("s", ["u"])
     h = HomSpec(src, k3, {"u": parse_word(k3, "a1 a2 a3")})
     report = validate_hom(h)
-    assert report.clique_support.holds
+    assert report.clique_violations == ()
     assert support(h.images["u"]) == {"a1", "a2", "a3"}
 
 
@@ -110,8 +110,7 @@ def test_validate_flags_non_clique_support():
     target = Graph("t", ["a", "b"])
     h = HomSpec(src, target, {"u": parse_word(target, "a b")})
     report = validate_hom(h)
-    assert not report.clique_support.holds
-    assert report.clique_support.violations[0][0] == "u"
+    assert report.clique_violations == (("u", frozenset({"a", "b"})),)
 
 
 def test_validate_reports_trivial_image():
@@ -146,7 +145,7 @@ def test_abelian_rank_deficit_yields_witness():
     out = extract_abelian(h)
     assert isinstance(out, KernelWitness)
     assert str(out.word) == "u1 u2^-1"
-    assert out.verified
+    assert out.check(h) is None
     assert not is_trivial(out.word)
     assert is_trivial(h.apply(out.word))
 
@@ -213,7 +212,7 @@ def test_abelian_agrees_with_sympy_rank_oracle():
         if rank == n:
             assert isinstance(out, FullEmbedding)
         else:
-            assert isinstance(out, KernelWitness) and out.verified
+            assert isinstance(out, KernelWitness) and out.check(h) is None
 
 
 # -- clique chains and sequences --------------------------------------------------------------
@@ -462,7 +461,7 @@ def test_peel_deletes_single_blocking_letter():
     peeled = peel_words(h, labeling, rs)
     assert [str(w) for w in peeled] == ["d", "b b", "1"]
     out = extract_anti_path(h, labeling)
-    assert isinstance(out, KernelWitness) and out.verified and out.peel_checked
+    assert isinstance(out, KernelWitness) and out.check(h) is None and out.peel_checked
 
 
 def test_peel_rejects_forged_reach_sets():
@@ -485,7 +484,7 @@ def test_obstruction_two_vertices():
     h = HomSpec(p2c, t, {"v1": parse_word(t, "a1"), "v2": parse_word(t, "a2")})
     wit = obstruction_commutator(h, PathLabeling(("v1", "v2")))
     assert str(wit.word) == "v1 v2 v1^-1 v2^-1"
-    assert wit.verified
+    assert wit.check(h) is None
 
 
 def test_obstruction_four_vertices_has_twelve_letters():
@@ -494,7 +493,7 @@ def test_obstruction_four_vertices_has_twelve_letters():
     h = collapsed_spec(p4c, t, "a1")
     wit = obstruction_commutator(h, PathLabeling(("v1", "v2", "v3", "v4")))
     assert len(wit.word) == 12
-    assert wit.verified
+    assert wit.check(h) is None
 
 
 def test_obstruction_five_vertices_one_clique():
@@ -512,7 +511,7 @@ def test_obstruction_five_vertices_one_clique():
         },
     )
     wit = obstruction_commutator(h, PathLabeling(tuple(f"v{i}" for i in range(1, 6))))
-    assert wit.verified
+    assert wit.check(h) is None
 
 
 def test_obstruction_rejects_three_vertices():
@@ -555,7 +554,7 @@ def test_anti_path_two_vertices_collapse_witness():
     out = extract_anti_path(h, PathLabeling(("v1", "v2")))
     assert isinstance(out, KernelWitness)
     assert str(out.word) == "v1 v2 v1^-1 v2^-1"
-    assert out.verified
+    assert out.check(h) is None
 
 
 def test_anti_path_four_vertices_embedding_in_own_supports():
@@ -605,7 +604,7 @@ def test_anti_path_dichotomy_randomized():
                 assert out.mapping[v] in support(h.images[v])
         else:
             witnesses += 1
-            assert out.verified
+            assert out.check(h) is None
             assert not is_trivial(out.word)
             assert is_trivial(h.apply(out.word))
     assert embeddings > 10 and witnesses > 10
@@ -754,18 +753,20 @@ def test_extract_full_trivial_image_witness():
     t = complete_graph(2, prefix="a")
     images = {v: parse_word(t, "a1") for v in p4c.vertices}
     images["v2"] = parse_word(t, "a1 a1^-1")
-    out = extract_full(HomSpec(p4c, t, images))
+    h = HomSpec(p4c, t, images)
+    out = extract_full(h)
     assert isinstance(out, KernelWitness)
-    assert str(out.word) == "v2" and out.verified
+    assert str(out.word) == "v2" and out.check(h) is None
 
 
 def test_extract_full_collapsed_witnesses():
     t = complete_graph(3, prefix="t")
     for lam in (path_complement(2), path_complement(4), cycle_graph(4)):
         powers = {v: i + 1 for i, v in enumerate(lam.vertices)}
-        out = extract_full(collapsed_spec(lam, t, "t1", powers))
+        h = collapsed_spec(lam, t, "t1", powers)
+        out = extract_full(h)
         assert isinstance(out, KernelWitness)
-        assert out.verified
+        assert out.check(h) is None
 
 
 def test_extract_full_c4_witness_from_first_factor():

@@ -187,12 +187,12 @@ def test_survivors_spell_the_normal_form(g, seed):
     from raag import _purekernel
 
     codes = _long_word(g, seed).codes()
-    n, nn = len(g), g.nonneighbor_table()
-    normal = _purekernel.normalize(codes, n, nn)
-    keep = _purekernel.survivors(codes, n, nn)
+    nn = g.nonneighbor_table()
+    normal = _purekernel.normalize(codes, nn)
+    keep = _purekernel.survivors(codes, nn)
     assert keep == sorted(set(keep))
     assert len(keep) == len(normal)
-    assert _purekernel.normalize([codes[k] for k in keep], n, nn) == normal
+    assert _purekernel.normalize([codes[k] for k in keep], nn) == normal
 
 
 # -- canonical form ----------------------------------------------------------------------
@@ -450,11 +450,9 @@ def test_kernel_parity(compiled_kernel):
         g = random_graph(rng, rng.randint(1, 6), rng.random())
         w = Word(g, random_word_letters(rng, g, 14))
         nn = g.nonneighbor_table()
-        assert _purekernel.normalize(w.codes(), len(g), nn) == compiled_kernel.normalize(
-            w.codes(), len(g), nn
-        )
+        assert _purekernel.normalize(w.codes(), nn) == compiled_kernel.normalize(w.codes(), nn)
         for codes in (w.codes(), list(w.codes())):
-            assert _purekernel.survivors(codes, len(g), nn) == compiled_kernel.survivors(codes, len(g), nn)
+            assert _purekernel.survivors(codes, nn) == compiled_kernel.survivors(codes, nn)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -469,12 +467,12 @@ def test_kernel_parity_on_long_words(compiled_kernel, g, seed):
     letters = [(rnd.choice(alphabet), rnd.choice((1, -1))) for _ in range(rnd.randint(0, 400))]
     codes = Word(g, letters).codes()
     nn = g.nonneighbor_table()
-    assert _purekernel.normalize(codes, len(g), nn) == compiled_kernel.normalize(codes, len(g), nn)
-    assert _purekernel.survivors(codes, len(g), nn) == compiled_kernel.survivors(codes, len(g), nn)
+    assert _purekernel.normalize(codes, nn) == compiled_kernel.normalize(codes, nn)
+    assert _purekernel.survivors(codes, nn) == compiled_kernel.survivors(codes, nn)
 
 
 def _kernel_outcomes(compiled_kernel, calls):
-    """Evaluates each call, such as "pure.normalize([1], 1, ((),))", in a
+    """Evaluates each call, such as "pure.normalize([1], ((),))", in a
     child interpreter where pure is raag._purekernel and compiled is the
     compiled_kernel build, and returns per call the name of the exception
     it raised, or "returned". A call that hangs times out and one that
@@ -504,20 +502,18 @@ def test_normalize_raises_when_no_letter_can_be_emitted(compiled_kernel):
     # generator 0 lists 1 as non-commuting but not the other way round: the
     # letter of generator 0 leaves a marker on pile 1, and emitting it moves
     # pile 1's read head past the letter of generator 1 onto that marker
-    calls = [f"{kernel}.normalize([2, 1], 2, ((1,), ()))" for kernel in ("pure", "compiled")]
+    calls = [f"{kernel}.normalize([2, 1], ((1,), ()))" for kernel in ("pure", "compiled")]
     assert _kernel_outcomes(compiled_kernel, calls) == ["ValueError", "ValueError"]
 
 
 def test_compiled_kernel_rejects_out_of_range_input(compiled_kernel):
     arguments = [
-        "[3, 1], 2, ((), ())",
-        "[-3], 2, ((), ())",
-        "[0, 1], 2, ((), ())",
-        "[1], 2, ((5,), ())",
-        "[1], 2, ((-1,), ())",
-        "[1], 2, ((0,), ())",
-        "[1], 2, ((),)",
-        "[1], 2, ((), (), ())",
+        "[3, 1], ((), ())",
+        "[-3], ((), ())",
+        "[0, 1], ((), ())",
+        "[1], ((5,), ())",
+        "[1], ((-1,), ())",
+        "[1], ((0,), ())",
     ]
     calls = [f"compiled.{f}({a})" for f in ("normalize", "survivors") for a in arguments]
     assert _kernel_outcomes(compiled_kernel, calls) == ["ValueError"] * len(calls)
