@@ -1,5 +1,5 @@
 """Time each layer of raag under the pure kernel and, when raag._speedups
-was built, under the compiled one, and write the rows to BENCH_11.json.
+was built, under the compiled one, and write the rows to a JSON file.
 
 Rows:
 - kernel: normalize and survivors on long single words, on large batches of
@@ -8,7 +8,10 @@ Rows:
 - ext_ball: the path P5 at radius 2 and 3, the path P4 at radius 3 and 4;
 - harness: run_harness with 500 trials and seed 42, end to end, and its
   instance generation alone (the _random_graph, _random_source and
-  _random_hom draws of those 500 trials).
+  _random_hom draws of those 500 trials);
+- extract_full: one pass of extract_full over the 800 homomorphisms of the
+  perfbench extract_long pool of seed 1, built once outside the timing
+  (the pool comes from perfbench/workloads.py, which is only read).
 
 Each row runs under each kernel by rebinding raag._kernel.normalize and
 raag._kernel.survivors, which every caller looks up there. Each figure is
@@ -18,7 +21,7 @@ Runs of different checkouts go into one file, each under its own --label,
 so a change and its parent can be read side by side (run this script with
 PYTHONPATH pointing at the other checkout's src):
 
-    PYTHONPATH=src python benchmarks/bench_layers.py --label after
+    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_12.json --label after
 
 Build the compiled kernel first (`python setup.py build_ext --inplace`) to
 fill the compiled column; without it that column is null.
@@ -28,10 +31,12 @@ import argparse
 import json
 import platform
 import random
+import sys
 import time
 from pathlib import Path
 
 from raag import _kernel, _purekernel
+from raag.embedding import extract_full
 from raag.extension import ext_ball
 from raag.graphs import Graph, path_graph
 from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
@@ -41,7 +46,7 @@ try:
 except ImportError:
     _speedups = None
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_11.json"
+ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 
 
@@ -95,6 +100,16 @@ def draw_instances(cfg):
         _random_hom(rng, lam, gamma)
 
 
+def extract_long_pool():
+    """The 800 homomorphisms of the perfbench extract_long workload, seed 1."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import ExtractLong
+    finally:
+        sys.path.pop(0)
+    return ExtractLong(1).specs
+
+
 def use_kernel(module):
     _kernel.normalize = module.normalize
     _kernel.survivors = module.survivors
@@ -131,14 +146,18 @@ def rows():
     config = HarnessConfig(trials=500, seed=42)
     row("harness", "run_harness(500 trials, seed 42)", lambda: run_harness(config))
     row("harness", "instance generation of run_harness(500 trials, seed 42)", lambda: draw_instances(config))
+    pool = extract_long_pool()
+    row("extract", "extract_full on the extract_long pool (800 homs, seed 1)",
+        lambda: [extract_full(h) for h in pool])
     return out
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", default="current", help=f"name of this run in {OUT.name}")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
+    parser.add_argument("--label", default="current", help="name of this run in the output file")
     args = parser.parse_args()
-    data = json.loads(OUT.read_text()) if OUT.exists() else {"runs": {}}
+    data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     run = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -149,7 +168,7 @@ def main():
     if _speedups is None:
         print("compiled kernel not built; build it with `python setup.py build_ext --inplace` to compare")
     data["runs"][args.label] = run
-    OUT.write_text(json.dumps(data, indent=1) + "\n")
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
 
 
 if __name__ == "__main__":

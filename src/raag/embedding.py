@@ -49,9 +49,9 @@ from raag.graphs import (
     join_decompose,
     parse_graph,
     verify_full_embedding,
-    _adjacency_masks,
     _components_of,
     _forward_check,
+    _nonneighbor_masks,
     _path_order,
 )
 from raag.words import (
@@ -66,6 +66,7 @@ from raag.words import (
     reduce,
     support,
     _centralizer_commutes,
+    _support_mask,
 )
 
 
@@ -139,21 +140,21 @@ def validate_hom(h: HomSpec) -> HomReport:
     generators mapped to the identity. A relator whose images have a
     clique-spanning support is decided from the supports alone (centralizer
     theorem); only the others are decided by reducing their commutator."""
-    supports = {v: support(h.images[v]) for v in h.source.vertices}
+    g = h.target
+    supports = {v: _support_mask(h.images[v]) for v in h.source.vertices}
     failures = []
     for u, v in h.source.edges():
-        decided = _centralizer_commutes(h.target, supports[u], supports[v])
+        decided = _centralizer_commutes(g, supports[u], supports[v])
         if decided is None:
             decided = is_trivial(commutator(h.images[u], h.images[v]))
         if not decided:
             failures.append((u, v))
-    violations = tuple(
-        (v, supports[v]) for v in h.source.vertices if not h.target.spans_clique(supports[v])
-    )
-    union = set().union(*supports.values()) if supports else set()
-    supp = tuple(v for v in h.target.vertices if v in union)
-    trivial = tuple(v for v in h.source.vertices if not supports[v])
-    return HomReport(tuple(failures), violations, supp, trivial)
+    violations = tuple((v, frozenset(g._names(s))) for v, s in supports.items() if s & ~g._star_meet(s))
+    trivial = tuple(v for v, s in supports.items() if not s)
+    union = 0
+    for s in supports.values():
+        union |= s
+    return HomReport(tuple(failures), violations, g._names(union), trivial)
 
 
 # -- certificates -------------------------------------------------------------------
@@ -267,8 +268,10 @@ class StructuralCertificate:
 def _support_union(h: HomSpec, vertices) -> tuple[str, ...]:
     """Union of the reduced supports of the images of the given source
     vertices, in target vertex order."""
-    union = set().union(*(support(h.images[v]) for v in vertices))
-    return tuple(v for v in h.target.vertices if v in union)
+    union = 0
+    for v in vertices:
+        union |= _support_mask(h.images[v])
+    return h.target._names(union)
 
 
 def _complete_complement_components(g: Graph) -> Optional[tuple[tuple[str, ...], ...]]:
@@ -413,9 +416,9 @@ def build_clique_chain(h: HomSpec, labeling: PathLabeling) -> CliqueChain:
     _check_labeling(h.source, labeling)
     gamma = h.target
     order = labeling.order
-    supports = [support(h.images[v]) for v in order]
+    supports = [_support_mask(h.images[v]) for v in order]
     for v, supp_v in zip(order, supports):
-        if not gamma.spans_clique(supp_v):
+        if supp_v & ~gamma._star_meet(supp_v):
             raise ValueError(f"clique-support condition violated at {v!r}")
     n = len(order)
     for i in range(n):
@@ -425,7 +428,7 @@ def build_clique_chain(h: HomSpec, labeling: PathLabeling) -> CliqueChain:
                     "not a homomorphism on this component: images of "
                     f"{order[i]!r} and {order[j]!r} do not commute"
                 )
-    cliques = tuple(tuple(u for u in gamma.vertices if u in s) for s in supports)
+    cliques = tuple(gamma._names(s) for s in supports)
     return CliqueChain(gamma, cliques)
 
 
@@ -445,7 +448,7 @@ def sequence_search(chain: CliqueChain) -> Optional[tuple[str, ...]]:
     if n < 2:
         raise ValueError("sequence search needs a chain of length >= 2")
     g = chain.graph
-    _, non = _adjacency_masks(g)
+    non = _nonneighbor_masks(g)
     other = [~(1 << t) for t in range(len(g))]
     domains = [sum(1 << g.index(y) for y in clique) for clique in chain.cliques]
     links = [[(j, non if j == i + 1 else other) for j in range(i + 1, n)] for i in range(n)]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from raag import _kernel
-from raag.graphs import Graph, _adjacency_masks
-from raag.words import GroupElement, Word, commutes, is_reduced
+from raag.graphs import Graph, _bits, _nonneighbor_masks
+from raag.words import GroupElement, Word, commutes, is_reduced, _code_mask
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ def _conjugate_codes(winv: tuple[int, ...], gen: int, wcodes: tuple[int, ...], n
     """The canonical codes of w^-1 v w, for the generator v of index gen,
     given the codes of w and of its inverse."""
     return tuple(_kernel.normalize(winv + (gen + 1,) + wcodes, noncomm))
-
-
-def _letter_mask(codes: tuple[int, ...]) -> int:
-    """The generators of the letters of codes, as a bitmask over indices."""
-    mask = 0
-    for c in codes:
-        mask |= 1 << (abs(c) - 1)
-    return mask
 
 
 def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
@@ -137,8 +129,8 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     noncomm = g.nonneighbor_table()
-    nbr, noncomm_mask = _adjacency_masks(g)
-    st_mask = [m | 1 << a for a, m in enumerate(nbr)]
+    st_mask = [g._star_meet(1 << a) for a in range(len(g))]
+    noncomm_mask = _nonneighbor_masks(g)
     verts: dict[tuple[int, ...], tuple[ExtVertex, tuple[int, ...]]] = {}
     for w in enumerate_reduced_words(g, radius):
         wcodes = w.codes()
@@ -154,13 +146,13 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     for j, b in enumerate(bases):
         with_base[b].append(j)
     # canonical words are reduced, so their letters are their support
-    supports = [_letter_mask(key) for key in verts]
-    reach = [st_mask[b] | _letter_mask(h) for b, h in zip(bases, hcodes)]
+    supports = [_code_mask(key) for key in verts]
+    reach = [st_mask[b] | _code_mask(h) for b, h in zip(bases, hcodes)]
     edges = set()
     for i, b in enumerate(bases):
         tail = tuple(-c for c in reversed(hcodes[i]))
         st_v, supp_i, reach_i = st_mask[b], supports[i], reach[i]
-        for u in g._adj[b]:
+        for u in _bits(g._nbr[b]):
             st_u = st_mask[u]
             for j in with_base[u]:
                 if j <= i or supports[j] & ~reach_i or supp_i & ~reach[j]:

@@ -16,10 +16,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _EDGE_RE = re.compile(r"([A-Za-z0-9_]+)-([A-Za-z0-9_]+)\Z")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Graph:
@@ -28,9 +36,13 @@ class Graph:
     Vertices are opaque string names, unique within the graph; adjacency is
     symmetric and irreflexive. All operations on graphs are pure, so
     instances are safe to share across threads.
+
+    Adjacency is held as one neighbour bitmask per vertex index: bit j of
+    _nbr[i] is set iff the vertices of indices i and j are adjacent. Vertex
+    sets inside the package are bitmasks over the same indices.
     """
 
-    __slots__ = ("name", "vertices", "_index", "_adj", "_nonadj", "_hash")
+    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash")
 
     def __init__(self, name: str, vertices: Iterable[str], edges: Iterable = ()):
         verts = tuple(vertices)
@@ -41,19 +53,19 @@ class Graph:
             if v in index:
                 raise ValueError(f"duplicate vertex name {v!r}")
             index[v] = len(index)
-        adj = [set() for _ in verts]
+        nbr = [0] * len(verts)
         for e in edges:
             u, v = e
             if u not in index or v not in index:
                 raise ValueError(f"edge {u!r}-{v!r} mentions an unknown vertex")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            adj[index[u]].add(index[v])
-            adj[index[v]].add(index[u])
+            nbr[index[u]] |= 1 << index[v]
+            nbr[index[v]] |= 1 << index[u]
         self.name = name
         self.vertices = verts
         self._index = index
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._nbr = tuple(nbr)
         self._nonadj = None
         self._hash = None
 
@@ -72,59 +84,68 @@ class Graph:
             raise ValueError(f"unknown vertex {v!r} in graph {self.name!r}") from None
 
     def adjacent(self, u: str, v: str) -> bool:
-        return self.index(v) in self._adj[self.index(u)]
+        return bool(self._nbr[self.index(u)] >> self.index(v) & 1)
 
     def degree(self, v: str) -> int:
-        return len(self._adj[self.index(v)])
+        return self._nbr[self.index(v)].bit_count()
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        i = self.index(v)
-        return tuple(u for u in self.vertices if self._index[u] in self._adj[i])
+        return self._names(self._nbr[self.index(v)])
 
     def edges(self) -> list[tuple[str, str]]:
         """Edges as name pairs, ordered by vertex insertion order."""
-        out = []
-        for i, u in enumerate(self.vertices):
-            for j in sorted(self._adj[i]):
-                if j > i:
-                    out.append((u, self.vertices[j]))
-        return out
+        verts = self.vertices
+        return [(u, verts[j]) for i, u in enumerate(verts) for j in _bits(self._nbr[i] >> i + 1 << i + 1)]
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(m.bit_count() for m in self._nbr) // 2
 
     def spans_clique(self, names: Iterable[str]) -> bool:
         """True iff the given vertices are pairwise adjacent (empty and
-        singleton sets span cliques vacuously)."""
-        idxs = [self.index(v) for v in names]
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                if idxs[b] not in self._adj[idxs[a]]:
-                    return False
-        return True
+        singleton sets span cliques vacuously). The names are read as a set,
+        so a repeated name counts once."""
+        mask = 0
+        for v in names:
+            mask |= 1 << self.index(v)
+        return not mask & ~self._star_meet(mask)
 
     def nonneighbor_table(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex index, the indices of the *distinct* non-adjacent
         vertices. This is the dependence structure consumed by the word
         kernels; cached on first use."""
         if self._nonadj is None:
-            n = len(self.vertices)
-            self._nonadj = tuple(
-                tuple(j for j in range(n) if j != i and j not in self._adj[i])
-                for i in range(n)
-            )
+            full = (1 << len(self.vertices)) - 1
+            self._nonadj = tuple(tuple(_bits(full ^ m ^ 1 << i)) for i, m in enumerate(self._nbr))
         return self._nonadj
+
+    # -- vertex sets as bitmasks over vertex indices ---------------------------
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        """The vertices of mask, in insertion order."""
+        return tuple(self.vertices[i] for i in _bits(mask))
+
+    def _star_meet(self, mask: int) -> int:
+        """The AND of the stars st(v) = {v} + lk(v) over the vertices v of
+        mask; all ones for the empty mask. mask spans a clique iff it lies
+        inside its star meet, which is then the clique together with its
+        link (the centralizer theorem's S + lk(S))."""
+        meet = -1
+        while mask:
+            low = mask & -mask
+            meet &= self._nbr[low.bit_length() - 1] | low
+            mask ^= low
+        return meet
 
     # -- value semantics -----------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self._adj == other._adj
+        return self.vertices == other.vertices and self._nbr == other._nbr
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.vertices, self._adj))
+            self._hash = hash((self.vertices, self._nbr))
         return self._hash
 
     def __repr__(self) -> str:
@@ -138,12 +159,8 @@ def complement(g: Graph) -> Graph:
     """Complement graph: same vertices, distinct u,v adjacent iff they were
     not. An involution."""
     verts = g.vertices
-    edges = [
-        (verts[i], verts[j])
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if j not in g._adj[i]
-    ]
+    full = (1 << len(verts)) - 1
+    edges = [(u, verts[j]) for i, u in enumerate(verts) for j in _bits((full ^ g._nbr[i]) >> i + 1 << i + 1)]
     return Graph(g.name + "_c", verts, edges)
 
 
@@ -214,8 +231,14 @@ class PathLabeling:
 @dataclass(frozen=True)
 class JoinComponent:
     graph: Graph
-    kind: str  # "singleton" | "path-complement" | "other"
     labeling: Optional[PathLabeling]
+
+    @property
+    def kind(self) -> str:
+        """"singleton", "path-complement" or "other" (no labeling)."""
+        if len(self.graph) == 1:
+            return "singleton"
+        return "other" if self.labeling is None else "path-complement"
 
 
 @dataclass(frozen=True)
@@ -228,23 +251,18 @@ class JoinDecomposition:
 
 def _components_of(g: Graph) -> list[list[int]]:
     """Connected components of g as index lists, ordered by smallest index."""
-    n = len(g.vertices)
-    seen = [False] * n
     comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            i = stack.pop()
-            for j in g._adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    stack.append(j)
-        comps.append(sorted(comp))
+    left = (1 << len(g)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= g._nbr[i]
+            frontier = reach & ~comp
+            comp |= frontier
+        left ^= comp
+        comps.append(list(_bits(comp)))
     return comps
 
 
@@ -259,15 +277,15 @@ def _path_order(g: Graph) -> Optional[tuple[str, ...]]:
         return (g.vertices[0],)
     if g.edge_count() != n - 1:
         return None
-    if any(len(s) > 2 for s in g._adj):
+    if any(m.bit_count() > 2 for m in g._nbr):
         return None
     if len(_components_of(g)) != 1:
         return None
-    start = next(i for i in range(n) if len(g._adj[i]) == 1)
+    start = next(i for i in range(n) if g._nbr[i].bit_count() == 1)
     order = [start]
     prev = -1
     while len(order) < n:
-        nxt = next(j for j in g._adj[order[-1]] if j != prev)
+        nxt = next(j for j in _bits(g._nbr[order[-1]]) if j != prev)
         prev = order[-1]
         order.append(nxt)
     return tuple(g.vertices[i] for i in order)
@@ -279,8 +297,8 @@ def join_decompose(g: Graph) -> JoinDecomposition:
     The factors are the induced subgraphs on the connected components of
     the complement of g (a graph is join-irreducible iff its complement is
     connected). Components are ordered by their smallest vertex in
-    insertion order; each is tagged singleton / path-complement / other,
-    and path complements carry a PathLabeling.
+    insertion order. Path complements, single vertices included, carry a
+    PathLabeling; the other components carry None.
     """
     if len(g) == 0:
         raise ValueError("empty input")
@@ -288,14 +306,8 @@ def join_decompose(g: Graph) -> JoinDecomposition:
     for idxs in _components_of(complement(g)):
         sub = induced_subgraph(g, [g.vertices[i] for i in idxs],
                                name=f"{g.name}_comp{len(comps) + 1}")
-        if len(sub) == 1:
-            comps.append(JoinComponent(sub, "singleton", PathLabeling(sub.vertices)))
-            continue
         order = _path_order(complement(sub))
-        if order is not None:
-            comps.append(JoinComponent(sub, "path-complement", PathLabeling(order)))
-        else:
-            comps.append(JoinComponent(sub, "other", None))
+        comps.append(JoinComponent(sub, None if order is None else PathLabeling(order)))
     return JoinDecomposition(tuple(comps))
 
 
@@ -363,12 +375,11 @@ def _forward_check(
         s -= 1
 
 
-def _adjacency_masks(g: Graph) -> tuple[list[int], list[int]]:
-    """Per vertex index t, the bitmasks of its neighbours and of its
-    distinct non-neighbours; neither contains t itself."""
-    nbr = [sum(1 << j for j in adj) for adj in g._adj]
-    full = (1 << len(nbr)) - 1
-    return nbr, [full ^ a ^ (1 << t) for t, a in enumerate(nbr)]
+def _nonneighbor_masks(g: Graph) -> list[int]:
+    """Per vertex index t, the bitmask of the vertices distinct from and
+    non-adjacent to t: the complement of the star of t."""
+    full = (1 << len(g)) - 1
+    return [full ^ a ^ 1 << t for t, a in enumerate(g._nbr)]
 
 
 def full_embedding_search(
@@ -398,18 +409,16 @@ def full_embedding_search(
         return {}
     if n > m:
         return None
-    ldeg = [len(a) for a in lam._adj]
-    gdeg = [len(a) for a in gamma._adj]
+    ldeg = [a.bit_count() for a in lam._nbr]
+    gdeg = [a.bit_count() for a in gamma._nbr]
     # t can host s only if t has enough neighbors and enough non-neighbors
     # inside any n-vertex induced image.
     domains = [
         sum(1 << t for t in range(m) if gdeg[t] >= ldeg[s] and m - 1 - gdeg[t] >= n - 1 - ldeg[s])
         for s in range(n)
     ]
-    nbr, non = _adjacency_masks(gamma)
-    links = [
-        [(s2, nbr if s2 in lam._adj[s] else non) for s2 in range(s + 1, n)] for s in range(n)
-    ]
+    nbr, non = gamma._nbr, _nonneighbor_masks(gamma)
+    links = [[(s2, nbr if lam._nbr[s] >> s2 & 1 else non) for s2 in range(s + 1, n)] for s in range(n)]
     found = _forward_check(domains, links)
     if found is None:
         return None

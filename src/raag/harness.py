@@ -8,14 +8,16 @@ The report is fully determined by the configuration: the generator is a
 single seeded Mersenne Twister (random.Random), trial sub-seeds are drawn
 from it, and no timing or environment data enters the output.
 
-Tables are drawn as signed generator codes. Every image is a word over a
-clique of the target, so it lies in a free abelian subgroup: its reduced
-support is the set of generators with nonzero exponent sum, and that set
-spans a clique. By Servatius's centralizer theorem ("Automorphisms of graph
-groups", J. Algebra 1989) two such images a and b commute iff supp(b) lies
-in the stars of all vertices of supp(a), so a table is accepted or
-rejected from bitmasks alone, without reducing a word; validate_hom runs
-once per trial, inside extract_full.
+Tables are drawn as signed generator codes, with the cliques read off the
+target's neighbour bitmasks. Every image is a word over a clique of the
+target, so it lies in a free abelian subgroup: its reduced support is the
+set of generators with nonzero exponent sum, and that set spans a clique.
+By Servatius's centralizer theorem ("Automorphisms of graph groups",
+J. Algebra 1989) two such images a and b commute iff supp(b) lies in the
+star meet of supp(a), the AND of the stars of its vertices, which
+raag.graphs computes for cliques and centralizers alike. So a table is
+accepted or rejected from bitmasks alone, without reducing a word;
+validate_hom runs once per trial, inside extract_full.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from raag.embedding import FullEmbedding, HomSpec, KernelWitness, extract_full
-from raag.graphs import Graph, _adjacency_masks, graph_join, path_complement
-from raag.words import Word
+from raag.graphs import Graph, _bits, graph_join, path_complement
+from raag.words import Word, _code_mask
 
 _IMAGE_ATTEMPTS = 50
 
@@ -119,24 +121,16 @@ def _random_source(rng: random.Random, sizes: tuple[int, ...]) -> Graph:
 
 class _Tables(NamedTuple):
     """A target graph as the draws read it: every generator code (vertex
-    index + 1), the neighbour codes of each vertex in vertex order, and per
-    vertex index the bitmasks of its neighbours and of its star (the
-    neighbours and the vertex itself)."""
+    index + 1), the neighbour codes of each vertex in vertex order, and the
+    graph's neighbour bitmask of each vertex index."""
 
     codes: tuple[int, ...]
     links: list[tuple[int, ...]]
-    nbr: list[int]
-    star: list[int]
+    nbr: tuple[int, ...]
 
 
 def _tables(g: Graph) -> _Tables:
-    nbr, _ = _adjacency_masks(g)
-    return _Tables(
-        tuple(range(1, len(nbr) + 1)),
-        [tuple(j + 1 for j in sorted(adj)) for adj in g._adj],
-        nbr,
-        [m | 1 << i for i, m in enumerate(nbr)],
-    )
+    return _Tables(tuple(range(1, len(g) + 1)), [tuple(j + 1 for j in _bits(m)) for m in g._nbr], g._nbr)
 
 
 def _random_clique(rng: random.Random, t: _Tables) -> list[int]:
@@ -168,27 +162,15 @@ def _random_word_over(rng: random.Random, clique: list[int]) -> list[int]:
     return [rng.choice(clique) * rng.choice((1, -1)) for _ in range(length)]
 
 
-def _relators_hold(edges: list[tuple[int, int]], words: list[list[int]],
-                   star: list[int]) -> bool:
+def _relators_hold(edges: list[tuple[int, int]], words: list[list[int]], gamma: Graph) -> bool:
     """Whether the images of every source edge (a, b) commute, for words of
-    codes that each lie over a clique. Per word, supp is the bitmask of the
-    generators with nonzero exponent sum (its reduced support) and cst the
-    AND of star over supp (all ones when supp is empty); the images of (a, b)
-    commute iff supp[b] lies in cst[a], as in raag.words._centralizer_commutes
-    for a clique-spanning support."""
-    supp, cst = [], []
-    for w in words:
-        s, c = 0, -1
-        for x in {abs(x) for x in w}:
-            if w.count(x) != w.count(-x):
-                s |= 1 << (x - 1)
-                c &= star[x - 1]
-        supp.append(s)
-        cst.append(c)
-    for a, b in edges:
-        if supp[b] & ~cst[a]:
-            return False
-    return True
+    codes over gamma that each lie over a clique. Per word, supp is the
+    bitmask of the generators with nonzero exponent sum (its reduced
+    support), a clique; the images of (a, b) commute iff supp[b] lies in the
+    star meet of supp[a], as in raag.words._centralizer_commutes."""
+    supp = [_code_mask([x for x in w if w.count(x) != w.count(-x)]) for w in words]
+    meet = [gamma._star_meet(s) for s in supp]
+    return not any(supp[b] & ~meet[a] for a, b in edges)
 
 
 def _random_hom(rng: random.Random, lam: Graph, gamma: Graph) -> HomSpec:
@@ -210,7 +192,7 @@ def _random_hom(rng: random.Random, lam: Graph, gamma: Graph) -> HomSpec:
     m = len(lam.vertices)
     for _ in range(_IMAGE_ATTEMPTS):
         words = [_random_word_over(rng, _random_clique(rng, t)) for _ in range(m)]
-        if _relators_hold(edges, words, t.star):
+        if _relators_hold(edges, words, gamma):
             break
     else:
         shared = _maximal_clique(rng, t)

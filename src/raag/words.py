@@ -203,23 +203,35 @@ def is_trivial(w: Word) -> bool:
     return not _normal_codes(w)
 
 
+def _code_mask(codes: Iterable[int]) -> int:
+    """The generators of the letters of codes, as a bitmask over vertex
+    indices."""
+    mask = 0
+    for c in codes:
+        mask |= 1 << (abs(c) - 1)
+    return mask
+
+
+def _support_mask(w: Word) -> int:
+    """The reduced support of w as a bitmask over vertex indices."""
+    return _code_mask(_normal_codes(w))
+
+
 def support(w: Word) -> frozenset[str]:
     """Vertices appearing in a reduced form of w (independent of the choice
     of reduced form)."""
-    g = w.graph
-    return frozenset(g.vertices[abs(c) - 1] for c in _normal_codes(w))
+    return frozenset(w.graph._names(_support_mask(w)))
 
 
-def _centralizer_commutes(g: Graph, s1: frozenset[str], s2: frozenset[str]) -> Optional[bool]:
-    """Whether two elements with reduced supports s1 and s2 commute, when
-    one of the supports spans a clique S: by the centralizer theorem the
-    other commutes with it iff its support lies in the union of S and
-    lk(S), that is, each of its vertices equals or is adjacent to every
-    vertex of S. None when neither support spans a clique."""
-    index, adj = g._index, g._adj
+def _centralizer_commutes(g: Graph, s1: int, s2: int) -> Optional[bool]:
+    """Whether two elements with reduced support masks s1 and s2 commute,
+    when one of the supports spans a clique S: by the centralizer theorem
+    the other commutes with it iff its support lies in the union of S and
+    lk(S), the star meet of S. None when neither support spans a clique."""
     for s, t in ((s1, s2), (s2, s1)):
-        if g.spans_clique(s):
-            return all(u == v or index[u] in adj[index[v]] for v in s for u in t)
+        meet = g._star_meet(s)
+        if not s & ~meet:
+            return not t & ~meet
     return None
 
 
@@ -232,7 +244,7 @@ def commutes(w1: Word, w2: Word) -> bool:
     lies in the union of S and lk(S). Otherwise their commutator is
     reduced."""
     _same_ambient(w1, w2)
-    decided = _centralizer_commutes(w1.graph, support(w1), support(w2))
+    decided = _centralizer_commutes(w1.graph, _support_mask(w1), _support_mask(w2))
     if decided is not None:
         return decided
     return is_trivial(commutator(w1, w2))
@@ -291,7 +303,7 @@ def oracle_is_trivial(w: Word, budget: int = _DEFAULT_ORACLE_BUDGET) -> Optional
         cancel_pairs.add(chr(2 * i) + chr(2 * i + 1))
         cancel_pairs.add(chr(2 * i + 1) + chr(2 * i))
         for j in range(n):
-            if i != j and j in g._adj[i]:
+            if g._nbr[i] >> j & 1:
                 for si in (0, 1):
                     for sj in (0, 1):
                         swap_pairs.add(chr(2 * i + si) + chr(2 * j + sj))

@@ -284,6 +284,76 @@ def test_dedup_matches_quotient_triviality():
     assert checked_equal > 10
 
 
+# -- structure of balls (Kim & Koberda, Geom. Topol. 2013) ----------------------------
+
+
+def _check_doubling_along_stars(g, radius):
+    """Kim & Koberda build the extension graph by doubling along stars: on
+    Gamma together with its conjugate by v, x^v = x exactly for x in st(v),
+    and x ~ y^v for y outside st(v) iff x is in st(v) and x ~ y. Conjugation
+    by w is an automorphism, so the same double appears on the conjugates by
+    w and by v w whenever both conjugators have reduced length <= radius.
+    Vertices are built with ext_vertex and located by element; the edges
+    are read off the ball."""
+    ball = ext_ball(g, radius)
+    where = {x.element: i for i, x in enumerate(ball.vertices)}
+
+    def locate(x, w):
+        return where[ext_vertex(x, w).element]
+
+    checked = 0
+    for w in enumerate_reduced_words(g, radius):
+        base = [(x, locate(x, w)) for x in g.vertices]
+        for v in g.vertices:
+            vw = Word(g, [(v, 1)]) * w
+            if len(canonical_form(vw).word) > radius:
+                continue
+            star = {v, *g.neighbors(v)}
+            layers = [base, [(x, locate(x, vw)) for x in g.vertices]]
+            for (x, i), (_, j) in zip(*layers):
+                assert (i == j) == (x in star), (g.edges(), str(w), v, x)
+            for e in (0, 1):
+                for f in (0, 1):
+                    for x, i in layers[e]:
+                        for y, j in layers[f]:
+                            if i == j:
+                                continue
+                            expected = g.adjacent(x, y) and (e == f or x in star or y in star)
+                            assert ball.adjacent(i, j) == expected, (g.edges(), str(w), v, x, y)
+                            checked += 1
+    return checked
+
+
+def test_balls_double_along_stars():
+    for g in all_labeled_graphs(4):
+        for radius in (1, 2):
+            _check_doubling_along_stars(g, radius)
+    for g in (path_graph(5), cycle_graph(5)):
+        for radius in (1, 2):
+            assert _check_doubling_along_stars(g, radius) > 0
+
+
+def test_balls_of_trees_are_forests():
+    # the extension graph of a tree is a tree, so its balls, induced
+    # subgraphs of it, are forests: no edge closes a cycle
+    star = Graph("K13", ["c", "a", "b", "d"], [("c", "a"), ("c", "b"), ("c", "d")])
+    for g in [path_graph(n) for n in range(2, 6)] + [star]:
+        for radius in (0, 1, 2):
+            ball = ext_ball(g, radius)
+            root = list(range(len(ball.vertices)))
+
+            def find(i):
+                while root[i] != i:
+                    root[i] = root[root[i]]
+                    i = root[i]
+                return i
+
+            for i, j in ball.edges:
+                a, b = find(i), find(j)
+                assert a != b, (g.name, radius, ball.vertices[i].name, ball.vertices[j].name)
+                root[a] = b
+
+
 # -- bridge to the graph layer -------------------------------------------------------------
 
 

@@ -50,6 +50,81 @@ def test_adjacency_is_symmetric():
     assert g.degree("a") == 1 and g.degree("c") == 0
 
 
+def _check_accessors(verts, edges, subsets):
+    """Build a Graph from edges and check every accessor against a reference
+    computed from the edge set alone; spans_clique is checked on subsets."""
+    g = Graph("g", verts, edges)
+    pairs = {frozenset(e) for e in edges}
+    n = len(verts)
+
+    def adj(u, v):
+        return frozenset((u, v)) in pairs
+
+    for u in verts:
+        nbrs = tuple(v for v in verts if adj(u, v))
+        assert g.neighbors(u) == nbrs
+        assert g.degree(u) == len(nbrs)
+        for v in verts:
+            assert g.adjacent(u, v) == adj(u, v)
+    assert g.edges() == [(u, v) for u, v in itertools.combinations(verts, 2) if adj(u, v)]
+    assert g.edge_count() == len(pairs)
+    assert g.nonneighbor_table() == tuple(
+        tuple(j for j in range(n) if j != i and not adj(verts[i], verts[j])) for i in range(n)
+    )
+    comp = complement(g)
+    assert comp.vertices == g.vertices
+    assert {frozenset(e) for e in comp.edges()} == {
+        frozenset(p) for p in itertools.combinations(verts, 2)
+    } - pairs
+    for names in subsets:
+        assert g.spans_clique(names) == all(adj(u, v) for u, v in itertools.combinations(names, 2))
+
+
+def _shuffled_edges(rnd, edges):
+    # the stored adjacency must not depend on the order or orientation of the input
+    out = [e if rnd.random() < 0.5 else e[::-1] for e in edges]
+    rnd.shuffle(out)
+    return out
+
+
+def test_accessors_match_the_edge_set_exhaustive_up_to_5():
+    rnd = random.Random(12)
+    for n in range(6):
+        verts = [chr(ord("a") + i) for i in range(n)]
+        pairs = list(itertools.combinations(verts, 2))
+        subsets = [s for k in range(n + 1) for s in itertools.combinations(verts, k)]
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+            _check_accessors(verts, _shuffled_edges(rnd, edges), subsets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_accessors_match_the_edge_set_on_drawn_graphs(seed):
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 12)
+    verts = [f"v{i}" for i in rnd.sample(range(100), n)]
+    density = rnd.random()
+    edges = [(u, v) for u, v in itertools.combinations(verts, 2) if rnd.random() < density]
+    subsets = [rnd.sample(verts, rnd.randint(0, n)) for _ in range(40)]
+    _check_accessors(verts, _shuffled_edges(rnd, edges), subsets)
+
+
+def test_spans_clique_reads_names_as_a_set():
+    g = Graph("g", ["a", "b", "c"], [("a", "b")])
+    assert g.spans_clique(["a", "a"])
+    assert g.spans_clique(["a", "b", "a"])
+    assert not g.spans_clique(["a", "c", "a"])
+
+
+def test_spans_clique_rejects_unknown_names():
+    g = Graph("g", ["a", "b"], [("a", "b")])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        g.spans_clique(["a", "z"])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        g.spans_clique(["z"])
+
+
 # -- complement -----------------------------------------------------------------
 
 
@@ -266,8 +341,8 @@ def _reference_full_embedding_search(lam, gamma):
         return {}
     if n > m:
         return None
-    ldeg = [len(lam._adj[i]) for i in range(n)]
-    gdeg = [len(gamma._adj[j]) for j in range(m)]
+    ldeg = [lam.degree(v) for v in lam.vertices]
+    gdeg = [gamma.degree(x) for x in gamma.vertices]
     cands = [
         [t for t in range(m) if gdeg[t] >= ldeg[s] and (m - 1 - gdeg[t]) >= (n - 1 - ldeg[s])]
         for s in range(n)
@@ -283,7 +358,9 @@ def _reference_full_embedding_search(lam, gamma):
                 continue
             ok = True
             for s2 in range(s):
-                if (s2 in lam._adj[s]) != (assignment[s2] in gamma._adj[t]):
+                if lam.adjacent(lam.vertices[s2], lam.vertices[s]) != gamma.adjacent(
+                    gamma.vertices[assignment[s2]], gamma.vertices[t]
+                ):
                     ok = False
                     break
             if not ok:

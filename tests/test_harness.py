@@ -194,4 +194,4 @@ def test_relator_rule_matches_validate_hom(gamma, lam, seed):
         words.append(tuple(w))
     h = HomSpec(lam, gamma, {v: Word._from_codes(gamma, w) for v, w in zip(lam.vertices, words)})
     edges = [(lam.index(u), lam.index(v)) for u, v in lam.edges()]
-    assert _relators_hold(edges, words, t.star) == validate_hom(h).is_homomorphism
+    assert _relators_hold(edges, words, gamma) == validate_hom(h).is_homomorphism
