@@ -9,9 +9,16 @@ Rows:
 - harness: run_harness with 500 trials and seed 42, end to end, and its
   instance generation alone (the _random_graph, _random_source and
   _random_hom draws of those 500 trials);
-- extract_full: one pass of extract_full over the 800 homomorphisms of the
-  perfbench extract_long pool of seed 1, built once outside the timing
-  (the pool comes from perfbench/workloads.py, which is only read).
+- words: reduce, support, is_trivial and canonical_form, one row each, on
+  the raw image words of the perfbench extract_long pool of seed 1, cold;
+- extract_full: one pass of extract_full over the 800 homomorphisms of that
+  pool.
+
+The pool comes from perfbench/workloads.py, which is only read, and is
+drawn once. The words and extract_full rows rebuild it from its names and
+codes before every timed run, outside the timing: new image words, and for
+extract_full new graphs too. So no run, under either kernel, reads a cached
+reduced form or join decomposition that an earlier run filled.
 
 Each row runs under each kernel by rebinding raag._kernel.normalize and
 raag._kernel.survivors, which every caller looks up there. Each figure is
@@ -21,7 +28,7 @@ Runs of different checkouts go into one file, each under its own --label,
 so a change and its parent can be read side by side (run this script with
 PYTHONPATH pointing at the other checkout's src):
 
-    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_12.json --label after
+    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_13.json --label after
 
 Build the compiled kernel first (`python setup.py build_ext --inplace`) to
 fill the compiled column; without it that column is null.
@@ -36,10 +43,11 @@ import time
 from pathlib import Path
 
 from raag import _kernel, _purekernel
-from raag.embedding import extract_full
+from raag.embedding import HomSpec, extract_full
 from raag.extension import ext_ball
 from raag.graphs import Graph, path_graph
 from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
+from raag.words import Word, canonical_form, is_trivial, reduce, support
 
 try:
     from raag import _speedups
@@ -79,11 +87,14 @@ def kernel_jobs():
     return out
 
 
-def best_of(run):
+def best_of(run, setup=None):
+    """The fastest of REPEATS runs; with a setup, each run gets a new
+    setup() as its argument, built outside the timing."""
     times = []
     for _ in range(REPEATS):
+        args = (setup(),) if setup else ()
         start = time.perf_counter()
-        run()
+        run(*args)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -110,6 +121,21 @@ def extract_long_pool():
     return ExtractLong(1).specs
 
 
+def fresh_images(pool):
+    """The raw image words of the pool, as new words over the same graphs."""
+    return [Word._from_codes(w.graph, w.codes()) for h in pool for w in h.images.values()]
+
+
+def fresh_pool(pool):
+    """The pool rebuilt from names and codes, with new graphs and words."""
+    out = []
+    for h in pool:
+        source = Graph(h.source.name, h.source.vertices, h.source.edges())
+        target = Graph(h.target.name, h.target.vertices, h.target.edges())
+        out.append(HomSpec(source, target, {v: Word._from_codes(target, w.codes()) for v, w in h.images.items()}))
+    return out
+
+
 def use_kernel(module):
     _kernel.normalize = module.normalize
     _kernel.survivors = module.survivors
@@ -119,11 +145,11 @@ def rows():
     kernels = [("pure", _purekernel)] + ([("compiled", _speedups)] if _speedups else [])
     out = []
 
-    def row(layer, case, run):
+    def row(layer, case, run, setup=None):
         entry = {"layer": layer, "case": case, "pure_s": None, "compiled_s": None}
         for label, module in kernels:
             use_kernel(module)
-            entry[f"{label}_s"] = round(best_of(run), 4)
+            entry[f"{label}_s"] = round(best_of(run, setup), 4)
         out.append(entry)
         print(f"{layer:<8} {case:<58} {entry['pure_s']:>9}s {entry['compiled_s'] or 'n/a':>9}"
               + ("" if entry["compiled_s"] is None else "s"), flush=True)
@@ -147,8 +173,11 @@ def rows():
     row("harness", "run_harness(500 trials, seed 42)", lambda: run_harness(config))
     row("harness", "instance generation of run_harness(500 trials, seed 42)", lambda: draw_instances(config))
     pool = extract_long_pool()
-    row("extract", "extract_full on the extract_long pool (800 homs, seed 1)",
-        lambda: [extract_full(h) for h in pool])
+    for function in (reduce, support, is_trivial, canonical_form):
+        row("words", f"{function.__name__} on the extract_long pool images (seed 1, cold)",
+            lambda words, function=function: [function(w) for w in words], lambda: fresh_images(pool))
+    row("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
+        lambda specs: [extract_full(h) for h in specs], lambda: fresh_pool(pool))
     return out
 
 

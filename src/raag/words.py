@@ -21,6 +21,13 @@ particular the centralizer of a generator v is generated by its star st(v).
 An element lies in the subgroup generated by a vertex set iff its reduced
 support does, so whenever one of two supports spans a clique, commutation
 is a support test; only the remaining pairs need a commutator.
+
+Each Word caches the codes of its reduced form, the letters that survive
+the piling pass, in a slot filled on first use: reduction, the reduced-length
+and triviality tests, supports and commutation all read that one fact, so a
+word is piled at most once however many of them ask. The cache is a pure
+function of the letters and the graph, so equality and hashing ignore it,
+and two threads that fill it at once write the same value.
 """
 
 from __future__ import annotations
@@ -42,10 +49,12 @@ class Word:
     -(i+1) for its inverse.
 
     Immutable by convention; all operations return new words. Words refuse
-    to combine with words over a different ambient graph.
+    to combine with words over a different ambient graph. _reduced caches
+    the codes of the reduced form (see _reduced_codes); None until first
+    asked for.
     """
 
-    __slots__ = ("graph", "_signed")
+    __slots__ = ("graph", "_signed", "_reduced")
 
     def __init__(self, graph: Graph, letters: Iterable[Letter]):
         index = graph._index
@@ -58,12 +67,14 @@ class Word:
             codes.append((index[v] + 1) * s)
         self.graph = graph
         self._signed = tuple(codes)
+        self._reduced = None
 
     @classmethod
     def _from_codes(cls, graph: Graph, codes: tuple[int, ...]) -> "Word":
         w = object.__new__(cls)
         w.graph = graph
         w._signed = codes
+        w._reduced = None
         return w
 
     def codes(self) -> tuple[int, ...]:
@@ -162,8 +173,23 @@ def parse_word(graph: Graph, text: str) -> Word:
     return Word(graph, letters)
 
 
+def _reduced_codes(w: Word) -> tuple[int, ...]:
+    """The codes of the letters of w that survive the piling pass of the
+    kernel, in their original order; computed once per Word and cached."""
+    reduced = w._reduced
+    if reduced is None:
+        codes = w._signed
+        keep = _kernel.survivors(codes, w.graph.nonneighbor_table())
+        reduced = codes if len(keep) == len(codes) else tuple(codes[k] for k in keep)
+        w._reduced = reduced
+    return reduced
+
+
 def _normal_codes(w: Word) -> list[int]:
-    return _kernel.normalize(w.codes(), w.graph.nonneighbor_table())
+    """The canonical codes of w, normalized from the cached reduced codes
+    when they are present (the same result, with fewer letters to pile)."""
+    codes = w._signed if w._reduced is None else w._reduced
+    return _kernel.normalize(codes, w.graph.nonneighbor_table())
 
 
 def reduce(w: Word) -> Word:
@@ -177,16 +203,16 @@ def reduce(w: Word) -> Word:
     admit no further cancellation, so they are as many as the letters of
     the canonical form.
     """
-    g = w.graph
-    codes = w.codes()
-    keep = _kernel.survivors(codes, g.nonneighbor_table())
-    return Word._from_codes(g, tuple(codes[k] for k in keep))
+    reduced = _reduced_codes(w)
+    out = Word._from_codes(w.graph, reduced)
+    out._reduced = reduced
+    return out
 
 
 def is_reduced(w: Word) -> bool:
     """Reduced words are exactly the length-minimal representatives, so a
-    word is reduced iff normalization preserves its length."""
-    return len(_normal_codes(w)) == len(w)
+    word is reduced iff no letter cancels in the piling pass."""
+    return len(_reduced_codes(w)) == len(w)
 
 
 def canonical_form(w: Word) -> GroupElement:
@@ -200,7 +226,7 @@ def canonical_form(w: Word) -> GroupElement:
 def is_trivial(w: Word) -> bool:
     """Word problem: true iff w represents the identity (equivalently,
     reduce(w) is empty)."""
-    return not _normal_codes(w)
+    return not _reduced_codes(w)
 
 
 def _code_mask(codes: Iterable[int]) -> int:
@@ -214,7 +240,7 @@ def _code_mask(codes: Iterable[int]) -> int:
 
 def _support_mask(w: Word) -> int:
     """The reduced support of w as a bitmask over vertex indices."""
-    return _code_mask(_normal_codes(w))
+    return _code_mask(_reduced_codes(w))
 
 
 def support(w: Word) -> frozenset[str]:

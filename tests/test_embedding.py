@@ -867,6 +867,29 @@ def test_extract_full_ignores_letters_cancelling_outside_the_support(images, kin
         assert "z" not in out.mapping.values()
 
 
+def _fresh_copy(h):
+    """h rebuilt from its codes: a new source graph and new image words,
+    so no cached join decomposition or reduced codes carry over."""
+    src = Graph(h.source.name, h.source.vertices, h.source.edges())
+    return HomSpec(src, h.target, {v: Word._from_codes(h.target, w.codes()) for v, w in h.images.items()})
+
+
+def test_extract_full_does_not_depend_on_cached_reductions():
+    from raag.harness import _random_graph, _random_hom, _random_source
+
+    rng = random.Random(1313)
+    kinds = set()
+    for _ in range(200):
+        lam = _random_source(rng, (1, 2, 3, 4, 5))
+        gamma = _random_graph(rng, 7, 0.5)
+        h = _random_hom(rng, lam, gamma)
+        first = extract_full(h)
+        kinds.add(type(first).__name__)
+        assert repr(extract_full(h)) == repr(first)
+        assert repr(extract_full(_fresh_copy(h))) == repr(first)
+    assert kinds == {"FullEmbedding", "KernelWitness", "StructuralCertificate"}
+
+
 def _one_clique_join_spec(rng):
     from raag.harness import _random_clique, _tables
 

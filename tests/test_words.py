@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import deque
 from pathlib import Path
 
@@ -193,6 +194,100 @@ def test_survivors_spell_the_normal_form(g, seed):
     assert keep == sorted(set(keep))
     assert len(keep) == len(normal)
     assert _purekernel.normalize([codes[k] for k in keep], nn) == normal
+
+
+# -- cached reduced codes ------------------------------------------------------------------
+
+
+# what each word function answers about a word w; commutes pairs it with other
+_WORD_FUNCTIONS = {
+    "reduce": lambda w, other: reduce(w).codes(),
+    "is_reduced": lambda w, other: is_reduced(w),
+    "is_trivial": lambda w, other: is_trivial(w),
+    "support": lambda w, other: support(w),
+    "canonical_form": lambda w, other: canonical_form(w),
+    "commutes": commutes,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn_graphs(1, 8, "g"), SEEDS, st.permutations(tuple(_WORD_FUNCTIONS)))
+def test_word_answers_do_not_depend_on_the_cache(g, seed, order):
+    w = _long_word(g, seed)
+    other = _long_word(g, seed + 1)
+
+    def answers(x, names):
+        return {name: _WORD_FUNCTIONS[name](x, other) for name in names}
+
+    def cold(x):
+        # each function on its own fresh copies, so it fills every cache
+        return {name: f(Word._from_codes(g, x.codes()), Word._from_codes(g, other.codes()))
+                for name, f in _WORD_FUNCTIONS.items()}
+
+    r = reduce(w)
+    for x in (w, r):
+        want = cold(x)
+        # first in the drawn order as the caches fill, then with all filled
+        assert answers(x, order) == want
+        assert answers(x, order) == want
+    assert r.codes() == reduce(r).codes() and is_reduced(r)
+    names = ("is_trivial", "support", "canonical_form", "commutes")
+    assert answers(r, names) == answers(w, names)
+
+
+def test_every_constructor_sets_the_cache_slot():
+    w = Word(EDGE, [("a", 1), ("b", 1), ("a", -1)])
+    built = [
+        w,
+        Word._from_codes(EDGE, (1, -2)),
+        w.inverse(),
+        w * w,
+        parse_word(EDGE, "a b^-1"),
+        parse_word(EDGE, "1"),
+    ]
+    for x in built:
+        assert x._reduced is None
+    r = reduce(w)
+    assert r._reduced == r.codes() == (2,)
+
+
+def test_equality_and_hash_ignore_the_cache():
+    w = parse_word(EDGE, "a b a^-1")
+    same = Word._from_codes(EDGE, w.codes())
+    assert is_trivial(w) is False and same._reduced is None
+    assert w == same and hash(w) == hash(same)
+    r = reduce(w)
+    plain = Word._from_codes(EDGE, r.codes())
+    assert r == plain and hash(r) == hash(plain)
+    assert len({w, same}) == 1
+
+
+def test_concurrent_fills_agree():
+    # threads that fill the caches of shared words at once, with frequent
+    # switches, must all see the answers of cold words
+    rnd = random.Random(77)
+    g = random_graph(rnd, 8, 0.5)
+    shared = [_long_word(g, seed) for seed in range(40)]
+    want = [(reduce(Word._from_codes(g, w.codes())).codes(), support(Word._from_codes(g, w.codes())))
+            for w in shared]
+    got = [[] for _ in range(8)]
+
+    def work(out):
+        for w in shared:
+            out.append((reduce(w).codes(), support(w)))
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(out == want for out in got)
 
 
 # -- canonical form ----------------------------------------------------------------------
