@@ -18,7 +18,7 @@ The pool comes from perfbench/workloads.py, which is only read, and is
 drawn once. The words and extract_full rows rebuild it from its names and
 codes before every timed run, outside the timing: new image words, and for
 extract_full new graphs too. So no run, under either kernel, reads a cached
-reduced form or join decomposition that an earlier run filled.
+reduced form that an earlier run filled.
 
 Each row runs under each kernel by rebinding raag._kernel.normalize and
 raag._kernel.survivors, which every caller looks up there. Each figure is

@@ -104,19 +104,14 @@ class HomSpec:
         self.images = dict(images)
 
     def apply(self, w: Word) -> Word:
-        """Image of a source word, by letterwise substitution; each image
-        and each inverse image is spelled out once per call."""
+        """Image of a source word, by letterwise substitution."""
         if w.graph != self.source:
             raise ValueError("word is not over the source graph")
         verts = self.source.vertices
-        pieces: dict[int, tuple[int, ...]] = {}
         codes: list = []
         for c in w.codes():
-            piece = pieces.get(c)
-            if piece is None:
-                img = self.images[verts[abs(c) - 1]]
-                piece = pieces[c] = img.codes() if c > 0 else img.inverse().codes()
-            codes.extend(piece)
+            img = self.images[verts[abs(c) - 1]]
+            codes.extend(img.codes() if c > 0 else img.inverse().codes())
         return Word._from_codes(self.target, tuple(codes))
 
     def restricted(self, component: Graph) -> "HomSpec":

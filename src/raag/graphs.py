@@ -42,7 +42,7 @@ class Graph:
     sets inside the package are bitmasks over the same indices.
     """
 
-    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_join", "_hash")
+    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash")
 
     def __init__(self, name: str, vertices: Iterable[str], edges: Iterable = ()):
         verts = tuple(vertices)
@@ -67,7 +67,6 @@ class Graph:
         self._index = index
         self._nbr = tuple(nbr)
         self._nonadj = None
-        self._join = None
         self._hash = None
 
     # -- accessors ---------------------------------------------------------
@@ -299,12 +298,8 @@ def join_decompose(g: Graph) -> JoinDecomposition:
     the complement of g (a graph is join-irreducible iff its complement is
     connected). Components are ordered by their smallest vertex in
     insertion order. Path complements, single vertices included, carry a
-    PathLabeling; the other components carry None. Computed once per
-    graph and cached on it; the decomposition is immutable, so callers
-    share it.
+    PathLabeling; the other components carry None.
     """
-    if g._join is not None:
-        return g._join
     if len(g) == 0:
         raise ValueError("empty input")
     comps = []
@@ -313,8 +308,7 @@ def join_decompose(g: Graph) -> JoinDecomposition:
                                name=f"{g.name}_comp{len(comps) + 1}")
         order = _path_order(complement(sub))
         comps.append(JoinComponent(sub, None if order is None else PathLabeling(order)))
-    g._join = JoinDecomposition(tuple(comps))
-    return g._join
+    return JoinDecomposition(tuple(comps))
 
 
 def recognize_linear_forest_complement(g: Graph) -> Optional[list[PathLabeling]]:

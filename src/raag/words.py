@@ -186,10 +186,7 @@ def _reduced_codes(w: Word) -> tuple[int, ...]:
 
 
 def _normal_codes(w: Word) -> list[int]:
-    """The canonical codes of w, normalized from the cached reduced codes
-    when they are present (the same result, with fewer letters to pile)."""
-    codes = w._signed if w._reduced is None else w._reduced
-    return _kernel.normalize(codes, w.graph.nonneighbor_table())
+    return _kernel.normalize(w.codes(), w.graph.nonneighbor_table())
 
 
 def reduce(w: Word) -> Word:

@@ -869,7 +869,7 @@ def test_extract_full_ignores_letters_cancelling_outside_the_support(images, kin
 
 def _fresh_copy(h):
     """h rebuilt from its codes: a new source graph and new image words,
-    so no cached join decomposition or reduced codes carry over."""
+    so no cached reduced codes or graph tables carry over."""
     src = Graph(h.source.name, h.source.vertices, h.source.edges())
     return HomSpec(src, h.target, {v: Word._from_codes(h.target, w.codes()) for v, w in h.images.items()})
 
