@@ -18,6 +18,11 @@ the functions here either
 Every output is re-checkable from its own data by its check(h) method;
 injectivity of the input map is never assumed.
 
+An image matters only as a group element, so it is read only through the
+reduced codes its Word caches (raag.words._reduced_codes), directly or by
+reduce, is_trivial and support: the word spelling an image never changes
+an outcome, and each image is piled once for all routes and checks.
+
 Per-component machinery for an anti-path component v_1 .. v_n (consecutive
 labels non-adjacent, all other pairs adjacent):
 
@@ -66,6 +71,7 @@ from raag.words import (
     reduce,
     support,
     _centralizer_commutes,
+    _reduced_codes,
     _support_mask,
 )
 
@@ -104,14 +110,16 @@ class HomSpec:
         self.images = dict(images)
 
     def apply(self, w: Word) -> Word:
-        """Image of a source word, by letterwise substitution."""
+        """Image of a source word, the same element as letterwise
+        substitution: each letter becomes its image's reduced codes,
+        negated and reversed for an inverse letter."""
         if w.graph != self.source:
             raise ValueError("word is not over the source graph")
         verts = self.source.vertices
         codes: list = []
         for c in w.codes():
-            img = self.images[verts[abs(c) - 1]]
-            codes.extend(img.codes() if c > 0 else img.inverse().codes())
+            img = _reduced_codes(self.images[verts[abs(c) - 1]])
+            codes.extend(img if c > 0 else (-x for x in reversed(img)))
         return Word._from_codes(self.target, tuple(codes))
 
     def restricted(self, component: Graph) -> "HomSpec":
@@ -146,7 +154,7 @@ def validate_hom(h: HomSpec) -> HomReport:
     for u, v in h.source.edges():
         decided = _centralizer_commutes(g, supports[u], supports[v])
         if decided is None:
-            decided = is_trivial(commutator(h.images[u], h.images[v]))
+            decided = is_trivial(commutator(reduce(h.images[u]), reduce(h.images[v])))
         if not decided:
             failures.append((u, v))
     violations = tuple((v, frozenset(g._names(s))) for v, s in supports.items() if s & ~g._star_meet(s))
@@ -183,7 +191,8 @@ class FullEmbedding:
         outside = [v for v, x in self.mapping.items() if x not in supp]
         if outside:
             return f"image of {outside[0]!r} lies outside the homomorphism support"
-        for comp in join_decompose(h.source).components:
+        # the empty map fully embeds an empty source, which has no components
+        for comp in join_decompose(h.source).components if len(h.source) else ():
             if comp.kind == "singleton":
                 continue
             if len(comp.graph) == 3:
@@ -292,14 +301,16 @@ ExtractionOutcome = Union[FullEmbedding, KernelWitness, StructuralCertificate]
 
 
 def _exponent_matrix(h: HomSpec, columns: tuple[str, ...]) -> list[list[int]]:
-    # a vertex outside the support columns necessarily has exponent sum 0,
-    # so counting over the raw letters and projecting is exact
+    # one row per source vertex: the exponent sums of the column vertices in
+    # its image, counted by vertex index over the reduced codes, which have
+    # the image's exponent sums since reduction cancels inverse pairs
+    index = [h.target.index(c) + 1 for c in columns]
     rows = []
     for v in h.source.vertices:
-        counts: dict[str, int] = {}
-        for name, s in h.images[v].letters:
-            counts[name] = counts.get(name, 0) + s
-        rows.append([counts.get(c, 0) for c in columns])
+        counts: dict[int, int] = {}
+        for c in _reduced_codes(h.images[v]):
+            counts[abs(c)] = counts.get(abs(c), 0) + (1 if c > 0 else -1)
+        rows.append([counts.get(i, 0) for i in index])
     return rows
 
 
@@ -393,29 +404,18 @@ class ReachSets:
     sets: tuple[tuple[str, ...], ...]
 
 
-def _check_labeling(src: Graph, labeling: PathLabeling) -> None:
-    order = labeling.order
-    if set(order) != set(src.vertices) or len(order) != len(src):
-        raise ValueError("labeling does not enumerate the source vertices")
-    n = len(order)
-    for a in range(n):
-        for b in range(a + 1, n):
-            adjacent = src.adjacent(order[a], order[b])
-            if b - a == 1 and adjacent:
-                raise ValueError("labeling is not an anti-path order: consecutive labels adjacent")
-            if b - a > 1 and not adjacent:
-                raise ValueError("labeling is not an anti-path order: distant labels non-adjacent")
-
-
 def build_clique_chain(h: HomSpec, labeling: PathLabeling) -> CliqueChain:
     """Collect C_i = supp(image of v_i) and check the cross-adjacency
     forced by commuting clique-supported images: for |i-j| > 1 the images
     of v_i and v_j commute, which the centralizer theorem decides from the
     two supports (every vertex of C_i identical to or adjacent to every
-    vertex of C_j)."""
-    _check_labeling(h.source, labeling)
+    vertex of C_j). The labeling must be one of the two orders of the path
+    that complements the source."""
+    path = _path_order(complement(h.source))
+    order = tuple(labeling.order)
+    if path is None or order not in (path, path[::-1]):
+        raise ValueError("labeling is not an anti-path order of the source")
     gamma = h.target
-    order = labeling.order
     supports = [_support_mask(h.images[v]) for v in order]
     for v, supp_v in zip(order, supports):
         if supp_v & ~gamma._star_meet(supp_v):
@@ -624,13 +624,13 @@ def extract_full(h: HomSpec) -> ExtractionOutcome:
     """End-to-end extraction.
 
     Validates the table (homomorphism + clique-support; anything else is
-    refused), reduces the image words, decomposes the source into join
-    factors, extracts per factor (merged singleton factors through the
-    abelian route, anti-paths through the chain machinery), and glues.
-    Every factor route picks its target vertices from the image supports
-    and checks its own witness, so the first component failure is returned
-    as that component's witness, re-homed on the full source, or its
-    certificate.
+    refused), decomposes the source into join factors, extracts per factor
+    (merged singleton factors through the abelian route, anti-paths through
+    the chain machinery) on restrictions of h, which share its image words
+    and their cached reduced codes, and glues. Every factor route picks its
+    target vertices from the image supports and checks its own witness, so
+    the first component failure is returned as that component's witness,
+    re-homed on the full source, or its certificate.
     """
     report = validate_hom(h)
     if report.relator_failures:
@@ -650,19 +650,18 @@ def extract_full(h: HomSpec) -> ExtractionOutcome:
     decomp = join_decompose(h.source) if len(h.source) else None
     if decomp is None or any(c.labeling is None for c in decomp.components):
         raise ValueError("out of theorem scope: source is not the complement of a linear forest")
-    hp = HomSpec(h.source, h.target, {v: reduce(h.images[v]) for v in h.source.vertices})
     singles = [c for c in decomp.components if c.kind == "singleton"]
     paths = [c for c in decomp.components if c.kind != "singleton"]
     embeddings: list[FullEmbedding] = []
     if singles:
         kvertices = [v for c in singles for v in c.graph.vertices]
         kgraph = induced_subgraph(h.source, kvertices, name=h.source.name + "_abelian")
-        out = extract_abelian(hp.restricted(kgraph))
+        out = extract_abelian(h.restricted(kgraph))
         if isinstance(out, KernelWitness):
             return _lift_witness(out, h)
         embeddings.append(out)
     for comp in paths:
-        sub = hp.restricted(comp.graph)
+        sub = h.restricted(comp.graph)
         if len(comp.graph) == 3:
             out3 = extract_anti_path3(sub)
             if isinstance(out3, StructuralCertificate):
@@ -673,7 +672,7 @@ def extract_full(h: HomSpec) -> ExtractionOutcome:
             if isinstance(out, KernelWitness):
                 return _lift_witness(out, h)
             embeddings.append(out)
-    return glue_join(embeddings, hp)
+    return glue_join(embeddings, h)
 
 
 def _lift_witness(witness: KernelWitness, h: HomSpec) -> KernelWitness:

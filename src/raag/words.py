@@ -24,10 +24,12 @@ is a support test; only the remaining pairs need a commutator.
 
 Each Word caches the codes of its reduced form, the letters that survive
 the piling pass, in a slot filled on first use: reduction, the reduced-length
-and triviality tests, supports and commutation all read that one fact, so a
-word is piled at most once however many of them ask. The cache is a pure
-function of the letters and the graph, so equality and hashing ignore it,
-and two threads that fill it at once write the same value.
+and triviality tests, supports and commutation all read that one fact, and
+raag.embedding reads homomorphism images only through it (substitution and
+exponent sums included), so a word is piled at most once however many of
+them ask. The cache is a pure function of the letters and the graph, so
+equality and hashing ignore it, and two threads that fill it at once write
+the same value.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -37,7 +38,16 @@ from raag.graphs import (
     path_complement,
     verify_full_embedding,
 )
-from raag.words import Word, is_trivial, parse_word, reduce, support
+from raag.words import (
+    Word,
+    canonical_form,
+    is_reduced,
+    is_trivial,
+    parse_word,
+    product,
+    reduce,
+    support,
+)
 
 from conftest import SEEDS, cycle_graph, drawn_graphs, random_graph
 
@@ -121,11 +131,18 @@ def test_validate_reports_trivial_image():
 
 
 def test_apply_substitutes_letterwise():
+    # v2's image v1 v2 v2^-1 is not reduced: apply spells its reduced form
+    # v1, inverted for v2^-1, and gives the element of raw substitution
     g = path_complement(2)
     t = complete_graph(2)
-    h = HomSpec(g, t, {"v1": parse_word(t, "v1 v2"), "v2": parse_word(t, "v2")})
-    image = h.apply(parse_word(g, "v1^-1 v2"))
-    assert str(image) == "v2^-1 v1^-1 v2"
+    h = HomSpec(g, t, {"v1": parse_word(t, "v1 v2"), "v2": parse_word(t, "v1 v2 v2^-1")})
+    cases = [("v1^-1 v2", "v2^-1 v1^-1 v1"), ("v2^-1 v1", "v1^-1 v1 v2"), ("v2 v2^-1", "v1 v1^-1")]
+    for word, spelled in cases:
+        w = parse_word(g, word)
+        image = h.apply(w)
+        assert str(image) == spelled
+        raw = product(*(h.images[v] if s > 0 else h.images[v].inverse() for v, s in w.letters))
+        assert canonical_form(image) == canonical_form(raw)
 
 
 # -- abelian factors ------------------------------------------------------------------------
@@ -254,6 +271,36 @@ def test_chain_rejects_bad_labeling():
     h = identity_spec(path_complement(4))
     with pytest.raises(ValueError, match="labeling"):
         build_clique_chain(h, PathLabeling(("v1", "v3", "v2", "v4")))
+
+
+def _pairwise_anti_path_order(src, order):
+    """The labeling rule pair by pair: order enumerates the source, every
+    consecutive pair is non-adjacent and every other pair adjacent."""
+    if sorted(order) != sorted(src.vertices):
+        return False
+    n = len(order)
+    return all(
+        src.adjacent(order[a], order[b]) == (b - a > 1) for a in range(n) for b in range(a + 1, n)
+    )
+
+
+@pytest.mark.parametrize("src", [path_complement(5), cycle_graph(4)], ids=["P5c", "C4"])
+def test_chain_judges_labelings_by_the_pairwise_rule(src):
+    # C4 is the complement of two disjoint edges, so no order labels it;
+    # partial orders and a foreign name are judged too
+    h = identity_spec(src)
+    orders = list(itertools.permutations(src.vertices))
+    orders += list(itertools.permutations(src.vertices, len(src) - 1))
+    orders += [o[:-1] + ("zz",) for o in itertools.permutations(src.vertices)]
+    accepted = 0
+    for order in orders:
+        if _pairwise_anti_path_order(src, order):
+            accepted += 1
+            assert build_clique_chain(h, PathLabeling(order)).cliques == tuple((v,) for v in order)
+        else:
+            with pytest.raises(ValueError, match="labeling is not an anti-path order"):
+                build_clique_chain(h, PathLabeling(order))
+    assert accepted == (2 if src.name != "C4" else 0)
 
 
 def _reference_cross_pair(chain, order):
@@ -909,6 +956,31 @@ def _one_clique_join_spec(rng):
     return HomSpec(lam, t, images)
 
 
+def test_extract_full_reads_images_only_as_group_elements():
+    from raag.harness import _random_graph, _random_hom, _random_source
+
+    # one-clique joins give witnesses from every route; the harness draws
+    # add embeddings and certificates
+    rng = random.Random(1414)
+    specs = [_one_clique_join_spec(rng) for _ in range(150)]
+    for _ in range(150):
+        lam = _random_source(rng, (1, 2, 3, 4, 5))
+        specs.append(_random_hom(rng, lam, _random_graph(rng, 7, 0.5)))
+    kinds = set()
+    unreduced = 0
+    for h in specs:
+        images = dict(h.images)
+        unreduced += any(not is_reduced(w) for w in images.values())
+        out = extract_full(h)
+        kinds.add(type(out).__name__)
+        assert h.images.keys() == images.keys()
+        assert all(h.images[v] is w for v, w in images.items())
+        reduced = HomSpec(h.source, h.target, {v: reduce(w) for v, w in images.items()})
+        assert repr(extract_full(reduced)) == repr(out)
+        assert out.check(h) is None
+    assert kinds == {"FullEmbedding", "KernelWitness", "StructuralCertificate"} and unreduced > 50
+
+
 def test_component_witnesses_hold_over_the_full_source():
     rng = random.Random(4711)
     anti_path = abelian = 0
@@ -1042,6 +1114,11 @@ def test_embedding_check_rejects_map_that_is_not_total():
     assert FullEmbedding({}).check(h) == (
         "embedding check failed: map is not total on the source: missing 'v1'"
     )
+
+
+def test_embedding_check_accepts_empty_map_of_empty_source():
+    t = complete_graph(2, prefix="t")
+    assert FullEmbedding({}).check(HomSpec(Graph("empty", []), t, {})) is None
 
 
 def test_embedding_check_rejects_map_naming_non_source_vertices():
