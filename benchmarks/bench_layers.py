@@ -11,6 +11,9 @@ Rows:
   _random_hom draws of those 500 trials);
 - words: reduce, support, is_trivial and canonical_form, one row each, on
   the raw image words of the perfbench extract_long pool of seed 1, cold;
+- graphs: join_decompose on the 800 sources of that pool, and complement
+  after induced_subgraph on each target's image support union (the
+  support graph of the structural certificate), one pass each;
 - extract_full: one pass of extract_full over the 800 homomorphisms of that
   pool.
 
@@ -28,7 +31,7 @@ Runs of different checkouts go into one file, each under its own --label,
 so a change and its parent can be read side by side (run this script with
 PYTHONPATH pointing at the other checkout's src):
 
-    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_13.json --label after
+    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_15.json --label after
 
 Build the compiled kernel first (`python setup.py build_ext --inplace`) to
 fill the compiled column; without it that column is null.
@@ -45,7 +48,7 @@ from pathlib import Path
 from raag import _kernel, _purekernel
 from raag.embedding import HomSpec, extract_full
 from raag.extension import ext_ball
-from raag.graphs import Graph, path_graph
+from raag.graphs import Graph, complement, induced_subgraph, join_decompose, path_graph
 from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
 from raag.words import Word, canonical_form, is_trivial, reduce, support
 
@@ -126,6 +129,15 @@ def fresh_images(pool):
     return [Word._from_codes(w.graph, w.codes()) for h in pool for w in h.images.values()]
 
 
+def support_unions(pool):
+    """(target, union of the image supports in target order) per hom."""
+    out = []
+    for h in pool:
+        union = frozenset().union(*(support(w) for w in h.images.values()))
+        out.append((h.target, [v for v in h.target.vertices if v in union]))
+    return out
+
+
 def fresh_pool(pool):
     """The pool rebuilt from names and codes, with new graphs and words."""
     out = []
@@ -176,6 +188,11 @@ def rows():
     for function in (reduce, support, is_trivial, canonical_form):
         row("words", f"{function.__name__} on the extract_long pool images (seed 1, cold)",
             lambda words, function=function: [function(w) for w in words], lambda: fresh_images(pool))
+    sources, unions = [h.source for h in pool], support_unions(pool)
+    row("graphs", "join_decompose on the extract_long pool sources (800, seed 1)",
+        lambda: [join_decompose(g) for g in sources])
+    row("graphs", "complement(induced_subgraph) on its support unions (800, seed 1)",
+        lambda: [complement(induced_subgraph(t, s)) for t, s in unions])
     row("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
         lambda specs: [extract_full(h) for h in specs], lambda: fresh_pool(pool))
     return out

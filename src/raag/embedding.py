@@ -48,16 +48,16 @@ from typing import Optional, Union
 from raag.graphs import (
     Graph,
     PathLabeling,
-    complement,
     full_embedding_search,
     induced_subgraph,
     join_decompose,
     parse_graph,
     verify_full_embedding,
+    _anti_path_order,
+    _bits,
     _components_of,
     _forward_check,
     _nonneighbor_masks,
-    _path_order,
 )
 from raag.words import (
     Word,
@@ -258,7 +258,7 @@ class StructuralCertificate:
         if len(comp) != 3 or len(set(comp)) != 3 or any(v not in h.source for v in comp):
             return "certificate component does not name three distinct source vertices"
         comp_graph = induced_subgraph(h.source, comp)
-        if _path_order(complement(comp_graph)) is None:
+        if _anti_path_order(comp_graph) is None:
             return "certificate component is not a 3-vertex anti-path"
         supp = _support_union(h, comp)
         if self.supp != supp:
@@ -285,13 +285,12 @@ def _support_union(h: HomSpec, vertices) -> tuple[str, ...]:
 
 def _complete_complement_components(g: Graph) -> Optional[tuple[tuple[str, ...], ...]]:
     """The connected components of g's complement as vertex-name tuples,
-    ordered by smallest vertex, when each spans a complete graph; None
-    otherwise."""
-    comp_c = complement(g)
-    names = tuple(tuple(comp_c.vertices[i] for i in idxs) for idxs in _components_of(comp_c))
-    if all(comp_c.spans_clique(comp) for comp in names):
-        return names
-    return None
+    ordered by smallest vertex, when each spans a complete graph there (is
+    independent in g); None otherwise."""
+    comps = _components_of(_nonneighbor_masks(g))
+    if any(g._nbr[i] & comp for comp in comps for i in _bits(comp)):
+        return None
+    return tuple(g._names(comp) for comp in comps)
 
 
 ExtractionOutcome = Union[FullEmbedding, KernelWitness, StructuralCertificate]
@@ -411,7 +410,7 @@ def build_clique_chain(h: HomSpec, labeling: PathLabeling) -> CliqueChain:
     two supports (every vertex of C_i identical to or adjacent to every
     vertex of C_j). The labeling must be one of the two orders of the path
     that complements the source."""
-    path = _path_order(complement(h.source))
+    path = _anti_path_order(h.source)
     order = tuple(labeling.order)
     if path is None or order not in (path, path[::-1]):
         raise ValueError("labeling is not an anti-path order of the source")
@@ -583,7 +582,7 @@ def extract_anti_path3(h: HomSpec) -> Union[FullEmbedding, StructuralCertificate
     complement necessarily splits into complete components, which is
     emitted as the structural certificate of non-injectivity."""
     src = h.source
-    if len(src) != 3 or _path_order(complement(src)) is None:
+    if len(src) != 3 or _anti_path_order(src) is None:
         raise ValueError("source of extract_anti_path3 must be a 3-vertex anti-path")
     supp = _support_union(h, src.vertices)
     sub = induced_subgraph(h.target, supp)

@@ -7,6 +7,10 @@ linear forests, and a deterministic forward-checking search for full
 (induced) embeddings, whose engine the clique-chain sequence search of
 raag.embedding shares.
 
+Derived graphs (complements, induced subgraphs, join factors, path
+complements) are built from neighbour masks by Graph._from_masks; only
+names and edges from outside pass through the checks of Graph.__init__.
+
 Vertex insertion order is significant: it is the tie-breaker for every
 deterministic search built on top, so two graphs with the same vertex set
 in a different order are treated as distinct.
@@ -40,6 +44,9 @@ class Graph:
     Adjacency is held as one neighbour bitmask per vertex index: bit j of
     _nbr[i] is set iff the vertices of indices i and j are adjacent. Vertex
     sets inside the package are bitmasks over the same indices.
+
+    The constructor checks names and edges given from outside; graphs
+    derived from another graph's masks come from _from_masks unchecked.
     """
 
     __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash")
@@ -68,6 +75,19 @@ class Graph:
         self._nbr = tuple(nbr)
         self._nonadj = None
         self._hash = None
+
+    @classmethod
+    def _from_masks(cls, name: str, vertices: Sequence[str], nbr: Sequence[int]) -> "Graph":
+        """A graph from vertex names and neighbour masks, unchecked.
+        Precondition: the names are distinct non-empty strings, and the
+        masks are symmetric and irreflexive over the vertex indices."""
+        g = object.__new__(cls)
+        g.name = name
+        g.vertices = tuple(vertices)
+        g._index = {v: i for i, v in enumerate(g.vertices)}
+        g._nbr = tuple(nbr)
+        g._nonadj = g._hash = None
+        return g
 
     # -- accessors ---------------------------------------------------------
 
@@ -114,8 +134,7 @@ class Graph:
         vertices. This is the dependence structure consumed by the word
         kernels; cached on first use."""
         if self._nonadj is None:
-            full = (1 << len(self.vertices)) - 1
-            self._nonadj = tuple(tuple(_bits(full ^ m ^ 1 << i)) for i, m in enumerate(self._nbr))
+            self._nonadj = tuple(tuple(_bits(m)) for m in _nonneighbor_masks(self))
         return self._nonadj
 
     # -- vertex sets as bitmasks over vertex indices ---------------------------
@@ -152,29 +171,35 @@ class Graph:
         return f"Graph({self.name!r}, |V|={len(self.vertices)}, |E|={self.edge_count()})"
 
 
+def _nonneighbor_masks(g: Graph) -> list[int]:
+    """Per vertex index t, the bitmask of the vertices distinct from and
+    non-adjacent to t: the neighbour masks of the complement graph."""
+    full = (1 << len(g)) - 1
+    return [full ^ a ^ 1 << t for t, a in enumerate(g._nbr)]
+
+
 # -- constructors ------------------------------------------------------------
 
 
 def complement(g: Graph) -> Graph:
     """Complement graph: same vertices, distinct u,v adjacent iff they were
     not. An involution."""
-    verts = g.vertices
-    full = (1 << len(verts)) - 1
-    edges = [(u, verts[j]) for i, u in enumerate(verts) for j in _bits((full ^ g._nbr[i]) >> i + 1 << i + 1)]
-    return Graph(g.name + "_c", verts, edges)
+    return Graph._from_masks(g.name + "_c", g.vertices, _nonneighbor_masks(g))
 
 
 def induced_subgraph(g: Graph, names: Iterable[str], name: Optional[str] = None) -> Graph:
-    """Induced subgraph on the given vertices, kept in g's insertion order."""
-    wanted = set()
+    """Induced subgraph on the given vertices, kept in g's insertion order:
+    each kept neighbour mask compressed to the kept indices."""
+    keep = 0
     for v in names:
-        g.index(v)
-        if v in wanted:
+        bit = 1 << g.index(v)
+        if keep & bit:
             raise ValueError(f"duplicate vertex {v!r} in selection")
-        wanted.add(v)
-    verts = [v for v in g.vertices if v in wanted]
-    edges = [(u, v) for u, v in g.edges() if u in wanted and v in wanted]
-    return Graph(name if name is not None else g.name + "_sub", verts, edges)
+        keep |= bit
+    idxs = list(_bits(keep))
+    pos = {i: k for k, i in enumerate(idxs)}
+    nbr = [sum(1 << pos[j] for j in _bits(g._nbr[i] & keep)) for i in idxs]
+    return Graph._from_masks(name if name is not None else g.name + "_sub", g._names(keep), nbr)
 
 
 def graph_join(parts: Sequence[Graph], name: str = "join") -> Graph:
@@ -206,8 +231,8 @@ def path_graph(n: int, prefix: str = "v", name: Optional[str] = None) -> Graph:
 
 def path_complement(n: int, prefix: str = "v", name: Optional[str] = None) -> Graph:
     """Complement of the path on n vertices: prefixi ~ prefixj iff |i-j| > 1."""
-    g = complement(path_graph(n, prefix))
-    return Graph(name if name is not None else f"P{n}c", g.vertices, g.edges())
+    p = path_graph(n, prefix)
+    return Graph._from_masks(name if name is not None else f"P{n}c", p.vertices, _nonneighbor_masks(p))
 
 
 def complete_graph(n: int, prefix: str = "v", name: Optional[str] = None) -> Graph:
@@ -249,45 +274,41 @@ class JoinDecomposition:
         return tuple(c.graph for c in self.components)
 
 
-def _components_of(g: Graph) -> list[list[int]]:
-    """Connected components of g as index lists, ordered by smallest index."""
+def _components_of(nbr: Sequence[int]) -> list[int]:
+    """Connected components of the graph with neighbour masks nbr, as
+    masks, ordered by smallest index."""
     comps = []
-    left = (1 << len(g)) - 1
+    left = (1 << len(nbr)) - 1
     while left:
         comp = frontier = left & -left
         while frontier:
             reach = 0
             for i in _bits(frontier):
-                reach |= g._nbr[i]
+                reach |= nbr[i]
             frontier = reach & ~comp
             comp |= frontier
         left ^= comp
-        comps.append(list(_bits(comp)))
+        comps.append(comp)
     return comps
 
 
-def _path_order(g: Graph) -> Optional[tuple[str, ...]]:
-    """If g is a path graph, its vertex order from the insertion-order-first
-    endpoint; otherwise None. A path is connected, has n-1 edges, and max
-    degree <= 2 (n = 1 counts)."""
-    n = len(g.vertices)
-    if n == 0:
+def _anti_path_order(g: Graph) -> Optional[tuple[str, ...]]:
+    """If g is the complement of a path (one vertex counts, none does not),
+    the path's order from its insertion-order-first endpoint; else None.
+    The walk in the complement from its first vertex of degree <= 1 marks
+    all unvisited neighbours of each vertex it visits but moves to one, so
+    it visits every vertex iff the complement is that path."""
+    non = _nonneighbor_masks(g)
+    start = next((i for i, m in enumerate(non) if m.bit_count() <= 1), None)
+    if start is None:
         return None
-    if n == 1:
-        return (g.vertices[0],)
-    if g.edge_count() != n - 1:
-        return None
-    if any(m.bit_count() > 2 for m in g._nbr):
-        return None
-    if len(_components_of(g)) != 1:
-        return None
-    start = next(i for i in range(n) if g._nbr[i].bit_count() == 1)
     order = [start]
-    prev = -1
-    while len(order) < n:
-        nxt = next(j for j in _bits(g._nbr[order[-1]]) if j != prev)
-        prev = order[-1]
-        order.append(nxt)
+    seen = 1 << start
+    while step := non[order[-1]] & ~seen:
+        seen |= step
+        order.append(step.bit_length() - 1)
+    if len(order) != len(non):
+        return None
     return tuple(g.vertices[i] for i in order)
 
 
@@ -303,10 +324,9 @@ def join_decompose(g: Graph) -> JoinDecomposition:
     if len(g) == 0:
         raise ValueError("empty input")
     comps = []
-    for idxs in _components_of(complement(g)):
-        sub = induced_subgraph(g, [g.vertices[i] for i in idxs],
-                               name=f"{g.name}_comp{len(comps) + 1}")
-        order = _path_order(complement(sub))
+    for keep in _components_of(_nonneighbor_masks(g)):
+        sub = induced_subgraph(g, g._names(keep), f"{g.name}_comp{len(comps) + 1}")
+        order = _anti_path_order(sub)
         comps.append(JoinComponent(sub, None if order is None else PathLabeling(order)))
     return JoinDecomposition(tuple(comps))
 
@@ -319,13 +339,8 @@ def recognize_linear_forest_complement(g: Graph) -> Optional[list[PathLabeling]]
     """
     if len(g) == 0:
         return None
-    decomp = join_decompose(g)
-    labelings = []
-    for comp in decomp.components:
-        if comp.labeling is None:
-            return None
-        labelings.append(comp.labeling)
-    return labelings
+    labelings = [comp.labeling for comp in join_decompose(g).components]
+    return None if None in labelings else labelings
 
 
 # -- full embeddings -----------------------------------------------------------
@@ -373,13 +388,6 @@ def _forward_check(
             return None
         d, doms = stack.pop()
         s -= 1
-
-
-def _nonneighbor_masks(g: Graph) -> list[int]:
-    """Per vertex index t, the bitmask of the vertices distinct from and
-    non-adjacent to t: the complement of the star of t."""
-    full = (1 << len(g)) - 1
-    return [full ^ a ^ 1 << t for t, a in enumerate(g._nbr)]
 
 
 def full_embedding_search(

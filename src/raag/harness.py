@@ -109,14 +109,8 @@ def _random_graph(rng: random.Random, max_vertices: int, density: float) -> Grap
 
 def _random_source(rng: random.Random, sizes: tuple[int, ...]) -> Graph:
     k = 2 if rng.random() < 0.25 else 1
-    parts = []
-    for c in range(k):
-        n = rng.choice(sizes)
-        parts.append(path_complement(n, prefix=chr(ord("a") + c)))
-    if len(parts) == 1:
-        g = parts[0]
-        return Graph("Lambda", g.vertices, g.edges())
-    return graph_join(parts, name="Lambda")
+    parts = [path_complement(rng.choice(sizes), prefix=chr(ord("a") + c), name="Lambda") for c in range(k)]
+    return parts[0] if k == 1 else graph_join(parts, name="Lambda")
 
 
 class _Tables(NamedTuple):

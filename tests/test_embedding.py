@@ -25,17 +25,20 @@ from raag.embedding import (
     reach_sets,
     sequence_search,
     validate_hom,
+    _complete_complement_components,
     _lift_witness,
 )
 from raag.graphs import (
     Graph,
     PathLabeling,
+    complement,
     complete_graph,
     format_graph,
     graph_join,
     induced_subgraph,
     join_decompose,
     path_complement,
+    path_graph,
     verify_full_embedding,
 )
 from raag.words import (
@@ -49,7 +52,7 @@ from raag.words import (
     support,
 )
 
-from conftest import SEEDS, cycle_graph, drawn_graphs, random_graph
+from conftest import SEEDS, all_labeled_graphs, cycle_graph, drawn_graphs, random_graph
 
 
 def identity_spec(g):
@@ -702,9 +705,39 @@ def test_anti_path3_support_c4_gives_certificate():
     assert out.complement_components == (("a1", "a3"), ("a2", "a4"))
 
 
+def test_anti_path3_empty_support_gives_empty_certificate():
+    p3c = path_complement(3)
+    t = path_graph(2, prefix="t")
+    h = HomSpec(p3c, t, {v: Word(t, []) for v in p3c.vertices})
+    out = extract_anti_path3(h)
+    assert out == StructuralCertificate(("v1", "v2", "v3"), (), ())
+    assert out.check(h) is None
+
+
 def test_anti_path3_rejects_other_sources():
-    with pytest.raises(ValueError):
-        extract_anti_path3(identity_spec(path_complement(4)))
+    for src in (path_complement(4), complete_graph(3), Graph("e3", ["v1", "v2", "v3"]), path_graph(3)):
+        with pytest.raises(ValueError):
+            extract_anti_path3(identity_spec(src))
+
+
+def test_complete_complement_components_match_the_complement_graph():
+    # oracle: the components of the complement Graph, found by search on its
+    # edges, each a clique there
+    for n in range(0, 6):
+        for g in all_labeled_graphs(n) if n else [Graph("empty", [])]:
+            c = complement(g)
+            left, comps = list(c.vertices), []
+            while left:
+                comp, todo = {left[0]}, [left[0]]
+                while todo:
+                    for w in c.neighbors(todo.pop()):
+                        if w not in comp:
+                            comp.add(w)
+                            todo.append(w)
+                comps.append(tuple(v for v in c.vertices if v in comp))
+                left = [v for v in left if v not in comp]
+            expected = tuple(comps) if all(c.spans_clique(comp) for comp in comps) else None
+            assert _complete_complement_components(g) == expected
 
 
 # -- gluing -----------------------------------------------------------------------------------------

@@ -148,10 +148,31 @@ def test_complement_of_p4():
     assert got == expected == {frozenset("ac"), frozenset("ad"), frozenset("bd")}
 
 
+def assert_same_as_rebuilt(d):
+    """A derived graph matches the graph Graph.__init__ builds from its
+    name, vertices and edges: a mask that is not symmetric, irreflexive or
+    in range, or a stale index, shows up in one of these."""
+    r = Graph(d.name, d.vertices, d.edges())
+    assert (d.name, d.vertices, d.edges()) == (r.name, r.vertices, r.edges())
+    assert [d.index(v) for v in d.vertices] == [r.index(v) for v in d.vertices]
+    assert d == r and hash(d) == hash(r)
+    assert d.nonneighbor_table() == r.nonneighbor_table()
+
+
 def test_complement_involution_exhaustive_up_to_5():
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
-            assert complement(complement(g)) == g
+            c = complement(g)
+            assert complement(c) == g
+            assert_same_as_rebuilt(c)
+            for comp in join_decompose(g).components:
+                assert_same_as_rebuilt(comp.graph)
+            if n <= 4:
+                for k in range(n + 1):
+                    for names in itertools.combinations(g.vertices, k):
+                        assert_same_as_rebuilt(induced_subgraph(g, names))
+    for n in range(1, 9):
+        assert_same_as_rebuilt(path_complement(n))
 
 
 # -- join decomposition ------------------------------------------------------------
@@ -254,6 +275,32 @@ def test_recognize_rejects_c5():
 
 def test_recognize_empty_graph():
     assert recognize_linear_forest_complement(Graph("g", [])) is None
+
+
+def brute_force_path_orders(g):
+    """Every vertex order in which consecutive vertices are exactly the
+    non-adjacent pairs of g, found by trying all permutations."""
+    return {
+        order
+        for order in itertools.permutations(g.vertices)
+        if all(g.adjacent(order[a], order[b]) == (b - a > 1)
+               for a in range(len(order)) for b in range(a + 1, len(order)))
+    }
+
+
+def test_factor_labeled_iff_brute_force_finds_path_order_exhaustive_up_to_5():
+    labeled = unlabeled = 0
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            for comp in join_decompose(g).components:
+                orders = brute_force_path_orders(comp.graph)
+                if comp.labeling is None:
+                    assert not orders
+                    unlabeled += 1
+                else:
+                    assert comp.labeling.order in orders
+                    labeled += 1
+    assert labeled > 600 and unlabeled > 800
 
 
 def test_recognized_labelings_are_anti_path_orders():
