@@ -6,6 +6,8 @@ Rows:
   short commutator-shaped words, and on long words over a wide alphabet,
   where the piles of the compiled kernel are sized per generator;
 - ext_ball: the path P5 at radius 2 and 3, the path P4 at radius 3 and 4;
+  then ball_as_graph on the same four balls, each built once outside the
+  timing and converted BALL_GRAPH_CALLS times per run;
 - harness: run_harness with 500 trials and seed 42, end to end, and its
   instance generation alone (the _random_graph, _random_source and
   _random_hom draws of those 500 trials);
@@ -31,7 +33,7 @@ Runs of different checkouts go into one file, each under its own --label,
 so a change and its parent can be read side by side (run this script with
 PYTHONPATH pointing at the other checkout's src):
 
-    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_15.json --label after
+    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<pr>.json --label after
 
 Build the compiled kernel first (`python setup.py build_ext --inplace`) to
 fill the compiled column; without it that column is null.
@@ -47,7 +49,7 @@ from pathlib import Path
 
 from raag import _kernel, _purekernel
 from raag.embedding import HomSpec, extract_full
-from raag.extension import ext_ball
+from raag.extension import ball_as_graph, ext_ball
 from raag.graphs import Graph, complement, induced_subgraph, join_decompose, path_graph
 from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
 from raag.words import Word, canonical_form, is_trivial, reduce, support
@@ -59,6 +61,7 @@ except ImportError:
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
+BALL_GRAPH_CALLS = 20
 
 
 def make_graph(rng, n, p):
@@ -178,9 +181,13 @@ def rows():
                     call(*job)
 
             row("kernel", f"{function}: {name}", run_jobs)
-    for n, radius in ((5, 2), (4, 3), (5, 3), (4, 4)):
-        g = path_graph(n)
+    balls = [(n, radius, path_graph(n)) for n, radius in ((5, 2), (4, 3), (5, 3), (4, 4))]
+    for n, radius, g in balls:
         row("ext_ball", f"P{n} radius {radius}", lambda g=g, radius=radius: ext_ball(g, radius))
+    for n, radius, g in balls:
+        ball = ext_ball(g, radius)
+        row("ext_ball", f"ball_as_graph x{BALL_GRAPH_CALLS} on the P{n} radius {radius} ball",
+            lambda ball=ball: [ball_as_graph(ball) for _ in range(BALL_GRAPH_CALLS)])
     config = HarnessConfig(trials=500, seed=42)
     row("harness", "run_harness(500 trials, seed 42)", lambda: run_harness(config))
     row("harness", "instance generation of run_harness(500 trials, seed 42)", lambda: draw_instances(config))

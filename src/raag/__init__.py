@@ -69,7 +69,6 @@ from raag.words import (
     inverse,
     is_reduced,
     is_trivial,
-    oracle_is_trivial,
     parse_word,
     product,
     reduce,

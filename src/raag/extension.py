@@ -89,12 +89,17 @@ class ExtBall:
     source: Graph
     radius: int
     vertices: tuple[ExtVertex, ...]
-    edges: frozenset[tuple[int, int]]  # index pairs i < j
+    nbr: tuple[int, ...]  # bit j of nbr[i] is set iff vertices i and j commute
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The adjacent index pairs (i, j) with i < j."""
+        return frozenset((i, j) for i, m in enumerate(self.nbr) for j in _bits(m >> i + 1 << i + 1))
 
     def adjacent(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        return (min(i, j), max(i, j)) in self.edges
+        """Whether vertices i and j are adjacent; both indices must lie in
+        range(len(vertices))."""
+        return bool(self.nbr[i] >> j & 1)
 
 
 def ext_ball(g: Graph, radius: int) -> ExtBall:
@@ -131,24 +136,27 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     noncomm = g.nonneighbor_table()
     st_mask = [g._star_meet(1 << a) for a in range(len(g))]
     noncomm_mask = _nonneighbor_masks(g)
-    verts: dict[tuple[int, ...], tuple[ExtVertex, tuple[int, ...]]] = {}
+    # the vertices keyed by their canonical codes, and per vertex the codes
+    # of its first conjugator and the index of its generator
+    verts: dict[tuple[int, ...], ExtVertex] = {}
+    hcodes: list[tuple[int, ...]] = []
+    bases: list[int] = []
     for w in enumerate_reduced_words(g, radius):
         wcodes = w.codes()
         winv = tuple(-c for c in reversed(wcodes))
         for gen, v in enumerate(g.vertices):
             key = _conjugate_codes(winv, gen, wcodes, noncomm)
             if key not in verts:
-                verts[key] = (ExtVertex(v, GroupElement(Word._from_codes(g, key))), wcodes)
-    vlist = tuple(x for x, _ in verts.values())
-    hcodes = [h for _, h in verts.values()]
-    bases = [g._index[x.base] for x in vlist]
+                verts[key] = ExtVertex(v, GroupElement(Word._from_codes(g, key)))
+                hcodes.append(wcodes)
+                bases.append(gen)
     with_base: list[list[int]] = [[] for _ in g.vertices]
     for j, b in enumerate(bases):
         with_base[b].append(j)
     # canonical words are reduced, so their letters are their support
     supports = [_code_mask(key) for key in verts]
     reach = [st_mask[b] | _code_mask(h) for b, h in zip(bases, hcodes)]
-    edges = set()
+    nbr = [0] * len(bases)
     for i, b in enumerate(bases):
         tail = tuple(-c for c in reversed(hcodes[i]))
         st_v, supp_i, reach_i = st_mask[b], supports[i], reach[i]
@@ -167,15 +175,15 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
                         break
                     kept |= 1 << a
                 else:
-                    edges.add((i, j))
-    return ExtBall(g, radius, vlist, frozenset(edges))
+                    nbr[i] |= 1 << j
+                    nbr[j] |= 1 << i
+    return ExtBall(g, radius, tuple(verts.values()), tuple(nbr))
 
 
 def ball_as_graph(ball: ExtBall) -> Graph:
     """Bridge to the graph layer: a Graph whose vertex names encode
-    (base, representative) and whose adjacency equals the ball adjacency.
+    (base, representative) and whose neighbour masks are the ball's.
     Suitable as the target of full_embedding_search or of a homomorphism
-    table."""
-    names = [x.name for x in ball.vertices]
-    edges = [(names[i], names[j]) for i, j in sorted(ball.edges)]
-    return Graph(f"{ball.source.name}_ball{ball.radius}", names, edges)
+    table. Two vertices get one name when the source's vertex names
+    contain the name separators ('@', '.', '^-1'), which is a ValueError."""
+    return Graph._from_masks(f"{ball.source.name}_ball{ball.radius}", [x.name for x in ball.vertices], ball.nbr)

@@ -7,9 +7,10 @@ linear forests, and a deterministic forward-checking search for full
 (induced) embeddings, whose engine the clique-chain sequence search of
 raag.embedding shares.
 
-Derived graphs (complements, induced subgraphs, join factors, path
-complements) are built from neighbour masks by Graph._from_masks; only
-names and edges from outside pass through the checks of Graph.__init__.
+Derived graphs (complements, joins, induced subgraphs, join factors, path
+complements, extension balls) are built from neighbour masks by
+Graph._from_masks; only names and edges from outside pass through the
+checks of Graph.__init__.
 
 Vertex insertion order is significant: it is the tie-breaker for every
 deterministic search built on top, so two graphs with the same vertex set
@@ -46,7 +47,8 @@ class Graph:
     sets inside the package are bitmasks over the same indices.
 
     The constructor checks names and edges given from outside; graphs
-    derived from another graph's masks come from _from_masks unchecked.
+    derived from other masks come from _from_masks, which checks only that
+    no name repeats.
     """
 
     __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash")
@@ -78,13 +80,18 @@ class Graph:
 
     @classmethod
     def _from_masks(cls, name: str, vertices: Sequence[str], nbr: Sequence[int]) -> "Graph":
-        """A graph from vertex names and neighbour masks, unchecked.
-        Precondition: the names are distinct non-empty strings, and the
-        masks are symmetric and irreflexive over the vertex indices."""
+        """A graph from vertex names and neighbour masks. Only a repeated
+        name is checked (a ValueError); the names must be non-empty
+        strings, and the masks symmetric and irreflexive over the vertex
+        indices."""
         g = object.__new__(cls)
         g.name = name
         g.vertices = tuple(vertices)
         g._index = {v: i for i, v in enumerate(g.vertices)}
+        if len(g._index) != len(g.vertices):
+            seen: set[str] = set()
+            dup = next(v for v in g.vertices if v in seen or seen.add(v))
+            raise ValueError(f"duplicate vertex name {dup!r}")
         g._nbr = tuple(nbr)
         g._nonadj = g._hash = None
         return g
@@ -204,20 +211,20 @@ def induced_subgraph(g: Graph, names: Iterable[str], name: Optional[str] = None)
 
 def graph_join(parts: Sequence[Graph], name: str = "join") -> Graph:
     """Join of graphs: disjoint union plus every edge across distinct parts.
+    Each part's masks are shifted to its offset and ORed with every vertex
+    outside the part.
 
-    Vertex names must be globally distinct across the parts.
+    Vertex names must be globally distinct across the parts; a repeated
+    name is a ValueError.
     """
+    full = (1 << sum(len(p) for p in parts)) - 1
     verts: list[str] = []
-    edges: list[tuple[str, str]] = []
+    nbr: list[int] = []
     for p in parts:
+        outside = full ^ ((1 << len(p)) - 1) << len(verts)
+        nbr.extend(m << len(verts) | outside for m in p._nbr)
         verts.extend(p.vertices)
-        edges.extend(p.edges())
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            for u in parts[a].vertices:
-                for v in parts[b].vertices:
-                    edges.append((u, v))
-    return Graph(name, verts, edges)
+    return Graph._from_masks(name, verts, nbr)
 
 
 def path_graph(n: int, prefix: str = "v", name: Optional[str] = None) -> Graph:

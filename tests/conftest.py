@@ -15,6 +15,17 @@ from hypothesis import strategies as st
 from raag.graphs import Graph
 
 
+def assert_same_as_rebuilt(d):
+    """A derived graph matches the graph Graph.__init__ builds from its
+    name, vertices and edges: a mask that is not symmetric, irreflexive or
+    in range, or a stale index, shows up in one of these."""
+    r = Graph(d.name, d.vertices, d.edges())
+    assert (d.name, d.vertices, d.edges()) == (r.name, r.vertices, r.edges())
+    assert [d.index(v) for v in d.vertices] == [r.index(v) for v in d.vertices]
+    assert d == r and hash(d) == hash(r)
+    assert d.nonneighbor_table() == r.nonneighbor_table()
+
+
 def names_for(n):
     return [chr(ord("a") + i) for i in range(n)]
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ from raag.words import (
     conjugate,
     is_reduced,
     is_trivial,
-    oracle_is_trivial,
     parse_word,
     product,
     support,
@@ -34,12 +34,14 @@ from raag.words import (
 
 from conftest import (
     all_labeled_graphs,
+    assert_same_as_rebuilt,
     cycle_graph,
     drawn_graphs,
     iso_class_representatives,
     random_graph,
     random_word_letters,
 )
+from reference import oracle_is_trivial
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
 FREE2 = Graph("free2", ["a", "b"])
@@ -134,6 +136,7 @@ def test_radius_zero_ball_reproduces_graph():
     for i in range(len(g)):
         for j in range(i + 1, len(g)):
             assert ball.adjacent(i, j) == g.adjacent(g.vertices[i], g.vertices[j])
+    _check_ball_graph(ball)
 
 
 def test_single_vertex_ball_is_single_vertex():
@@ -197,6 +200,21 @@ def test_ball_edges_match_commutator_reference_on_small_graphs():
             assert ball.edges == _commutator_edges(ball, oracle_is_trivial), g.edges()
 
 
+def _check_ball_graph(ball):
+    """ball.adjacent agrees with ball.edges on every index pair, i == j
+    included, and ball_as_graph(ball) is a well-formed graph on the vertex
+    names with the same edges."""
+    edges = ball.edges
+    n = len(ball.vertices)
+    for i in range(n):
+        for j in range(n):
+            assert ball.adjacent(i, j) == ((min(i, j), max(i, j)) in edges), (i, j)
+    bg = ball_as_graph(ball)
+    assert_same_as_rebuilt(bg)
+    assert bg.vertices == tuple(x.name for x in ball.vertices)
+    assert {(bg.index(u), bg.index(v)) for u, v in bg.edges()} == edges
+
+
 def _reference_ext_ball(g, radius):
     """The ball by the direct rule: the canonical form of v^w for every
     conjugator w and generator v, and each pair (x, y) that passes the two
@@ -234,7 +252,9 @@ def _ball_summary(ball):
 def test_ball_matches_the_support_reference(g, radius):
     # the double-coset scan of k h^-1 decides the same edges as the support
     # of h y h^-1, and vertices built from codes come in the same order
-    assert _ball_summary(ext_ball(g, radius)) == _reference_ext_ball(g, radius), (g.edges(), radius)
+    ball = ext_ball(g, radius)
+    assert _ball_summary(ball) == _reference_ext_ball(g, radius), (g.edges(), radius)
+    _check_ball_graph(ball)
 
 
 def test_ball_under_the_compiled_kernel_matches_the_pure_kernel(compiled_kernel, monkeypatch):
@@ -361,12 +381,21 @@ def test_ball_as_graph_radius0_k3():
     bg = ball_as_graph(ext_ball(complete_graph(3), 0))
     assert bg.vertices == ("v1@v1", "v2@v2", "v3@v3")
     assert bg.edge_count() == 3
+    assert_same_as_rebuilt(bg)
 
 
 def test_ball_as_graph_radius0_edgeless():
     bg = ball_as_graph(ext_ball(FREE2, 0))
     assert bg.vertices == ("a@a", "b@b")
     assert bg.edge_count() == 0
+    assert_same_as_rebuilt(bg)
+
+
+def test_ball_as_graph_rejects_colliding_names():
+    # '.' inside vertex names lets two distinct conjugates print alike
+    ball = ext_ball(Graph("g", ["a.a", "b...", "a"]), 2)
+    with pytest.raises(ValueError, match=re.escape("duplicate vertex name 'b...@a.a.a^-1.b....a.a.a^-1'")):
+        ball_as_graph(ball)
 
 
 def test_ball_as_graph_radius1_free2():
@@ -386,6 +415,7 @@ def test_radius0_adjacency_equals_source_adjacency_exhaustive():
             for i in range(n):
                 for j in range(i + 1, n):
                     assert ball.adjacent(i, j) == g.adjacent(g.vertices[i], g.vertices[j])
+            _check_ball_graph(ball)
 
 
 # -- full embeddings into balls ---------------------------------------------------

@@ -22,7 +22,7 @@ from raag.graphs import (
     verify_full_embedding,
 )
 
-from conftest import all_labeled_graphs, cycle_graph, drawn_graphs, random_graph
+from conftest import all_labeled_graphs, assert_same_as_rebuilt, cycle_graph, drawn_graphs, random_graph
 
 
 # -- construction and basic accessors ------------------------------------------
@@ -36,6 +36,8 @@ def test_graph_rejects_self_loop():
 def test_graph_rejects_duplicate_vertex():
     with pytest.raises(ValueError, match="duplicate"):
         Graph("g", ["a", "a"])
+    with pytest.raises(ValueError, match="duplicate vertex name 'b'"):
+        graph_join([Graph("g", ["a", "b"]), Graph("h", ["b", "c"])])
 
 
 def test_graph_rejects_unknown_edge_endpoint():
@@ -148,17 +150,6 @@ def test_complement_of_p4():
     assert got == expected == {frozenset("ac"), frozenset("ad"), frozenset("bd")}
 
 
-def assert_same_as_rebuilt(d):
-    """A derived graph matches the graph Graph.__init__ builds from its
-    name, vertices and edges: a mask that is not symmetric, irreflexive or
-    in range, or a stale index, shows up in one of these."""
-    r = Graph(d.name, d.vertices, d.edges())
-    assert (d.name, d.vertices, d.edges()) == (r.name, r.vertices, r.edges())
-    assert [d.index(v) for v in d.vertices] == [r.index(v) for v in d.vertices]
-    assert d == r and hash(d) == hash(r)
-    assert d.nonneighbor_table() == r.nonneighbor_table()
-
-
 def test_complement_involution_exhaustive_up_to_5():
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
@@ -173,6 +164,13 @@ def test_complement_involution_exhaustive_up_to_5():
                         assert_same_as_rebuilt(induced_subgraph(g, names))
     for n in range(1, 9):
         assert_same_as_rebuilt(path_complement(n))
+    small = [g for n in range(1, 4) for g in all_labeled_graphs(n)]
+    for g in small:
+        for h in small:
+            renamed = Graph(h.name, [v.upper() for v in h.vertices], [(u.upper(), v.upper()) for u, v in h.edges()])
+            joined = graph_join([g, renamed], f"{g.name}*{h.name}")
+            assert_same_as_rebuilt(joined)
+            assert joined.edge_count() == g.edge_count() + h.edge_count() + len(g) * len(h)
 
 
 # -- join decomposition ------------------------------------------------------------
