@@ -6,8 +6,11 @@ Rows:
   short commutator-shaped words, and on long words over a wide alphabet,
   where the piles of the compiled kernel are sized per generator;
 - ext_ball: the path P5 at radius 2 and 3, the path P4 at radius 3 and 4;
-  then ball_as_graph on the same four balls, each built once outside the
-  timing and converted BALL_GRAPH_CALLS times per run;
+  the seven distinct balls of the perfbench ext_query queries (C4 r2, C5
+  r1/r2, C6 r1, P4 r2, P5c r1/r2), one pass, where building the vertices is
+  a larger share than on the big balls; then ball_as_graph on the four path
+  balls, each built once outside the timing and converted BALL_GRAPH_CALLS
+  times per run;
 - harness: run_harness with 500 trials and seed 42, end to end, and its
   instance generation alone (the _random_graph, _random_source and
   _random_hom draws of those 500 trials);
@@ -19,11 +22,12 @@ Rows:
 - extract_full: one pass of extract_full over the 800 homomorphisms of that
   pool.
 
-The pool comes from perfbench/workloads.py, which is only read, and is
-drawn once. The words and extract_full rows rebuild it from its names and
-codes before every timed run, outside the timing: new image words, and for
-extract_full new graphs too. So no run, under either kernel, reads a cached
-reduced form that an earlier run filled.
+The pool and the ext_query targets come from perfbench/workloads.py,
+which is only read; the pool is drawn once. The words and extract_full rows
+rebuild it from its names and codes before every timed run, outside the
+timing: new image words, and for extract_full new graphs too. So no run,
+under either kernel, reads a cached reduced form that an earlier run
+filled.
 
 Each row runs under each kernel by rebinding raag._kernel.normalize and
 raag._kernel.survivors, which every caller looks up there. Each figure is
@@ -47,7 +51,7 @@ import sys
 import time
 from pathlib import Path
 
-from raag import _kernel, _purekernel
+from raag import _kernel, _purekernel, graphs
 from raag.embedding import HomSpec, extract_full
 from raag.extension import ball_as_graph, ext_ball
 from raag.graphs import Graph, complement, induced_subgraph, join_decompose, path_graph
@@ -117,14 +121,26 @@ def draw_instances(cfg):
         _random_hom(rng, lam, gamma)
 
 
-def extract_long_pool():
-    """The 800 homomorphisms of the perfbench extract_long workload, seed 1."""
+def perfbench_workloads():
+    """The perfbench/workloads.py module."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        from workloads import ExtractLong
+        import workloads
     finally:
         sys.path.pop(0)
-    return ExtractLong(1).specs
+    return workloads
+
+
+def extract_long_pool():
+    """The 800 homomorphisms of the perfbench extract_long workload, seed 1."""
+    return perfbench_workloads().ExtractLong(1).specs
+
+
+def ext_query_balls():
+    """(target, radius) of each distinct ball of the perfbench ext_query
+    queries, on the targets its _named_graph builds."""
+    wl = perfbench_workloads()
+    return [(wl._named_graph(graphs, name, "a"), radius) for name, radius in sorted({q[:2] for q in wl.QUERIES})]
 
 
 def fresh_images(pool):
@@ -184,6 +200,9 @@ def rows():
     balls = [(n, radius, path_graph(n)) for n, radius in ((5, 2), (4, 3), (5, 3), (4, 4))]
     for n, radius, g in balls:
         row("ext_ball", f"P{n} radius {radius}", lambda g=g, radius=radius: ext_ball(g, radius))
+    queried = ext_query_balls()
+    row("ext_ball", f"the {len(queried)} ext_query balls, one pass",
+        lambda: [ext_ball(g, radius) for g, radius in queried])
     for n, radius, g in balls:
         ball = ext_ball(g, radius)
         row("ext_ball", f"ball_as_graph x{BALL_GRAPH_CALLS} on the P{n} radius {radius} ball",

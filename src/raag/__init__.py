@@ -32,7 +32,6 @@ from raag.extension import (
     ExtBall,
     ExtVertex,
     ball_as_graph,
-    enumerate_reduced_words,
     ext_adjacent,
     ext_ball,
     ext_vertex,

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from raag import _kernel
 from raag.graphs import Graph, _bits, _nonneighbor_masks
-from raag.words import GroupElement, Word, commutes, is_reduced, _code_mask
+from raag.words import GroupElement, Word, commutes, _code_mask
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,23 @@ class ExtVertex:
     @property
     def name(self) -> str:
         """Stable printable name: <base>@<canonical letters joined by '.'>."""
-        rep = ".".join(v if s > 0 else f"{v}^-1" for v, s in self.element.word.letters)
-        return f"{self.base}@{rep}"
+        w = self.element.word
+        return _vertex_name(self.base, w.codes(), _letter_names(w.graph))
+
+
+def _letter_names(g: Graph) -> dict[int, str]:
+    """The printed letter of each generator code of g: v for v, v^-1 for its
+    inverse."""
+    names = {}
+    for i, v in enumerate(g.vertices, 1):
+        names[i], names[-i] = v, f"{v}^-1"
+    return names
+
+
+def _vertex_name(base: str, codes: tuple[int, ...], letters: dict[int, str]) -> str:
+    """The name <base>@<letters of codes joined by '.'>, given the letter
+    names of _letter_names."""
+    return f"{base}@{'.'.join(letters[c] for c in codes)}"
 
 
 def _conjugate_codes(winv: tuple[int, ...], gen: int, wcodes: tuple[int, ...], noncomm) -> tuple:
@@ -60,23 +75,43 @@ def ext_adjacent(x: ExtVertex, y: ExtVertex) -> bool:
     return commutes(x.element.word, y.element.word)
 
 
-def enumerate_reduced_words(g: Graph, max_len: int) -> Iterator[Word]:
-    """All reduced words of length <= max_len, in shortlex order (length
-    ascending, then letter order)."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    empty = Word(g, ())
-    yield empty
-    letters = [(c,) for i in range(1, len(g.vertices) + 1) for c in (i, -i)]
-    level = [empty]
+def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each element of length <= max_len once, as the codes of its canonical
+    word (the lex-least reduced spelling, which the kernel's normal form
+    spells), in shortlex order (length ascending, then letter order a, a^-1,
+    b, ...), with its first-letter mask: the generators of the letters that
+    commute with every letter before them.
+
+    A prefix of a canonical word is canonical, so level k + 1 extends the
+    canonical words of level k by one letter c of generator a. The word
+    stays reduced unless c^-1 is among its last letters (those that commute
+    with every letter after them), and stays lex-least unless c commutes
+    past a larger letter (Anisimov & Knuth's lexicographic normal form of a
+    trace)."""
+    yield (), 0
+    nbr = g._nbr
+    # per word: codes, support, first-letter mask, the generators whose
+    # letter would commute past a larger letter, and the generators of the
+    # positive and of the negative last letters
+    level = [((), 0, 0, 0, 0, 0)]
     for _ in range(max_len):
         nxt = []
-        for w in level:
-            for letter in letters:
-                cand = Word._from_codes(g, w.codes() + letter)
-                if is_reduced(cand):
-                    nxt.append(cand)
-                    yield cand
+        for codes, supp, first, barred, pos, neg in level:
+            for a, lk in enumerate(nbr):
+                bit = 1 << a
+                if barred & bit:
+                    continue
+                # the new letter commutes with every earlier one iff supp lies in lk(a)
+                grown_first = first if supp & ~lk else first | bit
+                grown_barred = lk & (barred | bit - 1)
+                if not neg & bit:
+                    word = codes + (a + 1,)
+                    nxt.append((word, supp | bit, grown_first, grown_barred, pos & lk | bit, neg & lk))
+                    yield word, grown_first
+                if not pos & bit:
+                    word = codes + (-a - 1,)
+                    nxt.append((word, supp | bit, grown_first, grown_barred, pos & lk, neg & lk | bit))
+                    yield word, grown_first
         level = nxt
 
 
@@ -105,10 +140,17 @@ class ExtBall:
 def ext_ball(g: Graph, radius: int) -> ExtBall:
     """Construct the radius-L ball of the extension graph of g.
 
-    Conjugators are enumerated in shortlex order and conjugates are
-    deduplicated by canonical representative, so the vertex order is
-    deterministic and the radius-0 slice comes first, in g's vertex order.
-    Only the first conjugator of each vertex becomes an ExtVertex.
+    Conjugators are enumerated as group elements, each once as its canonical
+    word, in shortlex order, so the vertex order is deterministic and the
+    radius-0 slice comes first, in g's vertex order. The centralizer of a
+    generator v is A(st(v)) (below), so the conjugates of v correspond one
+    to one to the cosets A(st(v)) h. The pair (h, v) is skipped when a first
+    letter a of h (one that commutes with every letter before it) lies in
+    st(v): then h = a h' with h' shorter, and v^h = v^h' was met at h'.
+    Otherwise h is the unique shortest element of its coset, so v^h is new,
+    and one normalization builds it. Conjugates are still deduplicated by
+    canonical representative, so the output does not depend on that
+    uniqueness argument; each vertex keeps its first conjugator.
 
     Adjacency uses the centralizer of a generator v, the subgroup A(st(v))
     generated by its star (Servatius, J. Algebra 1989). Let h and k be the
@@ -141,14 +183,15 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     verts: dict[tuple[int, ...], ExtVertex] = {}
     hcodes: list[tuple[int, ...]] = []
     bases: list[int] = []
-    for w in enumerate_reduced_words(g, radius):
-        wcodes = w.codes()
-        winv = tuple(-c for c in reversed(wcodes))
+    for h, first in _conjugators(g, radius):
+        hinv = tuple(-c for c in reversed(h))
         for gen, v in enumerate(g.vertices):
-            key = _conjugate_codes(winv, gen, wcodes, noncomm)
+            if first & st_mask[gen]:
+                continue
+            key = _conjugate_codes(hinv, gen, h, noncomm)
             if key not in verts:
                 verts[key] = ExtVertex(v, GroupElement(Word._from_codes(g, key)))
-                hcodes.append(wcodes)
+                hcodes.append(h)
                 bases.append(gen)
     with_base: list[list[int]] = [[] for _ in g.vertices]
     for j, b in enumerate(bases):
@@ -186,4 +229,6 @@ def ball_as_graph(ball: ExtBall) -> Graph:
     Suitable as the target of full_embedding_search or of a homomorphism
     table. Two vertices get one name when the source's vertex names
     contain the name separators ('@', '.', '^-1'), which is a ValueError."""
-    return Graph._from_masks(f"{ball.source.name}_ball{ball.radius}", [x.name for x in ball.vertices], ball.nbr)
+    letters = _letter_names(ball.source)
+    names = [_vertex_name(x.base, x.element.word.codes(), letters) for x in ball.vertices]
+    return Graph._from_masks(f"{ball.source.name}_ball{ball.radius}", names, ball.nbr)

@@ -1,11 +1,14 @@
 """Independent reference implementations that the tests check the library
-against. They share no code with the piling kernel.
+against. oracle_is_trivial shares no code with the piling kernel;
+enumerate_reduced_words reaches it only through is_reduced, and lists every
+reduced spelling, not one word per element.
 """
 
 from collections import deque
-from typing import Optional
+from typing import Iterator, Optional
 
-from raag.words import Word
+from raag.graphs import Graph
+from raag.words import Word, is_reduced
 
 _DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -61,3 +64,23 @@ def oracle_is_trivial(w: Word, budget: int = _DEFAULT_ORACLE_BUDGET) -> Optional
                         return None
                     queue.append(nxt)
     return False
+
+
+def enumerate_reduced_words(g: Graph, max_len: int) -> Iterator[Word]:
+    """All reduced words of length <= max_len, in shortlex order (length
+    ascending, then letter order)."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    empty = Word(g, ())
+    yield empty
+    letters = [(c,) for i in range(1, len(g.vertices) + 1) for c in (i, -i)]
+    level = [empty]
+    for _ in range(max_len):
+        nxt = []
+        for w in level:
+            for letter in letters:
+                cand = Word._from_codes(g, w.codes() + letter)
+                if is_reduced(cand):
+                    nxt.append(cand)
+                    yield cand
+        level = nxt

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from raag import _kernel, _purekernel
 from raag.extension import (
+    _conjugators,
     ball_as_graph,
-    enumerate_reduced_words,
     ext_adjacent,
     ext_ball,
     ext_vertex,
@@ -29,6 +29,7 @@ from raag.words import (
     is_trivial,
     parse_word,
     product,
+    reduce,
     support,
 )
 
@@ -41,7 +42,7 @@ from conftest import (
     random_graph,
     random_word_letters,
 )
-from reference import oracle_is_trivial
+from reference import enumerate_reduced_words, oracle_is_trivial
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
 FREE2 = Graph("free2", ["a", "b"])
@@ -120,10 +121,48 @@ def test_enumerate_reduced_words_rejects_negative_length():
 
 def test_enumerate_reduced_words_collapses_on_abelian():
     words = list(enumerate_reduced_words(EDGE, 2))
-    # Z^2: canonical reduced words of length <= 2 are the lattice points
-    # at L1 distance <= 2... enumeration keeps *all* reduced spellings
+    # Z^2: enumeration keeps all 17 reduced spellings of length <= 2 (a b and
+    # b a both), against the 13 elements, the lattice points at L1 distance
+    # <= 2, that _conjugators yields
     assert all(is_reduced(w) for w in words)
     assert Word(EDGE, []) in words
+    assert len(words) == 17
+    assert len(list(_conjugators(EDGE, 2))) == 13
+    assert len(list(_conjugators(FREE2, 2))) == 17
+
+
+def _shortlex(codes):
+    return len(codes), [(abs(c), c < 0) for c in codes]
+
+
+def test_conjugators_are_the_elements_with_their_first_letters(monkeypatch):
+    # one canonical word per element, in shortlex order; the first-letter
+    # mask holds the generators a for which a h or a^-1 h is shorter than h;
+    # and ext_ball normalizes one conjugate per vertex, never a repeat
+    normalize = _kernel.normalize
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normalize(*args)
+
+    monkeypatch.setattr(_kernel, "normalize", counting)
+    for n in range(1, 6):
+        for g in iso_class_representatives(n):
+            for radius in (0, 1, 2, 3) if n <= 3 else (0, 1, 2):
+                elements = {canonical_form(w).word.codes() for w in enumerate_reduced_words(g, radius)}
+                got = list(_conjugators(g, radius))
+                assert [h for h, _ in got] == sorted(elements, key=_shortlex), (g.edges(), radius)
+                for h, first in got:
+                    word = Word._from_codes(g, h)
+                    shorter = {
+                        i for i, v in enumerate(g.vertices) for s in (1, -1)
+                        if len(reduce(Word(g, [(v, s)]) * word)) < len(h)
+                    }
+                    assert first == sum(1 << i for i in shorter), (g.edges(), h)
+                calls.clear()
+                ball = ext_ball(g, radius)
+                assert len(calls) == len(ball.vertices), (g.edges(), radius)
 
 
 # -- balls ------------------------------------------------------------------------------
