@@ -32,7 +32,6 @@ from raag.extension import (
     ExtBall,
     ExtVertex,
     ball_as_graph,
-    ext_adjacent,
     ext_ball,
     ext_vertex,
 )
@@ -41,7 +40,6 @@ from raag.graphs import (
     Graph,
     JoinComponent,
     JoinDecomposition,
-    PathLabeling,
     complement,
     complete_graph,
     format_graph,

@@ -107,19 +107,19 @@ def _cmd_decompose(args) -> int:
     for i, comp in enumerate(decomp.components, 1):
         pairs.append((f"component{i}", " ".join(comp.graph.vertices)))
         pairs.append((f"kind{i}", comp.kind))
-        if comp.labeling is not None:
-            pairs.append((f"labeling{i}", " ".join(comp.labeling.order)))
+        if comp.order is not None:
+            pairs.append((f"labeling{i}", " ".join(comp.order)))
     _emit(pairs)
     return 0
 
 
 def _cmd_recognize(args) -> int:
     g = _load_graph(args.graph)
-    labelings = recognize_linear_forest_complement(g)
-    pairs = [("linear_forest_complement", _bool(labelings is not None))]
-    if labelings is not None:
-        for i, lab in enumerate(labelings, 1):
-            pairs.append((f"labeling{i}", " ".join(lab.order)))
+    orders = recognize_linear_forest_complement(g)
+    pairs = [("linear_forest_complement", _bool(orders is not None))]
+    if orders is not None:
+        for i, order in enumerate(orders, 1):
+            pairs.append((f"labeling{i}", " ".join(order)))
     _emit(pairs)
     return 0
 

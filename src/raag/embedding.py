@@ -24,7 +24,9 @@ reduce, is_trivial and support: the word spelling an image never changes
 an outcome, and each image is piled once for all routes and checks.
 
 Per-component machinery for an anti-path component v_1 .. v_n (consecutive
-labels non-adjacent, all other pairs adjacent):
+vertices non-adjacent, all other pairs adjacent). Every route takes only
+the homomorphism: the order v_1 .. v_n is read from its source by
+raag.graphs._anti_path_order, and the clique chain carries it on.
 
 * the *clique chain* C_1..C_n collects the supports of the generator
   images; commuting images force every cross pair at distance > 1 to be
@@ -47,7 +49,6 @@ from typing import Optional, Union
 
 from raag.graphs import (
     Graph,
-    PathLabeling,
     full_embedding_search,
     induced_subgraph,
     join_decompose,
@@ -386,11 +387,13 @@ def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
 
 @dataclass(frozen=True)
 class CliqueChain:
-    """Supports of the images of v_1..v_n, each spanning a clique of the
-    target and listed in target vertex order; every cross pair at label
-    distance > 1 is identical or adjacent."""
+    """The anti-path order v_1..v_n of the source and the supports
+    C_1..C_n of the images of v_1..v_n, each spanning a clique of the
+    target and listed in target vertex order; every cross pair at distance
+    > 1 in the order is identical or adjacent."""
 
     graph: Graph
+    order: tuple[str, ...]
     cliques: tuple[tuple[str, ...], ...]
 
 
@@ -403,17 +406,17 @@ class ReachSets:
     sets: tuple[tuple[str, ...], ...]
 
 
-def build_clique_chain(h: HomSpec, labeling: PathLabeling) -> CliqueChain:
-    """Collect C_i = supp(image of v_i) and check the cross-adjacency
-    forced by commuting clique-supported images: for |i-j| > 1 the images
-    of v_i and v_j commute, which the centralizer theorem decides from the
-    two supports (every vertex of C_i identical to or adjacent to every
-    vertex of C_j). The labeling must be one of the two orders of the path
-    that complements the source."""
-    path = _anti_path_order(h.source)
-    order = tuple(labeling.order)
-    if path is None or order not in (path, path[::-1]):
-        raise ValueError("labeling is not an anti-path order of the source")
+def build_clique_chain(h: HomSpec) -> CliqueChain:
+    """Read the order v_1..v_n of the path that complements the source
+    (raag.graphs._anti_path_order; a ValueError when the source is no path
+    complement), collect C_i = supp(image of v_i) and check the
+    cross-adjacency forced by commuting clique-supported images: for
+    |i-j| > 1 the images of v_i and v_j commute, which the centralizer
+    theorem decides from the two supports (every vertex of C_i identical to
+    or adjacent to every vertex of C_j)."""
+    order = _anti_path_order(h.source)
+    if order is None:
+        raise ValueError("source is not the complement of a path")
     gamma = h.target
     supports = [_support_mask(h.images[v]) for v in order]
     for v, supp_v in zip(order, supports):
@@ -427,8 +430,7 @@ def build_clique_chain(h: HomSpec, labeling: PathLabeling) -> CliqueChain:
                     "not a homomorphism on this component: images of "
                     f"{order[i]!r} and {order[j]!r} do not commute"
                 )
-    cliques = tuple(gamma._names(s) for s in supports)
-    return CliqueChain(gamma, cliques)
+    return CliqueChain(gamma, order, tuple(gamma._names(s) for s in supports))
 
 
 def sequence_search(chain: CliqueChain) -> Optional[tuple[str, ...]]:
@@ -489,7 +491,7 @@ def check_reach_adjacency(chain: CliqueChain, reach: ReachSets) -> None:
                     )
 
 
-def peel_words(h: HomSpec, labeling: PathLabeling, reach: ReachSets) -> tuple[Word, ...]:
+def peel_words(h: HomSpec, chain: CliqueChain, reach: ReachSets) -> tuple[Word, ...]:
     """Peel the reduced image words down to their reach sets.
 
     With W_i = reduce(image of v_i), the peeled word P_i keeps exactly the
@@ -501,10 +503,9 @@ def peel_words(h: HomSpec, labeling: PathLabeling, reach: ReachSets) -> tuple[Wo
     canonical forms. A failure is an internal error, since it cannot happen
     once no distinct non-adjacent sequence exists in the chain.
     """
-    order = labeling.order
     verts = h.target.vertices
     peeled: list[Word] = []
-    for i, v in enumerate(order[:-1]):
+    for i, v in enumerate(chain.order[:-1]):
         w = reduce(h.images[v])
         allowed = set(reach.sets[i])
         p = Word._from_codes(h.target, tuple(c for c in w.codes() if verts[abs(c) - 1] in allowed))
@@ -519,23 +520,20 @@ def peel_words(h: HomSpec, labeling: PathLabeling, reach: ReachSets) -> tuple[Wo
     return tuple(peeled)
 
 
-def obstruction_commutator(h: HomSpec, labeling: PathLabeling) -> KernelWitness:
-    """The kernel witness for an anti-path component with no distinct
-    non-adjacent sequence: [v_1, v_2] for n = 2, and the conjugated
-    commutator [v_1^(v_2 ... v_{n-1}), v_n] for n >= 4. Both verifications
+def obstruction_commutator(h: HomSpec) -> KernelWitness:
+    """The kernel witness for an anti-path source with no distinct
+    non-adjacent sequence: the conjugated commutator
+    [v_1^(v_2 ... v_{n-1}), v_n] in the anti-path order of the source,
+    which is [v_1, v_2] letter for letter at n = 2. Both verifications
     (nontrivial over the source, image reduces to the identity) are run
     and recorded; a failure raises, since it contradicts the construction.
     """
-    order = labeling.order
-    n = len(order)
+    order = _anti_path_order(h.source)
+    if order is None or len(order) in (1, 3):
+        raise ValueError("obstruction commutator is defined for anti-paths with n = 2 and n >= 4")
     gens = {v: Word(h.source, ((v, 1),)) for v in order}
-    if n == 2:
-        word = commutator(gens[order[0]], gens[order[1]])
-    elif n >= 4:
-        conj = conjugate(gens[order[0]], product(*[gens[v] for v in order[1:-1]]))
-        word = commutator(conj, gens[order[-1]])
-    else:
-        raise ValueError("obstruction commutator is defined for n = 2 and n >= 4")
+    conj = conjugate(gens[order[0]], product(Word(h.source, ()), *[gens[v] for v in order[1:-1]]))
+    word = commutator(conj, gens[order[-1]])
     witness = KernelWitness(word, True, True, component=tuple(order))
     problem = witness.check(h)
     if problem is not None:
@@ -543,8 +541,9 @@ def obstruction_commutator(h: HomSpec, labeling: PathLabeling) -> KernelWitness:
     return witness
 
 
-def extract_anti_path(h: HomSpec, labeling: PathLabeling) -> Union[FullEmbedding, KernelWitness]:
-    """Dichotomy for an anti-path source on n = 2 or n >= 4 vertices.
+def extract_anti_path(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
+    """Dichotomy for an anti-path source on n = 2 or n >= 4 vertices, in
+    the anti-path order that build_clique_chain reads from the source.
 
     Either returns a full embedding with each vertex mapped inside the
     support of its own image, or a verified kernel witness. The chain
@@ -556,22 +555,21 @@ def extract_anti_path(h: HomSpec, labeling: PathLabeling) -> Union[FullEmbedding
     tower stage by stage); obstruction_commutator then checks the witness
     itself.
     """
-    order = labeling.order
-    n = len(order)
+    n = len(h.source)
     if n == 1:
         raise ValueError("use extract_abelian for single-vertex components")
     if n == 3:
         raise ValueError("use extract_anti_path3 for 3-vertex anti-path components")
-    chain = build_clique_chain(h, labeling)
+    chain = build_clique_chain(h)
     seq = sequence_search(chain)
     if seq is not None:
-        return FullEmbedding(dict(zip(order, seq)))
+        return FullEmbedding(dict(zip(chain.order, seq)))
     peel_checked = n >= 4
     if peel_checked:
         reach = reach_sets(chain)
         check_reach_adjacency(chain, reach)
-        peel_words(h, labeling, reach)
-    witness = obstruction_commutator(h, labeling)
+        peel_words(h, chain, reach)
+    witness = obstruction_commutator(h)
     return replace(witness, peel_checked=peel_checked)
 
 
@@ -623,13 +621,16 @@ def extract_full(h: HomSpec) -> ExtractionOutcome:
     """End-to-end extraction.
 
     Validates the table (homomorphism + clique-support; anything else is
-    refused), decomposes the source into join factors, extracts per factor
-    (merged singleton factors through the abelian route, anti-paths through
-    the chain machinery) on restrictions of h, which share its image words
-    and their cached reduced codes, and glues. Every factor route picks its
-    target vertices from the image supports and checks its own witness, so
-    the first component failure is returned as that component's witness,
-    re-homed on the full source, or its certificate.
+    refused), decomposes the source into join factors and runs one loop
+    over (route, factor) pairs: the merged singleton factors through
+    extract_abelian first, then each other factor in component order
+    through extract_anti_path3 (3 vertices) or extract_anti_path. Every
+    route takes only the restriction of h to its factor, which shares h's
+    image words and their cached reduced codes, picks its target vertices
+    from the image supports and checks its own witness. The first factor
+    that fails ends the loop: a kernel witness is returned re-homed on the
+    full source, a structural certificate as it is. Otherwise the
+    collected embeddings are glued.
     """
     report = validate_hom(h)
     if report.relator_failures:
@@ -647,30 +648,23 @@ def extract_full(h: HomSpec) -> ExtractionOutcome:
             raise MechanismError("trivial-image witness failed verification")
         return witness
     decomp = join_decompose(h.source) if len(h.source) else None
-    if decomp is None or any(c.labeling is None for c in decomp.components):
+    if decomp is None or any(c.order is None for c in decomp.components):
         raise ValueError("out of theorem scope: source is not the complement of a linear forest")
-    singles = [c for c in decomp.components if c.kind == "singleton"]
-    paths = [c for c in decomp.components if c.kind != "singleton"]
-    embeddings: list[FullEmbedding] = []
+    singles = [v for c in decomp.components if c.kind == "singleton" for v in c.graph.vertices]
+    factors = []
     if singles:
-        kvertices = [v for c in singles for v in c.graph.vertices]
-        kgraph = induced_subgraph(h.source, kvertices, name=h.source.name + "_abelian")
-        out = extract_abelian(h.restricted(kgraph))
+        abelian = induced_subgraph(h.source, singles, name=h.source.name + "_abelian")
+        factors.append((extract_abelian, abelian))
+    factors += [(extract_anti_path3 if len(c.graph) == 3 else extract_anti_path, c.graph)
+                for c in decomp.components if c.kind != "singleton"]
+    embeddings: list[FullEmbedding] = []
+    for route, factor in factors:
+        out = route(h.restricted(factor))
         if isinstance(out, KernelWitness):
             return _lift_witness(out, h)
+        if isinstance(out, StructuralCertificate):
+            return out
         embeddings.append(out)
-    for comp in paths:
-        sub = h.restricted(comp.graph)
-        if len(comp.graph) == 3:
-            out3 = extract_anti_path3(sub)
-            if isinstance(out3, StructuralCertificate):
-                return out3
-            embeddings.append(out3)
-        else:
-            out = extract_anti_path(sub, comp.labeling)
-            if isinstance(out, KernelWitness):
-                return _lift_witness(out, h)
-            embeddings.append(out)
     return glue_join(embeddings, h)
 
 

@@ -17,7 +17,8 @@ from typing import Iterator
 
 from raag import _kernel
 from raag.graphs import Graph, _bits, _nonneighbor_masks
-from raag.words import GroupElement, Word, commutes, _code_mask
+from raag.words import GroupElement, Word, _code_mask
+from raag.words import commutes  # noqa: F401  (unused here; perfbench's tests expect it bound in this module)
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,6 @@ def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
     key = _conjugate_codes(conjugator.inverse().codes(), g._index[v], conjugator.codes(),
                            g.nonneighbor_table())
     return ExtVertex(v, GroupElement(Word._from_codes(g, key)))
-
-
-def ext_adjacent(x: ExtVertex, y: ExtVertex) -> bool:
-    """Adjacency in the extension graph: distinct and commuting."""
-    if x.element.word.graph != y.element.word.graph:
-        raise ValueError("extension vertices come from different source graphs")
-    if x.element == y.element:
-        return False
-    return commutes(x.element.word, y.element.word)
 
 
 def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -252,25 +252,21 @@ def complete_graph(n: int, prefix: str = "v", name: Optional[str] = None) -> Gra
 
 
 @dataclass(frozen=True)
-class PathLabeling:
-    """An ordering v_1..v_n of one join component such that consecutive
-    entries are exactly the non-adjacent pairs within the component (the
-    component is the complement of the path v_1 - ... - v_n)."""
-
-    order: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class JoinComponent:
+    """One join factor of a graph. order is _anti_path_order of the factor:
+    when the factor is the complement of a path v_1 - ... - v_n (a single
+    vertex included), that path's order v_1..v_n, so consecutive entries
+    are exactly the non-adjacent pairs; None otherwise."""
+
     graph: Graph
-    labeling: Optional[PathLabeling]
+    order: Optional[tuple[str, ...]]
 
     @property
     def kind(self) -> str:
-        """"singleton", "path-complement" or "other" (no labeling)."""
+        """"singleton", "path-complement" or "other" (no order)."""
         if len(self.graph) == 1:
             return "singleton"
-        return "other" if self.labeling is None else "path-complement"
+        return "other" if self.order is None else "path-complement"
 
 
 @dataclass(frozen=True)
@@ -325,29 +321,28 @@ def join_decompose(g: Graph) -> JoinDecomposition:
     The factors are the induced subgraphs on the connected components of
     the complement of g (a graph is join-irreducible iff its complement is
     connected). Components are ordered by their smallest vertex in
-    insertion order. Path complements, single vertices included, carry a
-    PathLabeling; the other components carry None.
+    insertion order. Path complements, single vertices included, carry
+    their anti-path order; the other components carry None.
     """
     if len(g) == 0:
         raise ValueError("empty input")
     comps = []
     for keep in _components_of(_nonneighbor_masks(g)):
         sub = induced_subgraph(g, g._names(keep), f"{g.name}_comp{len(comps) + 1}")
-        order = _anti_path_order(sub)
-        comps.append(JoinComponent(sub, None if order is None else PathLabeling(order)))
+        comps.append(JoinComponent(sub, _anti_path_order(sub)))
     return JoinDecomposition(tuple(comps))
 
 
-def recognize_linear_forest_complement(g: Graph) -> Optional[list[PathLabeling]]:
-    """If g is a join of path-graph complements, return one PathLabeling per
-    join component (in component order); otherwise None.
+def recognize_linear_forest_complement(g: Graph) -> Optional[list[tuple[str, ...]]]:
+    """If g is a join of path-graph complements, return the anti-path order
+    of each join component (in component order); otherwise None.
 
     The empty graph is not recognized.
     """
     if len(g) == 0:
         return None
-    labelings = [comp.labeling for comp in join_decompose(g).components]
-    return None if None in labelings else labelings
+    orders = [comp.order for comp in join_decompose(g).components]
+    return None if None in orders else orders
 
 
 # -- full embeddings -----------------------------------------------------------

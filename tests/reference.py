@@ -1,14 +1,18 @@
 """Independent reference implementations that the tests check the library
 against. oracle_is_trivial shares no code with the piling kernel;
 enumerate_reduced_words reaches it only through is_reduced, and lists every
-reduced spelling, not one word per element.
+reduced spelling, not one word per element. ext_adjacent is the extension
+graph's adjacency as defined (two distinct conjugates that commute), decided
+by commutes on one pair of vertices; ext_ball derives the same adjacency
+from conjugator supports instead.
 """
 
 from collections import deque
 from typing import Iterator, Optional
 
+from raag.extension import ExtVertex
 from raag.graphs import Graph
-from raag.words import Word, is_reduced
+from raag.words import Word, commutes, is_reduced
 
 _DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -84,3 +88,12 @@ def enumerate_reduced_words(g: Graph, max_len: int) -> Iterator[Word]:
                     nxt.append(cand)
                     yield cand
         level = nxt
+
+
+def ext_adjacent(x: ExtVertex, y: ExtVertex) -> bool:
+    """Adjacency in the extension graph: distinct and commuting."""
+    if x.element.word.graph != y.element.word.graph:
+        raise ValueError("extension vertices come from different source graphs")
+    if x.element == y.element:
+        return False
+    return commutes(x.element.word, y.element.word)

@@ -21,7 +21,6 @@ from raag.embedding import (
 from raag.extension import ext_ball
 from raag.graphs import (
     Graph,
-    PathLabeling,
     complete_graph,
     graph_join,
     join_decompose,
@@ -192,7 +191,7 @@ def test_criterion_5_peel_mechanism(harness_500):
             t1,
             {v: Word(t1, [("t1", 1)] * (i + 1)) for i, v in enumerate(lam.vertices)},
         )
-        out = extract_anti_path(h, PathLabeling(lam.vertices))
+        out = extract_anti_path(h)
         synthetic_ok &= isinstance(out, KernelWitness) and out.peel_checked and out.check(h) is None
     t2 = Graph(
         "t",
@@ -210,7 +209,7 @@ def test_criterion_5_peel_mechanism(harness_500):
             "v4": parse_word(t2, "c"),
         },
     )
-    out = extract_anti_path(h, PathLabeling(lam.vertices))
+    out = extract_anti_path(h)
     synthetic_ok &= isinstance(out, KernelWitness) and out.peel_checked and out.check(h) is None
 
     _report(

@@ -14,6 +14,7 @@ from raag.embedding import (
     ReachSets,
     StructuralCertificate,
     build_clique_chain,
+    check_reach_adjacency,
     extract_abelian,
     extract_anti_path,
     extract_anti_path3,
@@ -30,7 +31,6 @@ from raag.embedding import (
 )
 from raag.graphs import (
     Graph,
-    PathLabeling,
     complement,
     complete_graph,
     format_graph,
@@ -240,14 +240,14 @@ def test_abelian_agrees_with_sympy_rank_oracle():
 
 def test_chain_identity_p4c():
     h = identity_spec(path_complement(4))
-    labeling = PathLabeling(("v1", "v2", "v3", "v4"))
-    chain = build_clique_chain(h, labeling)
+    chain = build_clique_chain(h)
+    assert chain.order == ("v1", "v2", "v3", "v4")
     assert chain.cliques == (("v1",), ("v2",), ("v3",), ("v4",))
 
 
 def test_chain_vacuous_for_two_vertices():
     h = identity_spec(path_complement(2))
-    chain = build_clique_chain(h, PathLabeling(("v1", "v2")))
+    chain = build_clique_chain(h)
     assert len(chain.cliques) == 2
 
 
@@ -267,17 +267,11 @@ def test_chain_rejects_distant_non_adjacent_supports():
         },
     )
     with pytest.raises(ValueError, match="not a homomorphism on this component"):
-        build_clique_chain(h, PathLabeling(("v1", "v2", "v3", "v4")))
-
-
-def test_chain_rejects_bad_labeling():
-    h = identity_spec(path_complement(4))
-    with pytest.raises(ValueError, match="labeling"):
-        build_clique_chain(h, PathLabeling(("v1", "v3", "v2", "v4")))
+        build_clique_chain(h)
 
 
 def _pairwise_anti_path_order(src, order):
-    """The labeling rule pair by pair: order enumerates the source, every
+    """The anti-path rule pair by pair: order enumerates the source, every
     consecutive pair is non-adjacent and every other pair adjacent."""
     if sorted(order) != sorted(src.vertices):
         return False
@@ -287,29 +281,38 @@ def _pairwise_anti_path_order(src, order):
     )
 
 
-@pytest.mark.parametrize("src", [path_complement(5), cycle_graph(4)], ids=["P5c", "C4"])
-def test_chain_judges_labelings_by_the_pairwise_rule(src):
-    # C4 is the complement of two disjoint edges, so no order labels it;
-    # partial orders and a foreign name are judged too
-    h = identity_spec(src)
-    orders = list(itertools.permutations(src.vertices))
-    orders += list(itertools.permutations(src.vertices, len(src) - 1))
-    orders += [o[:-1] + ("zz",) for o in itertools.permutations(src.vertices)]
-    accepted = 0
-    for order in orders:
-        if _pairwise_anti_path_order(src, order):
-            accepted += 1
-            assert build_clique_chain(h, PathLabeling(order)).cliques == tuple((v,) for v in order)
+@pytest.mark.parametrize(
+    "srcs, outcomes",
+    [
+        ([path_complement(5)], {True}),
+        ([cycle_graph(4)], {False}),
+        ([g for n in range(1, 5) for g in all_labeled_graphs(n)], {True, False}),
+    ],
+    ids=["P5c", "C4", "upto4"],
+)
+def test_chain_judges_labelings_by_the_pairwise_rule(srcs, outcomes):
+    # the chain reads its order from the source: the order obeys the
+    # pairwise rule, and the chain raises exactly when no permutation of the
+    # vertices does (C4, the complement of two disjoint edges, for one)
+    seen = set()
+    for src in srcs:
+        h = identity_spec(src)
+        obeyed = any(_pairwise_anti_path_order(src, o) for o in itertools.permutations(src.vertices))
+        seen.add(obeyed)
+        if obeyed:
+            chain = build_clique_chain(h)
+            assert _pairwise_anti_path_order(src, chain.order), src.edges()
+            assert chain.cliques == tuple((v,) for v in chain.order)
         else:
-            with pytest.raises(ValueError, match="labeling is not an anti-path order"):
-                build_clique_chain(h, PathLabeling(order))
-    assert accepted == (2 if src.name != "C4" else 0)
+            with pytest.raises(ValueError, match="not the complement of a path"):
+                build_clique_chain(h)
+    assert seen == outcomes
 
 
-def _reference_cross_pair(chain, order):
+def _reference_cross_pair(chain):
     """The first (v_i, v_j) with j >= i + 2 whose cliques hold a distinct
     non-adjacent pair, by the pairwise scan over every cross pair."""
-    g, cliques = chain.graph, chain.cliques
+    g, order, cliques = chain.graph, chain.order, chain.cliques
     for i in range(len(cliques)):
         for j in range(i + 2, len(cliques)):
             for x in cliques[i]:
@@ -334,15 +337,14 @@ def test_chain_cross_check_matches_the_pairwise_rule():
             clique = [t.vertices[c - 1] for c in _random_clique(rnd, _tables(t))]
             images[v] = Word(t, [(rnd.choice(clique), rnd.choice((1, -1))) for _ in range(rnd.randint(1, 4))])
         h = HomSpec(src, t, images)
-        labeling = PathLabeling(src.vertices)
         cliques = tuple(tuple(u for u in t.vertices if u in support(h.images[v])) for v in src.vertices)
-        want = _reference_cross_pair(CliqueChain(t, cliques), src.vertices)
+        want = _reference_cross_pair(CliqueChain(t, src.vertices, cliques))
         outcomes.add(want is None)
         if want is None:
-            assert build_clique_chain(h, labeling) == CliqueChain(t, cliques)
+            assert build_clique_chain(h) == CliqueChain(t, src.vertices, cliques)
         else:
             with pytest.raises(ValueError, match="not a homomorphism on this component") as exc:
-                build_clique_chain(h, labeling)
+                build_clique_chain(h)
             assert f"{want[0]!r} and {want[1]!r}" in str(exc.value)
 
     check()
@@ -351,26 +353,26 @@ def test_chain_cross_check_matches_the_pairwise_rule():
 
 def test_sequence_search_identity_p4c():
     h = identity_spec(path_complement(4))
-    chain = build_clique_chain(h, PathLabeling(("v1", "v2", "v3", "v4")))
+    chain = build_clique_chain(h)
     assert sequence_search(chain) == ("v1", "v2", "v3", "v4")
 
 
 def test_sequence_search_fails_inside_one_clique():
     t = complete_graph(3, prefix="a")
-    chain = CliqueChain(t, (("a1", "a2"), ("a2", "a3"), ("a1",), ("a3",)))
+    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), (("a1", "a2"), ("a2", "a3"), ("a1",), ("a3",)))
     assert sequence_search(chain) is None
 
 
 def test_sequence_search_two_supports():
     t = Graph("t", ["a", "b"])
-    chain = CliqueChain(t, (("a",), ("b",)))
+    chain = CliqueChain(t, ("v1", "v2"), (("a",), ("b",)))
     assert sequence_search(chain) == ("a", "b")
 
 
 def test_sequence_search_needs_two_cliques():
     t = Graph("t", ["a"])
     with pytest.raises(ValueError):
-        sequence_search(CliqueChain(t, (("a",),)))
+        sequence_search(CliqueChain(t, ("v1",), (("a",),)))
 
 
 def _reference_sequence_search(chain):
@@ -415,7 +417,7 @@ def _chains(draw):
     for _ in range(rnd.randint(2, 6)):
         members = rnd.sample(g.vertices, rnd.randint(1, min(5, len(g))))
         sets.append(tuple(v for v in g.vertices if v in members))
-    return CliqueChain(g, tuple(sets))
+    return CliqueChain(g, tuple(f"v{i}" for i in range(1, len(sets) + 1)), tuple(sets))
 
 
 def test_sequence_search_returns_the_reference_sequence():
@@ -437,7 +439,7 @@ def test_sequence_search_returns_the_reference_sequence():
 
 def test_reach_sets_start_with_first_clique():
     h = identity_spec(path_complement(4))
-    chain = build_clique_chain(h, PathLabeling(("v1", "v2", "v3", "v4")))
+    chain = build_clique_chain(h)
     rs = reach_sets(chain)
     assert rs.sets[0] == ("v1",)
     assert rs.sets == (("v1",), ("v2",), ("v3",))
@@ -445,18 +447,28 @@ def test_reach_sets_start_with_first_clique():
 
 def test_reach_sets_empty_inside_clique():
     t = complete_graph(2, prefix="a")
-    chain = CliqueChain(t, (("a1",), ("a2",), ("a1",), ("a2",)))
+    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), (("a1",), ("a2",), ("a1",), ("a2",)))
     rs = reach_sets(chain)
     assert rs.sets == (("a1",), (), ())
+
+
+def test_reach_adjacency_names_the_first_distinct_non_adjacent_pair():
+    # a and b are adjacent, c is adjacent to neither: reach sets inside
+    # {a, b} pass against the last clique (a, b), and a reach-set c fails
+    # at its pair with a
+    t = Graph("t", ["a", "b", "c"], [("a", "b")])
+    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), (("a",), ("b",), ("a",), ("a", "b")))
+    check_reach_adjacency(chain, ReachSets((("a",), ("b",), ("a", "b"))))
+    with pytest.raises(MechanismError, match=r"at pair \('c', 'a'\)"):
+        check_reach_adjacency(chain, ReachSets((("a",), ("b", "c"), ())))
 
 
 def test_peel_keeps_words_already_in_reach_sets():
     p4c = path_complement(4)
     h = identity_spec(p4c)
-    labeling = PathLabeling(("v1", "v2", "v3", "v4"))
-    chain = build_clique_chain(h, labeling)
+    chain = build_clique_chain(h)
     rs = reach_sets(chain)
-    peeled = peel_words(h, labeling, rs)
+    peeled = peel_words(h, chain, rs)
     assert [str(w) for w in peeled] == ["v1", "v2", "v3"]
 
 
@@ -475,11 +487,10 @@ def test_peel_empties_words_with_empty_reach_sets():
             "v4": parse_word(t, "a2"),
         },
     )
-    labeling = PathLabeling(("v1", "v2", "v3", "v4"))
-    chain = build_clique_chain(h, labeling)
+    chain = build_clique_chain(h)
     assert sequence_search(chain) is None
     rs = reach_sets(chain)
-    peeled = peel_words(h, labeling, rs)
+    peeled = peel_words(h, chain, rs)
     assert [str(w) for w in peeled] == ["a1", "1", "1"]
 
 
@@ -503,14 +514,13 @@ def test_peel_deletes_single_blocking_letter():
         },
     )
     assert validate_hom(h).is_homomorphism
-    labeling = PathLabeling(("v1", "v2", "v3", "v4"))
-    chain = build_clique_chain(h, labeling)
+    chain = build_clique_chain(h)
     assert sequence_search(chain) is None
     rs = reach_sets(chain)
     assert rs.sets == (("d",), ("b",), ())
-    peeled = peel_words(h, labeling, rs)
+    peeled = peel_words(h, chain, rs)
     assert [str(w) for w in peeled] == ["d", "b b", "1"]
-    out = extract_anti_path(h, labeling)
+    out = extract_anti_path(h)
     assert isinstance(out, KernelWitness) and out.check(h) is None and out.peel_checked
 
 
@@ -522,7 +532,7 @@ def test_peel_rejects_forged_reach_sets():
     h = HomSpec(p3c, t, {"v1": parse_word(t, "a"), "v2": parse_word(t, "b"), "v3": parse_word(t, "a")})
     forged = ReachSets((("a",), ()))
     with pytest.raises(MechanismError, match="diverged at stage 2"):
-        peel_words(h, PathLabeling(("v1", "v2", "v3")), forged)
+        peel_words(h, build_clique_chain(h), forged)
 
 
 # -- obstruction commutators -------------------------------------------------------------------
@@ -532,7 +542,7 @@ def test_obstruction_two_vertices():
     p2c = path_complement(2)
     t = complete_graph(2, prefix="a")
     h = HomSpec(p2c, t, {"v1": parse_word(t, "a1"), "v2": parse_word(t, "a2")})
-    wit = obstruction_commutator(h, PathLabeling(("v1", "v2")))
+    wit = obstruction_commutator(h)
     assert str(wit.word) == "v1 v2 v1^-1 v2^-1"
     assert wit.check(h) is None
 
@@ -541,7 +551,7 @@ def test_obstruction_four_vertices_has_twelve_letters():
     p4c = path_complement(4)
     t = complete_graph(1, prefix="a")
     h = collapsed_spec(p4c, t, "a1")
-    wit = obstruction_commutator(h, PathLabeling(("v1", "v2", "v3", "v4")))
+    wit = obstruction_commutator(h)
     assert len(wit.word) == 12
     assert wit.check(h) is None
 
@@ -560,20 +570,20 @@ def test_obstruction_five_vertices_one_clique():
             "v5": parse_word(t, "a2"),
         },
     )
-    wit = obstruction_commutator(h, PathLabeling(tuple(f"v{i}" for i in range(1, 6))))
+    wit = obstruction_commutator(h)
     assert wit.check(h) is None
 
 
 def test_obstruction_rejects_three_vertices():
     h = identity_spec(path_complement(3))
     with pytest.raises(ValueError):
-        obstruction_commutator(h, PathLabeling(("v1", "v2", "v3")))
+        obstruction_commutator(h)
 
 
 def test_obstruction_raises_when_image_nontrivial():
     h = identity_spec(path_complement(2))
     with pytest.raises(MechanismError):
-        obstruction_commutator(h, PathLabeling(("v1", "v2")))
+        obstruction_commutator(h)
 
 
 # -- per-component dichotomy ----------------------------------------------------------------------
@@ -585,7 +595,7 @@ def test_anti_path_single_vertex():
     t = complete_graph(2, prefix="a")
     h = HomSpec(src, t, {"u": parse_word(t, "a2 a1")})
     with pytest.raises(ValueError, match="extract_abelian"):
-        extract_anti_path(h, PathLabeling(("u",)))
+        extract_anti_path(h)
     assert extract_abelian(h).mapping == {"u": "a1"}
 
 
@@ -593,7 +603,7 @@ def test_anti_path_two_vertices_embedding():
     p2c = path_complement(2)
     t = Graph("t", ["a", "b"])
     h = HomSpec(p2c, t, {"v1": parse_word(t, "a"), "v2": parse_word(t, "b")})
-    out = extract_anti_path(h, PathLabeling(("v1", "v2")))
+    out = extract_anti_path(h)
     assert isinstance(out, FullEmbedding) and out.mapping == {"v1": "a", "v2": "b"}
 
 
@@ -601,7 +611,7 @@ def test_anti_path_two_vertices_collapse_witness():
     p2c = path_complement(2)
     t = complete_graph(2, prefix="a")
     h = HomSpec(p2c, t, {"v1": parse_word(t, "a1 a1"), "v2": parse_word(t, "a1^-1")})
-    out = extract_anti_path(h, PathLabeling(("v1", "v2")))
+    out = extract_anti_path(h)
     assert isinstance(out, KernelWitness)
     assert str(out.word) == "v1 v2 v1^-1 v2^-1"
     assert out.check(h) is None
@@ -610,7 +620,7 @@ def test_anti_path_two_vertices_collapse_witness():
 def test_anti_path_four_vertices_embedding_in_own_supports():
     p4c = path_complement(4)
     h = identity_spec(p4c)
-    out = extract_anti_path(h, PathLabeling(("v1", "v2", "v3", "v4")))
+    out = extract_anti_path(h)
     assert isinstance(out, FullEmbedding)
     for v in p4c.vertices:
         assert out.mapping[v] in support(h.images[v])
@@ -620,7 +630,7 @@ def test_anti_path_four_vertices_embedding_in_own_supports():
 def test_anti_path_rejects_three_vertices():
     h = identity_spec(path_complement(3))
     with pytest.raises(ValueError, match="extract_anti_path3"):
-        extract_anti_path(h, PathLabeling(("v1", "v2", "v3")))
+        extract_anti_path(h)
 
 
 def test_anti_path_dichotomy_randomized():
@@ -645,8 +655,7 @@ def test_anti_path_dichotomy_randomized():
         assert report.is_homomorphism
         if report.trivial_images:
             continue
-        labeling = PathLabeling(tuple(f"v{i}" for i in range(1, n + 1)))
-        out = extract_anti_path(h, labeling)
+        out = extract_anti_path(h)
         if isinstance(out, FullEmbedding):
             embeddings += 1
             assert verify_full_embedding(lam, gamma, out.mapping)
@@ -1028,7 +1037,7 @@ def test_component_witnesses_hold_over_the_full_source():
         for comp in components:
             if comp.kind != "singleton" and len(comp.graph) != 3:
                 anti_path += 1
-                out = obstruction_commutator(h.restricted(comp.graph), comp.labeling)
+                out = obstruction_commutator(h.restricted(comp.graph))
                 assert _lift_witness(out, h).check(h) is None
     assert anti_path > 150 and abelian > 40
 

@@ -9,7 +9,6 @@ from raag import _kernel, _purekernel
 from raag.extension import (
     _conjugators,
     ball_as_graph,
-    ext_adjacent,
     ext_ball,
     ext_vertex,
 )
@@ -42,7 +41,7 @@ from conftest import (
     random_graph,
     random_word_letters,
 )
-from reference import enumerate_reduced_words, oracle_is_trivial
+from reference import enumerate_reduced_words, ext_adjacent, oracle_is_trivial
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
 FREE2 = Graph("free2", ["a", "b"])

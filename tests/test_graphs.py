@@ -244,16 +244,16 @@ def test_decompose_rejoin_reconstructs():
 
 
 def test_recognize_complete_graph():
-    labelings = recognize_linear_forest_complement(complete_graph(4))
-    assert labelings is not None and len(labelings) == 4
-    assert all(len(lab.order) == 1 for lab in labelings)
+    orders = recognize_linear_forest_complement(complete_graph(4))
+    assert orders is not None and len(orders) == 4
+    assert all(len(order) == 1 for order in orders)
 
 
 def test_recognize_p5c():
     g = path_complement(5)
-    labelings = recognize_linear_forest_complement(g)
-    assert labelings is not None and len(labelings) == 1
-    order = labelings[0].order
+    orders = recognize_linear_forest_complement(g)
+    assert orders is not None and len(orders) == 1
+    order = orders[0]
     assert set(order) == set(g.vertices)
     # consecutive labels are exactly the non-adjacent pairs
     for a in range(5):
@@ -262,9 +262,9 @@ def test_recognize_p5c():
 
 
 def test_recognize_c4_as_two_anti_edges():
-    labelings = recognize_linear_forest_complement(cycle_graph(4))
-    assert labelings is not None and len(labelings) == 2
-    assert sorted(len(lab.order) for lab in labelings) == [2, 2]
+    orders = recognize_linear_forest_complement(cycle_graph(4))
+    assert orders is not None and len(orders) == 2
+    assert sorted(len(order) for order in orders) == [2, 2]
 
 
 def test_recognize_rejects_c5():
@@ -292,11 +292,11 @@ def test_factor_labeled_iff_brute_force_finds_path_order_exhaustive_up_to_5():
         for g in all_labeled_graphs(n):
             for comp in join_decompose(g).components:
                 orders = brute_force_path_orders(comp.graph)
-                if comp.labeling is None:
+                if comp.order is None:
                     assert not orders
                     unlabeled += 1
                 else:
-                    assert comp.labeling.order in orders
+                    assert comp.order in orders
                     labeled += 1
     assert labeled > 600 and unlabeled > 800
 
@@ -306,12 +306,11 @@ def test_recognized_labelings_are_anti_path_orders():
     found = 0
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 6), rng.random())
-        labelings = recognize_linear_forest_complement(g)
-        if labelings is None:
+        orders = recognize_linear_forest_complement(g)
+        if orders is None:
             continue
         found += 1
-        for lab in labelings:
-            order = lab.order
+        for order in orders:
             for a in range(len(order)):
                 for b in range(a + 1, len(order)):
                     assert g.adjacent(order[a], order[b]) == (b - a > 1)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from raag.embedding import HomSpec, validate_hom
+from raag.embedding import FullEmbedding, HomSpec, KernelWitness, extract_full, validate_hom
 from raag.harness import (
     _IMAGE_ATTEMPTS,
     HarnessConfig,
@@ -96,6 +96,36 @@ def test_report_pinned_across_commits():
     assert report.peel_checked_trials == 6
     digest = hashlib.sha256(report.format().encode()).hexdigest()
     assert digest == "4e9c898acb3c01f2eeea8ee2b49ad1d3838b1150cce20ea8db601ef93198b6e4"
+
+
+def _outcome_line(h, outcome):
+    """A canonical dump of one extraction outcome: the embedding's mapping
+    in source order, the witness's codes, component and peel flag, or every
+    field of the certificate."""
+    if isinstance(outcome, FullEmbedding):
+        return "embedding " + " ".join(outcome.mapping[v] for v in h.source.vertices)
+    if isinstance(outcome, KernelWitness):
+        return f"witness {outcome.word.codes()!r} {outcome.component!r} {outcome.peel_checked}"
+    return f"certificate {outcome.component!r} {outcome.supp!r} {outcome.complement_components!r}"
+
+
+def test_outcomes_pinned_across_commits():
+    # the pinned reports print only sizes; this digest covers the outcomes
+    # themselves, on the instances run_harness draws for this configuration
+    cfg = HarnessConfig(500, 42, component_sizes=(1, 2, 3, 4, 5, 6))
+    master = random.Random(cfg.seed)
+    lines = []
+    for _ in range(cfg.trials):
+        rng = random.Random(master.getrandbits(64))
+        gamma = _random_graph(rng, cfg.max_target_vertices, cfg.edge_density)
+        lam = _random_source(rng, cfg.component_sizes)
+        h = _random_hom(rng, lam, gamma)
+        lines.append(_outcome_line(h, extract_full(h)))
+    kinds = [line.split(" ", 1)[0] for line in lines]
+    assert (kinds.count("embedding"), kinds.count("witness"), kinds.count("certificate")) == (67, 397, 36)
+    assert sum(line.startswith("witness") and line.endswith(" True") for line in lines) == 62
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e9c64aba59779b2133137d1817ab461747090c9b44eb5b6c2123633fa0075fc2"
 
 
 def _reference_random_clique(rng, g):
