@@ -127,7 +127,10 @@ def _cmd_recognize(args) -> int:
 def _cmd_embed_search(args) -> int:
     lam = _load_graph(args.graph)
     gamma = _load_graph(args.target)
-    restrict = args.restrict.split(",") if args.restrict else None
+    restrict = None
+    if args.restrict is not None:
+        # an empty --restrict is the empty subset, not the absence of one
+        restrict = args.restrict.split(",") if args.restrict else []
     found = full_embedding_search(lam, gamma, restrict)
     _emit([("found", _bool(found is not None))])
     if found is None:

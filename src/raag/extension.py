@@ -67,12 +67,14 @@ def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
     return ExtVertex(v, GroupElement(Word._from_codes(g, key)))
 
 
-def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
     """Each element of length <= max_len once, as the codes of its canonical
     word (the lex-least reduced spelling, which the kernel's normal form
     spells), in shortlex order (length ascending, then letter order a, a^-1,
-    b, ...), with its first-letter mask: the generators of the letters that
-    commute with every letter before them.
+    b, ...), with three masks: first, the generators of the first letters
+    (those that commute with every letter before them), and pos and neg,
+    the generators a for which a, respectively a^-1, is a last letter (one
+    that commutes with every letter after it).
 
     A prefix of a canonical word is canonical, so level k + 1 extends the
     canonical words of level k by one letter c of generator a. The word
@@ -80,7 +82,7 @@ def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int]
     with every letter after them), and stays lex-least unless c commutes
     past a larger letter (Anisimov & Knuth's lexicographic normal form of a
     trace)."""
-    yield (), 0
+    yield (), 0, 0, 0
     nbr = g._nbr
     # per word: codes, support, first-letter mask, the generators whose
     # letter would commute past a larger letter, and the generators of the
@@ -97,13 +99,13 @@ def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int]
                 grown_first = first if supp & ~lk else first | bit
                 grown_barred = lk & (barred | bit - 1)
                 if not neg & bit:
-                    word = codes + (a + 1,)
-                    nxt.append((word, supp | bit, grown_first, grown_barred, pos & lk | bit, neg & lk))
-                    yield word, grown_first
+                    word, last_pos, last_neg = codes + (a + 1,), pos & lk | bit, neg & lk
+                    nxt.append((word, supp | bit, grown_first, grown_barred, last_pos, last_neg))
+                    yield word, grown_first, last_pos, last_neg
                 if not pos & bit:
-                    word = codes + (-a - 1,)
-                    nxt.append((word, supp | bit, grown_first, grown_barred, pos & lk, neg & lk | bit))
-                    yield word, grown_first
+                    word, last_pos, last_neg = codes + (-a - 1,), pos & lk, neg & lk | bit
+                    nxt.append((word, supp | bit, grown_first, grown_barred, last_pos, last_neg))
+                    yield word, grown_first, last_pos, last_neg
         level = nxt
 
 
@@ -164,6 +166,16 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     membership: a letter of st(u) that commutes with every letter kept
     before it moves to the front and is dropped; any other letter is kept
     and must lie in st(v).
+
+    The scan needs m reduced. The product k h^-1 of two reduced words is
+    reduced unless it holds a pair c ... c^-1 whose letters in between all
+    commute with c. Such a pair straddles the join, so c is a last letter of
+    k and c^-1 a first letter of h^-1, that is, c is also a last letter of
+    h. The last-letter masks that _conjugators yields therefore decide
+    exactly whether m is reduced, and m is scanned as it stands when no
+    signed letter is a last letter of both. Otherwise cancellation can reach
+    past the first pair, so the kernel's surviving letters spell the
+    reduced word that is scanned.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -171,11 +183,14 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     st_mask = [g._star_meet(1 << a) for a in range(len(g))]
     noncomm_mask = _nonneighbor_masks(g)
     # the vertices keyed by their canonical codes, and per vertex the codes
-    # of its first conjugator and the index of its generator
+    # of its first conjugator, the index of its generator and the
+    # conjugator's last-letter masks
     verts: dict[tuple[int, ...], ExtVertex] = {}
     hcodes: list[tuple[int, ...]] = []
     bases: list[int] = []
-    for h, first in _conjugators(g, radius):
+    last_pos: list[int] = []
+    last_neg: list[int] = []
+    for h, first, pos, neg in _conjugators(g, radius):
         hinv = tuple(-c for c in reversed(h))
         for gen, v in enumerate(g.vertices):
             if first & st_mask[gen]:
@@ -185,6 +200,8 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
                 verts[key] = ExtVertex(v, GroupElement(Word._from_codes(g, key)))
                 hcodes.append(h)
                 bases.append(gen)
+                last_pos.append(pos)
+                last_neg.append(neg)
     with_base: list[list[int]] = [[] for _ in g.vertices]
     for j, b in enumerate(bases):
         with_base[b].append(j)
@@ -195,15 +212,18 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     for i, b in enumerate(bases):
         tail = tuple(-c for c in reversed(hcodes[i]))
         st_v, supp_i, reach_i = st_mask[b], supports[i], reach[i]
+        pos_i, neg_i = last_pos[i], last_neg[i]
         for u in _bits(g._nbr[b]):
             st_u = st_mask[u]
             for j in with_base[u]:
                 if j <= i or supports[j] & ~reach_i or supp_i & ~reach[j]:
                     continue
                 m = hcodes[j] + tail
+                if pos_i & last_pos[j] or neg_i & last_neg[j]:
+                    m = [m[p] for p in _kernel.survivors(m, noncomm)]
                 kept = 0
-                for p in _kernel.survivors(m, noncomm):
-                    a = abs(m[p]) - 1
+                for c in m:
+                    a = abs(c) - 1
                     if st_u >> a & 1 and not kept & noncomm_mask[a]:
                         continue
                     if not st_v >> a & 1:

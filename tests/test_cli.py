@@ -85,6 +85,9 @@ def test_embed_search_restrict(capsys, graph_file):
         capsys, ["embed-search", "--graph", lam, "--target", k4, "--restrict", "v2,v4"]
     )
     assert code == 0 and "embed u1 -> v2" in out and "embed u2 -> v4" in out
+    # an empty --restrict is the empty subset, where nothing embeds
+    code, out, _ = run(capsys, ["embed-search", "--graph", lam, "--target", k4, "--restrict", ""])
+    assert code == 2 and out == "found: false\n"
 
 
 def test_ext_ball_plain_and_dot(capsys, graph_file):

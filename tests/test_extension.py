@@ -134,9 +134,21 @@ def _shortlex(codes):
     return len(codes), [(abs(c), c < 0) for c in codes]
 
 
+def _shortened_by(g, word, sign, left):
+    """The mask of the generators a for which a^sign word (left) or
+    word a^sign (not left) is shorter than word."""
+    mask = 0
+    for i, v in enumerate(g.vertices):
+        letter = Word(g, [(v, sign)])
+        if len(reduce(letter * word if left else word * letter)) < len(word):
+            mask |= 1 << i
+    return mask
+
+
 def test_conjugators_are_the_elements_with_their_first_letters(monkeypatch):
     # one canonical word per element, in shortlex order; the first-letter
-    # mask holds the generators a for which a h or a^-1 h is shorter than h;
+    # mask holds the generators a for which a h or a^-1 h is shorter than h,
+    # the last-letter masks those for which h a^-1, respectively h a, is;
     # and ext_ball normalizes one conjugate per vertex, never a repeat
     normalize = _kernel.normalize
     calls = []
@@ -151,17 +163,57 @@ def test_conjugators_are_the_elements_with_their_first_letters(monkeypatch):
             for radius in (0, 1, 2, 3) if n <= 3 else (0, 1, 2):
                 elements = {canonical_form(w).word.codes() for w in enumerate_reduced_words(g, radius)}
                 got = list(_conjugators(g, radius))
-                assert [h for h, _ in got] == sorted(elements, key=_shortlex), (g.edges(), radius)
-                for h, first in got:
+                assert [h for h, *_ in got] == sorted(elements, key=_shortlex), (g.edges(), radius)
+                for h, first, pos, neg in got:
                     word = Word._from_codes(g, h)
-                    shorter = {
-                        i for i, v in enumerate(g.vertices) for s in (1, -1)
-                        if len(reduce(Word(g, [(v, s)]) * word)) < len(h)
-                    }
-                    assert first == sum(1 << i for i in shorter), (g.edges(), h)
+                    first_ref = _shortened_by(g, word, 1, True) | _shortened_by(g, word, -1, True)
+                    assert first == first_ref, (g.edges(), h)
+                    assert pos == _shortened_by(g, word, -1, False), (g.edges(), h)
+                    assert neg == _shortened_by(g, word, 1, False), (g.edges(), h)
                 calls.clear()
                 ball = ext_ball(g, radius)
                 assert len(calls) == len(ball.vertices), (g.edges(), radius)
+
+
+def test_ball_runs_the_kernel_only_on_products_that_cancel(monkeypatch):
+    # m = k h^-1 goes through survivors exactly when it is not reduced, once
+    # for each pair (x, y) that passes the base and support pre-tests, where
+    # h and k are the first conjugators of x and y in _conjugators' order
+    survivors = _kernel.survivors
+    calls = []
+
+    def counting(codes, noncomm):
+        calls.append(tuple(codes))
+        return survivors(codes, noncomm)
+
+    monkeypatch.setattr(_kernel, "survivors", counting)
+    for n in range(1, 6):
+        for g in iso_class_representatives(n):
+            for radius in (0, 1, 2, 3) if n <= 3 else (0, 1, 2):
+                firsts = {}
+                for h, *_ in _conjugators(g, radius):
+                    w = Word._from_codes(g, h)
+                    for v in g.vertices:
+                        rep = canonical_form(conjugate(Word(g, [(v, 1)]), w))
+                        firsts.setdefault(rep.word.codes(), (v, rep.word, w))
+                firsts = list(firsts.values())
+                star = {v: frozenset((v, *g.neighbors(v))) for v in g.vertices}
+                reach = [star[v] | support(h) for v, _, h in firsts]
+                expected = []
+                for i, (v, x, h) in enumerate(firsts):
+                    for j, (u, y, k) in enumerate(firsts):
+                        m = k * h.inverse()
+                        if (
+                            j > i
+                            and g.adjacent(u, v)
+                            and support(y) <= reach[i]
+                            and support(x) <= reach[j]
+                            and len(reduce(m)) < len(m)
+                        ):
+                            expected.append(m.codes())
+                calls.clear()
+                ext_ball(g, radius)
+                assert sorted(calls) == sorted(expected), (g.edges(), radius)
 
 
 # -- balls ------------------------------------------------------------------------------
