@@ -18,7 +18,10 @@ Rows:
   the raw image words of the perfbench extract_long pool of seed 1, cold;
 - graphs: join_decompose on the 800 sources of that pool, and complement
   after induced_subgraph on each target's image support union (the
-  support graph of the structural certificate), one pass each;
+  support graph of the structural certificate), one pass each; then
+  full_embedding_search on the 23 perfbench ext_query queries, and on its
+  slowest one alone (P6c into the P5c radius-2 ball), SEARCH_PASSES passes
+  each, with every ball and ball graph built once outside the timing;
 - extract_full: one pass of extract_full over the 800 homomorphisms of that
   pool.
 
@@ -66,6 +69,7 @@ except ImportError:
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 BALL_GRAPH_CALLS = 20
+SEARCH_PASSES = 10
 
 
 def make_graph(rng, n, p):
@@ -141,6 +145,20 @@ def ext_query_balls():
     queries, on the targets its _named_graph builds."""
     wl = perfbench_workloads()
     return [(wl._named_graph(graphs, name, "a"), radius) for name, radius in sorted({q[:2] for q in wl.QUERIES})]
+
+
+def ext_query_searches():
+    """(source, ball graph) of each perfbench ext_query query, in its
+    order, on the graphs its _named_graph builds; each ball is built
+    once."""
+    wl = perfbench_workloads()
+    balls = {}
+    out = []
+    for target, radius, source, *_ in wl.QUERIES:
+        if (target, radius) not in balls:
+            balls[target, radius] = ball_as_graph(ext_ball(wl._named_graph(graphs, target, "a"), radius))
+        out.append((wl._named_graph(graphs, source, "x"), balls[target, radius]))
+    return out
 
 
 def fresh_images(pool):
@@ -219,6 +237,13 @@ def rows():
         lambda: [join_decompose(g) for g in sources])
     row("graphs", "complement(induced_subgraph) on its support unions (800, seed 1)",
         lambda: [complement(induced_subgraph(t, s)) for t, s in unions])
+    searches = ext_query_searches()
+    tail = [(lam, bg) for lam, bg in searches if (lam.name, bg.name) == ("P6c", "P5c_ball2")]
+    for case, queries in ((f"the {len(searches)} ext_query queries", searches),
+                          ("the ext_query tail, P6c into the P5c radius 2 ball", tail)):
+        row("graphs", f"full_embedding_search x{SEARCH_PASSES} on {case}",
+            lambda queries=queries: [graphs.full_embedding_search(lam, bg)
+                                     for _ in range(SEARCH_PASSES) for lam, bg in queries])
     row("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
         lambda specs: [extract_full(h) for h in specs], lambda: fresh_pool(pool))
     return out

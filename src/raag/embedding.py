@@ -453,7 +453,7 @@ def sequence_search(chain: CliqueChain) -> Optional[tuple[str, ...]]:
     other = [~(1 << t) for t in range(len(g))]
     domains = [sum(1 << g.index(y) for y in clique) for clique in chain.cliques]
     links = [[(j, non if j == i + 1 else other) for j in range(i + 1, n)] for i in range(n)]
-    found = _forward_check(domains, links)
+    found = next(_forward_check(domains, links), None)
     if found is None:
         return None
     return tuple(g.vertices[t] for t in found)

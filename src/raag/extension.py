@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from raag import _kernel
-from raag.graphs import Graph, _bits, _nonneighbor_masks
+from raag.graphs import Graph, _automorphism_generators, _bits, _nonneighbor_masks
 from raag.words import GroupElement, Word, _code_mask
 from raag.words import commutes  # noqa: F401  (unused here; perfbench's tests expect it bound in this module)
 
@@ -113,12 +113,16 @@ def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int,
 class ExtBall:
     """The ball of the extension graph spanned by conjugates with reduced
     conjugators of length <= radius. Adjacency is commutation; there are no
-    self-loops."""
+    self-loops. automorphisms holds permutations of the vertex indices that
+    are automorphisms of the ball and keep conjugator length (word reversal
+    and the lifts of generators of Aut(source), see ext_ball), the identity
+    left out; they generate a group, which they do not list."""
 
     source: Graph
     radius: int
     vertices: tuple[ExtVertex, ...]
     nbr: tuple[int, ...]  # bit j of nbr[i] is set iff vertices i and j commute
+    automorphisms: tuple[tuple[int, ...], ...]
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -129,6 +133,65 @@ class ExtBall:
         """Whether vertices i and j are adjacent; both indices must lie in
         range(len(vertices))."""
         return bool(self.nbr[i] >> j & 1)
+
+
+def _drop_last(h: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """The codes h with the last occurrence of the letter c deleted."""
+    k = len(h) - 1 - h[::-1].index(c)
+    return h[:k] + h[k + 1:]
+
+
+def _append_canonical(word: tuple[int, ...], x: int, nbr: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical codes of word x, for the canonical codes word and a
+    letter x whose inverse is not a last letter of word (so nothing
+    cancels), without the kernel. x is a last letter of word x, and
+    deleting it gives word back, so the canonical word of word x is word
+    with x inserted at some position past the last letter that blocks x
+    (one of its own generator or of a non-adjacent one). Of those
+    positions, the first where x sorts lower than the letter it precedes
+    spells the lex-least word."""
+    a = abs(x) - 1
+    lk = nbr[a]
+    q = len(word)
+    for p in range(len(word) - 1, -1, -1):
+        b = abs(word[p]) - 1
+        if not lk >> b & 1:
+            break
+        if a < b:
+            q = p
+    return word[:q] + (x,) + word[q:]
+
+
+def _lifted_automorphisms(
+    g: Graph,
+    conjugators: list[tuple[int, ...]],
+    number: dict[tuple[int, ...], int],
+    vid: list[int],
+    cnum: list[int],
+    bases: list[int],
+) -> tuple[tuple[int, ...], ...]:
+    """Word reversal and each generator of Aut(g), as permutations of the
+    vertices of a ball, from the tables of ext_ball: the conjugators in
+    shortlex order and their numbers, vid[n * number + base index] the
+    vertex of each kept pair, and per vertex the number of its first
+    conjugator and its base index. Conjugators are mapped once each, so
+    each vertex costs one look-up per permutation."""
+    n = len(g)
+    flip = [n * number[tuple([-c for c in h])] for h in conjugators]
+    perms = [tuple([vid[flip[c] + b] for c, b in zip(cnum, bases)])]
+    for sigma in _automorphism_generators(g):
+        letter = {}
+        for a, t in enumerate(sigma):
+            letter[a + 1], letter[-a - 1] = t + 1, -t - 1
+        # the canonical sigma(h) of each conjugator, from that of its prefix
+        image, moved = [()], [0]
+        for h in conjugators[1:]:
+            w = _append_canonical(image[number[h[:-1]]], letter[h[-1]], g._nbr)
+            image.append(w)
+            moved.append(n * number[w])
+        perms.append(tuple([vid[moved[c] + sigma[b]] for c, b in zip(cnum, bases)]))
+    identity = tuple(range(len(bases)))
+    return tuple(p for p in dict.fromkeys(perms) if p != identity)
 
 
 def ext_ball(g: Graph, radius: int) -> ExtBall:
@@ -144,7 +207,8 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     Otherwise h is the unique shortest element of its coset, so v^h is new,
     and one normalization builds it. Conjugates are still deduplicated by
     canonical representative, so the output does not depend on that
-    uniqueness argument; each vertex keeps its first conjugator.
+    uniqueness argument; each vertex keeps its first conjugator, and a
+    table maps every kept pair (h, v) to the index of the vertex v^h.
 
     Adjacency uses the centralizer of a generator v, the subgroup A(st(v))
     generated by its star (Servatius, J. Algebra 1989). Let h and k be the
@@ -157,72 +221,110 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     non-commuting elements. And every element of h^-1 A(st(v)) h has its
     support in the union of supp(h) and st(v).
 
-    For the remaining pairs, u^m lies in A(st(v)) iff m lies in the double
+    When some signed letter c is a last letter of both h and k (one that
+    commutes with every letter after it; _conjugators yields these masks),
+    h = h' c and k = k' c, where h' and k' delete the last occurrence of c.
+    Conjugation by c is an automorphism of the extension graph (Kim &
+    Koberda, Geom. Topol. 2013), so x and y commute iff v^h' and u^k' do.
+    Deleting a last letter keeps a canonical word canonical (it commutes
+    with every letter after it, so it blocked no move: Anisimov & Knuth)
+    and adds no first letter, so (h', v) and (k', u) are kept pairs with shorter
+    conjugators: their vertices come earlier, their masks are final, and
+    the edge bit is copied from them. No kernel call is needed.
+
+    Otherwise k h^-1 is reduced: a product of two reduced words is reduced
+    unless it holds a pair c ... c^-1 whose letters in between all commute
+    with c, and such a pair straddles the join, so c would be a last letter
+    of both k and h. Then u^m lies in A(st(v)) iff m lies in the double
     coset A(st(u)) A(st(v)). If m = c d with c in A(st(u)) and d in
     A(st(v)), then u^m = u^d, which lies in A(st(v)) because u does.
     Conversely, the retraction of the group onto A(st(v)), which kills every
     generator outside st(v), fixes u^m, so m times the inverse of its image
-    centralizes u and lies in A(st(u)). One scan of the reduced m decides
-    membership: a letter of st(u) that commutes with every letter kept
-    before it moves to the front and is dropped; any other letter is kept
-    and must lie in st(v).
+    centralizes u and lies in A(st(u)). One scan of m decides membership: a
+    letter of st(u) that commutes with every letter kept before it moves to
+    the front and is dropped; any other letter is kept and must lie in
+    st(v).
 
-    The scan needs m reduced. The product k h^-1 of two reduced words is
-    reduced unless it holds a pair c ... c^-1 whose letters in between all
-    commute with c. Such a pair straddles the join, so c is a last letter of
-    k and c^-1 a first letter of h^-1, that is, c is also a last letter of
-    h. The last-letter masks that _conjugators yields therefore decide
-    exactly whether m is reduced, and m is scanned as it stands when no
-    signed letter is a last letter of both. Otherwise cancellation can reach
-    past the first pair, so the kernel's surviving letters spell the
-    reduced word that is scanned.
+    The same table lifts symmetries of g to the ball, as permutations that
+    keep conjugator length. Word reversal maps v^h to v^i(h), where i(h)
+    flips the sign of every letter of h; it is the automorphism that
+    inverts every generator, followed by inversion, so it keeps
+    commutation. An automorphism s of g maps v^h to s(v)^s(h). Both keep
+    the length and the first letters of h, and flipping signs keeps a
+    canonical word canonical, so each image is a kept pair, looked up in
+    the table once the canonical s(h) is known; that comes from the
+    canonical s of h's prefix by _append_canonical, once per conjugator.
+    The generators of Aut(g) come from _automorphism_generators.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    n = len(g)
     noncomm = g.nonneighbor_table()
-    st_mask = [g._star_meet(1 << a) for a in range(len(g))]
+    st_mask = [g._star_meet(1 << a) for a in range(n)]
     noncomm_mask = _nonneighbor_masks(g)
-    # the vertices keyed by their canonical codes, and per vertex the codes
+    # the table: every conjugator in shortlex order, its number, and
+    # vid[n * number + base index], the vertex of each kept pair (-1 for a
+    # skipped one); per conjugator, per bit of its last-letter mask (bit a
+    # for a, bit n + a for a^-1), n times the number of the conjugator with
+    # that letter deleted
+    conjugators: list[tuple[int, ...]] = []
+    number: dict[tuple[int, ...], int] = {}
+    drops: list[dict[int, int]] = []
+    vid: list[int] = []
+    blank = [-1] * n
+    # the vertex index of each canonical code tuple; per vertex the number
     # of its first conjugator, the index of its generator and the
-    # conjugator's last-letter masks
-    verts: dict[tuple[int, ...], ExtVertex] = {}
-    hcodes: list[tuple[int, ...]] = []
+    # conjugator's last-letter mask
+    index: dict[tuple[int, ...], int] = {}
+    vertices: list[ExtVertex] = []
+    cnum: list[int] = []
     bases: list[int] = []
-    last_pos: list[int] = []
-    last_neg: list[int] = []
+    lasts: list[int] = []
     for h, first, pos, neg in _conjugators(g, radius):
+        num = number[h] = len(conjugators)
+        conjugators.append(h)
+        last = pos | neg << n
+        drops.append({a: n * number[_drop_last(h, a + 1 if a < n else n - a - 1)] for a in _bits(last)})
+        vid += blank
         hinv = tuple(-c for c in reversed(h))
         for gen, v in enumerate(g.vertices):
             if first & st_mask[gen]:
                 continue
             key = _conjugate_codes(hinv, gen, h, noncomm)
-            if key not in verts:
-                verts[key] = ExtVertex(v, GroupElement(Word._from_codes(g, key)))
-                hcodes.append(h)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(vertices)
+                vertices.append(ExtVertex(v, GroupElement(Word._from_codes(g, key))))
+                cnum.append(num)
                 bases.append(gen)
-                last_pos.append(pos)
-                last_neg.append(neg)
+                lasts.append(last)
+            vid[n * num + gen] = i
     with_base: list[list[int]] = [[] for _ in g.vertices]
     for j, b in enumerate(bases):
         with_base[b].append(j)
     # canonical words are reduced, so their letters are their support
-    supports = [_code_mask(key) for key in verts]
-    reach = [st_mask[b] | _code_mask(h) for b, h in zip(bases, hcodes)]
+    supports = [_code_mask(key) for key in index]
+    reach = [st_mask[b] | _code_mask(conjugators[c]) for b, c in zip(bases, cnum)]
     nbr = [0] * len(bases)
     for i, b in enumerate(bases):
-        tail = tuple(-c for c in reversed(hcodes[i]))
+        tail = tuple(-c for c in reversed(conjugators[cnum[i]]))
         st_v, supp_i, reach_i = st_mask[b], supports[i], reach[i]
-        pos_i, neg_i = last_pos[i], last_neg[i]
+        last_i, drop_i = lasts[i], drops[cnum[i]]
         for u in _bits(g._nbr[b]):
             st_u = st_mask[u]
             for j in with_base[u]:
                 if j <= i or supports[j] & ~reach_i or supp_i & ~reach[j]:
                     continue
-                m = hcodes[j] + tail
-                if pos_i & last_pos[j] or neg_i & last_neg[j]:
-                    m = [m[p] for p in _kernel.survivors(m, noncomm)]
+                shared = last_i & lasts[j]
+                if shared:
+                    # conjugate both down by a shared last letter
+                    a = shared.bit_length() - 1
+                    if nbr[vid[drop_i[a] + b]] >> vid[drops[cnum[j]][a] + u] & 1:
+                        nbr[i] |= 1 << j
+                        nbr[j] |= 1 << i
+                    continue
                 kept = 0
-                for c in m:
+                for c in conjugators[cnum[j]] + tail:
                     a = abs(c) - 1
                     if st_u >> a & 1 and not kept & noncomm_mask[a]:
                         continue
@@ -232,7 +334,8 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
                 else:
                     nbr[i] |= 1 << j
                     nbr[j] |= 1 << i
-    return ExtBall(g, radius, tuple(verts.values()), tuple(nbr))
+    automorphisms = _lifted_automorphisms(g, conjugators, number, vid, cnum, bases)
+    return ExtBall(g, radius, tuple(vertices), tuple(nbr), automorphisms)
 
 
 def ball_as_graph(ball: ExtBall) -> Graph:
@@ -243,4 +346,4 @@ def ball_as_graph(ball: ExtBall) -> Graph:
     contain the name separators ('@', '.', '^-1'), which is a ValueError."""
     letters = _letter_names(ball.source)
     names = [_vertex_name(x.base, x.element.word.codes(), letters) for x in ball.vertices]
-    return Graph._from_masks(f"{ball.source.name}_ball{ball.radius}", names, ball.nbr)
+    return Graph._from_masks(f"{ball.source.name}_ball{ball.radius}", names, ball.nbr, ball.automorphisms)

@@ -5,7 +5,8 @@ algebra (complement, join, induced subgraphs), join decomposition via the
 connected components of the complement, recognition of complements of
 linear forests, and a deterministic forward-checking search for full
 (induced) embeddings, whose engine the clique-chain sequence search of
-raag.embedding shares.
+raag.embedding shares and which also finds generators of a graph's
+automorphism group for raag.extension.
 
 Derived graphs (complements, joins, induced subgraphs, join factors, path
 complements, extension balls) are built from neighbour masks by
@@ -49,9 +50,16 @@ class Graph:
     The constructor checks names and edges given from outside; graphs
     derived from other masks come from _from_masks, which checks only that
     no name repeats.
+
+    _automorphisms holds vertex permutations (tuples of indices) known to
+    be automorphisms, which full_embedding_search uses to prune its root.
+    Only the code that builds a graph can vouch for them, so the slot is
+    empty except where _from_masks is handed them (extension balls);
+    every derived graph starts empty again, and equality and hashing
+    ignore it.
     """
 
-    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash")
+    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash", "_automorphisms")
 
     def __init__(self, name: str, vertices: Iterable[str], edges: Iterable = ()):
         verts = tuple(vertices)
@@ -77,13 +85,18 @@ class Graph:
         self._nbr = tuple(nbr)
         self._nonadj = None
         self._hash = None
+        self._automorphisms = ()
 
     @classmethod
-    def _from_masks(cls, name: str, vertices: Sequence[str], nbr: Sequence[int]) -> "Graph":
-        """A graph from vertex names and neighbour masks. Only a repeated
-        name is checked (a ValueError); the names must be non-empty
-        strings, and the masks symmetric and irreflexive over the vertex
-        indices."""
+    def _from_masks(
+        cls, name: str, vertices: Sequence[str], nbr: Sequence[int], automorphisms: Sequence[Sequence[int]] = ()
+    ) -> "Graph":
+        """A graph from vertex names and neighbour masks, and optionally
+        automorphisms for _automorphisms. Only a repeated name is checked
+        (a ValueError); the names must be non-empty strings, the masks
+        symmetric and irreflexive over the vertex indices, and each
+        automorphism a permutation of those indices that keeps the
+        masks."""
         g = object.__new__(cls)
         g.name = name
         g.vertices = tuple(vertices)
@@ -94,6 +107,7 @@ class Graph:
             raise ValueError(f"duplicate vertex name {dup!r}")
         g._nbr = tuple(nbr)
         g._nonadj = g._hash = None
+        g._automorphisms = tuple(automorphisms)
         return g
 
     # -- accessors ---------------------------------------------------------
@@ -349,27 +363,43 @@ def recognize_linear_forest_complement(g: Graph) -> Optional[list[tuple[str, ...
 
 
 def _forward_check(
-    domains: list[int], links: Sequence[Sequence[tuple[int, Sequence[int]]]]
-) -> Optional[list[int]]:
-    """First assignment of one target index to each of n >= 1 positions,
-    by depth-first forward checking.
+    domains: list[int],
+    links: Sequence[Sequence[tuple[int, Sequence[int]]]],
+    symmetries: Sequence[Sequence[int]] = (),
+) -> Iterator[list[int]]:
+    """Every assignment of one target index to each of n >= 1 positions,
+    by depth-first forward checking, as a generator: first-solution
+    callers take next(..., None).
 
     domains[s] is the bitmask of target indices allowed at position s.
     Positions are assigned in order 0, 1, ..., and values in ascending bit
     order. links[s] lists, for later positions s2 only, a table indexed by
     target: placing t at s ANDs domains[s2] with table[t]. A branch is cut
     as soon as a later domain becomes empty, which loses no solution, so
-    the first assignment found is the one a plain backtracking scan in the
-    same orders would find. None when no assignment exists. The search
-    keeps an explicit stack, one frame per placed position, so its depth
-    is not bounded by the interpreter's recursion limit.
+    the assignments come in the order a plain backtracking scan in the
+    same orders would find them. The search keeps an explicit stack, one
+    frame per placed position, so its depth is not bounded by the
+    interpreter's recursion limit.
+
+    symmetries are permutations of the targets that keep every domain
+    and link table. Once a value t at position 0 has led to no
+    assignment, the rest of its orbit under the group they generate is
+    dropped from position 0: a permutation that maps t to t2 maps an
+    assignment with t2 first to one with t first. So exactly the same
+    assignments come out, in the same order, and only searches that were
+    bound to fail are skipped (root-level orbit pruning: McKay & Piperno,
+    J. Symbolic Comput. 2014). An orbit is computed only when a root
+    value fails, so a search that succeeds at its first root value pays
+    nothing for them.
     """
     n = len(domains)
     out = [0] * n
     # position s tries the values in d against doms, the domains left by
-    # the placements before it; stack holds (d, doms) of positions < s
+    # the placements before it; stack holds (d, doms) of positions < s;
+    # hit says whether the value at position 0 led to an assignment
     stack: list[tuple[int, list[int]]] = []
     s, d, doms = 0, domains[0], domains
+    hit = False
     while True:
         while d:
             low = d & -d
@@ -379,17 +409,82 @@ def _forward_check(
             for s2, table in links[s]:
                 nxt[s2] &= table[t]
                 if not nxt[s2]:
+                    if s == 0 and symmetries:
+                        d &= ~_orbit(low, symmetries)
                     break
             else:
                 out[s] = t
                 if s + 1 == n:
-                    return out
+                    hit = True
+                    yield out[:]
+                    continue
                 stack.append((d, doms))
                 s, d, doms = s + 1, nxt[s + 1], nxt
         if not stack:
-            return None
+            return
         d, doms = stack.pop()
         s -= 1
+        if s == 0:
+            if symmetries and not hit:
+                d &= ~_orbit(1 << out[0], symmetries)
+            hit = False
+
+
+def _orbit(mask: int, perms: Sequence[Sequence[int]]) -> int:
+    """The union of the orbits of the indices in mask under the group that
+    the permutations perms generate, as a bitmask."""
+    frontier = mask
+    while frontier:
+        reach = 0
+        for p in perms:
+            for x in _bits(frontier):
+                reach |= 1 << p[x]
+        frontier = reach & ~mask
+        mask |= frontier
+    return mask
+
+
+def _embedding_links(lam: Graph, gamma: Graph) -> list[list[tuple[int, Sequence[int]]]]:
+    """The forward-checking links of a full embedding of lam into gamma:
+    a later source neighbour of s keeps the neighbours of t, any other
+    later source vertex the distinct non-neighbours of t."""
+    nbr, non = gamma._nbr, _nonneighbor_masks(gamma)
+    n = len(lam)
+    return [[(s2, nbr if lam._nbr[s] >> s2 & 1 else non) for s2 in range(s + 1, n)] for s in range(n)]
+
+
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of g, as permutations of its
+    vertex indices (identity left out), along the stabilizer chain of the
+    indices 0, 1, ...: a strong generating set (Sims).
+
+    Index i is taken from the last to the first. Every generator found so
+    far fixes 0, ..., i - 1, so it lies in the stabilizer G_i of those
+    indices. Each t of i's degree that is not yet in the orbit of i under
+    those generators is tried as the image of i by one first-solution run
+    of the forward-checking engine, with 0, ..., i - 1 fixed; a solution is
+    a new generator. So the generators found at levels >= i move i onto its
+    whole G_i-orbit and, with G_(i+1), generate G_i. This costs at most
+    n(n - 1)/2 searches and never lists the group, which has up to n!
+    elements."""
+    n = len(g)
+    links = _embedding_links(g, g)
+    deg = [m.bit_count() for m in g._nbr]
+    same = [sum(1 << t for t in range(n) if deg[t] == deg[s]) for s in range(n)]
+    gens: list[tuple[int, ...]] = []
+    for i in reversed(range(n)):
+        fixed = [1 << k for k in range(i)]
+        moved = (1 << n) - (1 << i)
+        orbit = 1 << i
+        for t in _bits(same[i] & moved & ~orbit):
+            if orbit >> t & 1:
+                continue
+            found = next(_forward_check(fixed + [1 << t] + [same[s] & moved for s in range(i + 1, n)], links), None)
+            if found is None:
+                continue
+            gens.append(tuple(found))
+            orbit = _orbit(orbit, gens)
+    return gens
 
 
 def full_embedding_search(
@@ -411,6 +506,13 @@ def full_embedding_search(
     That pruning discards only branches without a solution, so the result
     is the first solution of the plain backtracking scan in the same
     orders.
+
+    When gamma carries automorphisms (extension balls do, see
+    Graph._automorphisms), the first source vertex skips every target in
+    the orbit of one where the search below it failed. An automorphism
+    keeps the prefilter and the adjacency tables, so those targets fail
+    too, and the first solution is still the one above. The restricted
+    search runs on an induced subgraph, which carries none.
     """
     if restrict is not None:
         return full_embedding_search(lam, induced_subgraph(gamma, restrict))
@@ -427,9 +529,7 @@ def full_embedding_search(
         sum(1 << t for t in range(m) if gdeg[t] >= ldeg[s] and m - 1 - gdeg[t] >= n - 1 - ldeg[s])
         for s in range(n)
     ]
-    nbr, non = gamma._nbr, _nonneighbor_masks(gamma)
-    links = [[(s2, nbr if lam._nbr[s] >> s2 & 1 else non) for s2 in range(s + 1, n)] for s in range(n)]
-    found = _forward_check(domains, links)
+    found = next(_forward_check(domains, _embedding_links(lam, gamma), gamma._automorphisms), None)
     if found is None:
         return None
     return {lam.vertices[s]: gamma.vertices[found[s]] for s in range(n)}

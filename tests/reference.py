@@ -4,9 +4,12 @@ enumerate_reduced_words reaches it only through is_reduced, and lists every
 reduced spelling, not one word per element. ext_adjacent is the extension
 graph's adjacency as defined (two distinct conjugates that commute), decided
 by commutes on one pair of vertices; ext_ball derives the same adjacency
-from conjugator supports instead.
+from conjugator supports instead. automorphisms_by_brute_force lists a
+graph's automorphism group by trying every vertex permutation, and closure
+lists the group that some permutations generate.
 """
 
+import itertools
 from collections import deque
 from typing import Iterator, Optional
 
@@ -97,3 +100,27 @@ def ext_adjacent(x: ExtVertex, y: ExtVertex) -> bool:
     if x.element == y.element:
         return False
     return commutes(x.element.word, y.element.word)
+
+
+def automorphisms_by_brute_force(g: Graph) -> set[tuple[int, ...]]:
+    """Every permutation of g's vertex indices that keeps its neighbour
+    masks."""
+    n = len(g)
+    return {
+        p for p in itertools.permutations(range(n))
+        if all(g._nbr[p[i]] == sum(1 << p[j] for j in range(n) if g._nbr[i] >> j & 1) for i in range(n))
+    }
+
+
+def closure(perms, n: int) -> set[tuple[int, ...]]:
+    """The group of permutations of range(n) that perms generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for q in perms:
+            r = tuple(q[x] for x in p)
+            if r not in group:
+                group.add(r)
+                frontier.append(r)
+    return group

@@ -100,6 +100,21 @@ def test_ext_ball_plain_and_dot(capsys, graph_file):
     assert '"a@a";' in out
 
 
+@pytest.mark.parametrize("text, vertices, digest", [
+    ("graph C5\nvertices: a b c d e\nedges: a-b b-c c-d d-e e-a\n", 145,
+     "cc7805a16556dd4b5647744d0d37a76b50b90dd240fc3d7aa8feae088ad99111"),
+    ("graph P5c\nvertices: a b c d e\nedges: a-c a-d a-e b-d b-e c-e\n", 105,
+     "405949a3af486d5bac232655a446280694be7bf289ac3b4abad5eb8491e868b1"),
+])
+def test_ext_ball_output_is_pinned(capsys, graph_file, text, vertices, digest):
+    # the whole plain output of a radius-2 ball: vertex names, their order
+    # and every edge
+    code, out, _ = run(capsys, ["ext-ball", "--graph", graph_file(text), "--radius", "2"])
+    assert code == 0
+    assert len(out.splitlines()[1].split()) == vertices + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _hom_files(tmp_path, images_lines, source_text=P4C_TEXT, target_text=P4C_TEXT):
     (tmp_path / "src.txt").write_text(source_text)
     (tmp_path / "tgt.txt").write_text(target_text)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raag import _kernel, _purekernel
+from raag import _kernel, _purekernel, extension, graphs
 from raag.extension import (
     _conjugators,
     ball_as_graph,
@@ -14,10 +15,15 @@ from raag.extension import (
 )
 from raag.graphs import (
     Graph,
+    _embedding_links,
+    _forward_check,
+    complement,
     complete_graph,
     full_embedding_search,
+    induced_subgraph,
     path_complement,
     path_graph,
+    verify_full_embedding,
 )
 from raag.words import (
     Word,
@@ -41,7 +47,7 @@ from conftest import (
     random_graph,
     random_word_letters,
 )
-from reference import enumerate_reduced_words, ext_adjacent, oracle_is_trivial
+from reference import automorphisms_by_brute_force, closure, enumerate_reduced_words, ext_adjacent, oracle_is_trivial
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
 FREE2 = Graph("free2", ["a", "b"])
@@ -175,45 +181,55 @@ def test_conjugators_are_the_elements_with_their_first_letters(monkeypatch):
                 assert len(calls) == len(ball.vertices), (g.edges(), radius)
 
 
-def test_ball_runs_the_kernel_only_on_products_that_cancel(monkeypatch):
-    # m = k h^-1 goes through survivors exactly when it is not reduced, once
-    # for each pair (x, y) that passes the base and support pre-tests, where
-    # h and k are the first conjugators of x and y in _conjugators' order
-    survivors = _kernel.survivors
-    calls = []
+def _last_letters(g, h):
+    """The signed letters c of the reduced codes h whose last occurrence is
+    followed only by letters of generators adjacent to c's."""
+    out = set()
+    for k, c in enumerate(h):
+        if c not in h[k + 1:] and all(g._nbr[abs(c) - 1] >> abs(d) - 1 & 1 for d in h[k + 1:]):
+            out.add(c)
+    return out
 
-    def counting(codes, noncomm):
-        calls.append(tuple(codes))
-        return survivors(codes, noncomm)
 
-    monkeypatch.setattr(_kernel, "survivors", counting)
-    for n in range(1, 6):
+def _without_last(h, c):
+    k = len(h) - 1 - h[::-1].index(c)
+    return h[:k] + h[k + 1:]
+
+
+def test_ball_conjugates_shared_last_letters_down_to_kept_parents(monkeypatch):
+    # no kernel call decides an edge: for x = v^h and y = u^k whose first
+    # conjugators share a signed last letter c, deleting the last c from
+    # each leaves the first conjugators of two earlier vertices, and x ~ y
+    # iff those parents are adjacent, for every shared letter
+    conjugate_codes = extension._conjugate_codes
+    survivors, pairs = [], []
+
+    def recording(winv, gen, wcodes, noncomm):
+        pairs.append((wcodes, gen))
+        return conjugate_codes(winv, gen, wcodes, noncomm)
+
+    monkeypatch.setattr(_kernel, "survivors", lambda *args: survivors.append(args))
+    monkeypatch.setattr(extension, "_conjugate_codes", recording)
+    resolved = 0
+    for n in range(2, 6):
         for g in iso_class_representatives(n):
-            for radius in (0, 1, 2, 3) if n <= 3 else (0, 1, 2):
-                firsts = {}
-                for h, *_ in _conjugators(g, radius):
-                    w = Word._from_codes(g, h)
-                    for v in g.vertices:
-                        rep = canonical_form(conjugate(Word(g, [(v, 1)]), w))
-                        firsts.setdefault(rep.word.codes(), (v, rep.word, w))
-                firsts = list(firsts.values())
-                star = {v: frozenset((v, *g.neighbors(v))) for v in g.vertices}
-                reach = [star[v] | support(h) for v, _, h in firsts]
-                expected = []
-                for i, (v, x, h) in enumerate(firsts):
-                    for j, (u, y, k) in enumerate(firsts):
-                        m = k * h.inverse()
-                        if (
-                            j > i
-                            and g.adjacent(u, v)
-                            and support(y) <= reach[i]
-                            and support(x) <= reach[j]
-                            and len(reduce(m)) < len(m)
-                        ):
-                            expected.append(m.codes())
-                calls.clear()
-                ext_ball(g, radius)
-                assert sorted(calls) == sorted(expected), (g.edges(), radius)
+            for radius in (1, 2, 3) if n <= 3 else (1, 2):
+                pairs.clear()
+                ball = ext_ball(g, radius)
+                assert len(pairs) == len(ball.vertices)
+                where = {pair: i for i, pair in enumerate(pairs)}
+                lasts = [_last_letters(g, h) for h, _ in pairs]
+                for i, (h, v) in enumerate(pairs):
+                    for j in range(i + 1, len(pairs)):
+                        k, u = pairs[j]
+                        for c in lasts[i] & lasts[j]:
+                            hp, kp = _without_last(h, c), _without_last(k, c)
+                            p, q = where[hp, v], where[kp, u]
+                            assert p < i and q < j and len(hp) == len(h) - 1 and len(kp) == len(k) - 1
+                            assert ball.adjacent(i, j) == ball.adjacent(p, q), (g.edges(), radius, h, k, c)
+                            resolved += 1
+    assert survivors == []
+    assert resolved > 90000
 
 
 # -- balls ------------------------------------------------------------------------------
@@ -521,3 +537,146 @@ def test_no_full_embedding_into_radius2_ball(target, lam):
     # search has to rule out every placement in a 105- or 36-vertex ball
     bg = ball_as_graph(ext_ball(target, 2))
     assert full_embedding_search(lam, bg) is None
+
+
+# -- symmetries of balls ------------------------------------------------------------
+
+
+def _check_lifted_automorphisms(g, radius):
+    """Each permutation of ball.automorphisms is an automorphism of the
+    ball that keeps conjugator length, and is either word reversal or the
+    lift of an automorphism s of g, read off the radius-0 slice: it maps
+    each vertex to the canonical form of the reversed word, respectively of
+    s applied letter by letter. The lifts of g's automorphisms generate
+    Aut(g)."""
+    ball = ext_ball(g, radius)
+    n, size = len(g), len(ball.vertices)
+    words = [x.element.word for x in ball.vertices]
+    aut = set(automorphisms_by_brute_force(g))
+    sigmas = []
+    for perm in ball.automorphisms:
+        assert sorted(perm) == list(range(size)) and perm != tuple(range(size))
+        for i in range(size):
+            assert ball.nbr[perm[i]] == sum(1 << perm[j] for j in range(size) if ball.nbr[i] >> j & 1)
+            assert len(words[perm[i]]) == len(words[i])
+        sigma = perm[:n]
+        if sigma == tuple(range(n)):
+            images = [Word(g, list(reversed(w.letters))) for w in words]
+        else:
+            assert sigma in aut, (g.edges(), radius, sigma)
+            images = [Word(g, [(g.vertices[sigma[g.index(v)]], e) for v, e in w.letters]) for w in words]
+            sigmas.append(sigma)
+        assert [canonical_form(w) for w in images] == [ball.vertices[perm[i]].element for i in range(size)]
+    assert closure(sigmas, n) == aut, (g.edges(), radius)
+    return ball
+
+
+def test_lifted_automorphisms_are_automorphisms_of_the_ball():
+    reversed_somewhere = False
+    for n in range(1, 5):
+        for g in all_labeled_graphs(n):
+            for radius in (0, 1, 2):
+                ball = _check_lifted_automorphisms(g, radius)
+                reversed_somewhere |= any(p[:n] == tuple(range(n)) for p in ball.automorphisms)
+    assert reversed_somewhere
+    for g in (path_graph(5), cycle_graph(5), cycle_graph(6), path_complement(5)):
+        ball = _check_lifted_automorphisms(g, 2)
+        # word reversal and at least one lift of a non-trivial automorphism
+        assert len({p[:len(g)] == tuple(range(len(g))) for p in ball.automorphisms}) == 2
+
+
+def _named_graph(name, prefix):
+    """C<n>: cycle, P<n>: path, P<n>c: complement of a path, K<n>: complete."""
+    n = int(name[1:].rstrip("c"))
+    if name[0] == "C":
+        return cycle_graph(n, prefix)
+    if name[0] == "K":
+        return complete_graph(n, prefix=prefix)
+    if name.endswith("c"):
+        return path_complement(n, prefix=prefix)
+    return path_graph(n, prefix=prefix)
+
+
+# the (target, radius, source) queries of the ext_query benchmark workload
+EXT_QUERIES = (
+    ("C5", 1, "P8"), ("C5", 1, "C4"), ("C5", 1, "P5c"), ("C5", 1, "C7"), ("C5", 2, "C4"),
+    ("P4", 2, "P8"), ("P4", 2, "C6"), ("P4", 2, "P5c"), ("P4", 2, "P7"), ("P4", 2, "C7"),
+    ("P5c", 1, "P7"), ("P5c", 1, "C6"), ("P5c", 1, "P6"), ("P5c", 1, "K3"), ("P5c", 1, "C5"),
+    ("P5c", 2, "P6"), ("P5c", 2, "K4"), ("P5c", 2, "P6c"),
+    ("C4", 2, "P4"), ("C4", 2, "P5"), ("C4", 2, "P6"), ("C4", 2, "C5"),
+    ("C6", 1, "C7"),
+)
+BALL_GRAPHS = {}
+
+
+def _ball_graph(target, radius):
+    if (target, radius) not in BALL_GRAPHS:
+        BALL_GRAPHS[target, radius] = ball_as_graph(ext_ball(_named_graph(target, "a"), radius))
+    return BALL_GRAPHS[target, radius]
+
+
+def _without_symmetries(bg):
+    return Graph._from_masks(bg.name, bg.vertices, bg._nbr)
+
+
+def test_search_keeps_its_first_solution_under_ball_symmetries():
+    found = []
+    for target, radius, source in EXT_QUERIES:
+        bg = _ball_graph(target, radius)
+        assert bg._automorphisms
+        lam = _named_graph(source, "x")
+        got = full_embedding_search(lam, bg)
+        assert got == full_embedding_search(lam, _without_symmetries(bg)), (target, radius, source)
+        found.append(got is not None)
+    assert found.count(True) == 7
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_graphs(1, 7, "x"), st.sampled_from(sorted({q[:2] for q in EXT_QUERIES})))
+def test_search_keeps_its_first_solution_on_sampled_sources(lam, ball):
+    bg = _ball_graph(*ball)
+    assert full_embedding_search(lam, bg) == full_embedding_search(lam, _without_symmetries(bg))
+
+
+def test_search_engine_under_ball_symmetries_yields_every_assignment():
+    # pruning drops only root values whose subtree is empty, so the engine
+    # yields every assignment, in order, with or without the symmetries
+    bg = _ball_graph("C5", 1)
+    counts = []
+    for lam in (path_graph(3, "x"), cycle_graph(4, "x"), Graph("free", ["x", "y"]), path_complement(4, "x")):
+        n, m = len(lam), len(bg)
+        domains = [(1 << m) - 1] * n
+        links = _embedding_links(lam, bg)
+        everything = list(_forward_check(domains, links))
+        assert list(_forward_check(domains, links, bg._automorphisms)) == everything
+        counts.append(len(set(map(tuple, everything))))
+        assert counts[-1] == len(everything)
+        for found in everything:
+            assert verify_full_embedding(lam, bg, {v: bg.vertices[t] for v, t in zip(lam.vertices, found)})
+    # C4 does not embed (a pinned ext_query answer); the others do
+    assert counts[1] == 0 and all(counts[:1] + counts[2:])
+
+
+def test_graphs_derived_from_a_ball_carry_no_symmetries(monkeypatch):
+    bg = _ball_graph("C5", 1)
+    assert bg._automorphisms
+    assert complement(bg)._automorphisms == ()
+    assert induced_subgraph(bg, bg.vertices)._automorphisms == ()
+    searched = []
+    search = graphs.full_embedding_search
+
+    def recording(lam, gamma, restrict=None):
+        searched.append(gamma)
+        return search(lam, gamma, restrict)
+
+    monkeypatch.setattr(graphs, "full_embedding_search", recording)
+    assert graphs.full_embedding_search(path_graph(3, "x"), bg, restrict=bg.vertices[:10]) is not None
+    assert [g._automorphisms for g in searched[1:]] == [()]
+
+
+def test_graph_equality_and_hash_ignore_symmetries():
+    bg = _ball_graph("P5c", 1)
+    bare = _without_symmetries(bg)
+    assert bg._automorphisms and bare._automorphisms == ()
+    assert bg == bare and hash(bg) == hash(bare)
+    assert bg == Graph(bg.name, bg.vertices, bg.edges())

@@ -20,9 +20,11 @@ from raag.graphs import (
     path_graph,
     recognize_linear_forest_complement,
     verify_full_embedding,
+    _automorphism_generators,
 )
 
 from conftest import all_labeled_graphs, assert_same_as_rebuilt, cycle_graph, drawn_graphs, random_graph
+from reference import automorphisms_by_brute_force, closure
 
 
 # -- construction and basic accessors ------------------------------------------
@@ -439,6 +441,22 @@ def test_search_returns_the_reference_mapping():
     check()
     # found and not found, each with and without restrict
     assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_automorphism_generators_generate_the_automorphism_group():
+    # a strong generating set: no identity, every generator an automorphism,
+    # and the group they generate is the whole automorphism group
+    rnd = random.Random(1989)
+    graphs = [g for n in range(1, 5) for g in all_labeled_graphs(n)]
+    graphs += [random_graph(rnd, rnd.randint(5, 6), rnd.random()) for _ in range(40)]
+    graphs += [cycle_graph(6), cycle_graph(7), complete_graph(6), Graph("free6", list("abcdef")),
+               path_complement(6), graph_join([path_graph(3, "a"), path_graph(3, "b")])]
+    for g in graphs:
+        gens = _automorphism_generators(g)
+        aut = automorphisms_by_brute_force(g)
+        assert tuple(range(len(g))) not in gens and set(gens) <= aut, g.edges()
+        assert closure(gens, len(g)) == aut, g.edges()
+        assert len(gens) <= len(g) * (len(g) - 1) // 2
 
 
 def test_search_deeper_than_the_recursion_limit():
