@@ -33,8 +33,12 @@ under either kernel, reads a cached reduced form that an earlier run
 filled.
 
 Each row runs under each kernel by rebinding raag._kernel.normalize and
-raag._kernel.survivors, which every caller looks up there. Each figure is
-the minimum of 3 runs, in seconds.
+raag._kernel.survivors, which every caller looks up there. Each row runs
+7 times per kernel; pure_s and compiled_s are the median, in seconds, and
+pure_min_s and compiled_min_s the minimum. The median is steadier than a
+minimum of few runs, but on a shared host the host's speed can still move
+a row by tens of percent between runs minutes apart, so compare labels
+run close together.
 
 Runs of different checkouts go into one file, each under its own --label,
 so a change and its parent can be read side by side (run this script with
@@ -50,6 +54,7 @@ import argparse
 import json
 import platform
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -67,7 +72,7 @@ except ImportError:
     _speedups = None
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS = 3
+REPEATS = 7
 BALL_GRAPH_CALLS = 20
 SEARCH_PASSES = 10
 
@@ -101,16 +106,16 @@ def kernel_jobs():
     return out
 
 
-def best_of(run, setup=None):
-    """The fastest of REPEATS runs; with a setup, each run gets a new
-    setup() as its argument, built outside the timing."""
+def median_and_min(run, setup=None):
+    """The median and the minimum of REPEATS runs; with a setup, each run
+    gets a new setup() as its argument, built outside the timing."""
     times = []
     for _ in range(REPEATS):
         args = (setup(),) if setup else ()
         start = time.perf_counter()
         run(*args)
         times.append(time.perf_counter() - start)
-    return min(times)
+    return statistics.median(times), min(times)
 
 
 def draw_instances(cfg):
@@ -195,10 +200,12 @@ def rows():
     out = []
 
     def row(layer, case, run, setup=None):
-        entry = {"layer": layer, "case": case, "pure_s": None, "compiled_s": None}
+        entry = {"layer": layer, "case": case, "pure_s": None, "compiled_s": None,
+                 "pure_min_s": None, "compiled_min_s": None}
         for label, module in kernels:
             use_kernel(module)
-            entry[f"{label}_s"] = round(best_of(run, setup), 4)
+            median, least = median_and_min(run, setup)
+            entry[f"{label}_s"], entry[f"{label}_min_s"] = round(median, 4), round(least, 4)
         out.append(entry)
         print(f"{layer:<8} {case:<58} {entry['pure_s']:>9}s {entry['compiled_s'] or 'n/a':>9}"
               + ("" if entry["compiled_s"] is None else "s"), flush=True)

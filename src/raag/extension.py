@@ -6,8 +6,9 @@ is infinite in general, so this module computes the finite approximation
 obtained by bounding the length of the (reduced) conjugating words; the
 radius-0 ball is the original graph.
 
-Vertices are canonicalized as group elements, so conjugates that coincide
-as elements are merged regardless of which conjugator produced them.
+Vertices are spelled by canonical words. For v^h with h shortest, that is
+canon(h^-1) v h (see ext_ball), which gives back h (its tail) and v (its
+middle letter); so distinct such pairs give distinct vertices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from raag import _kernel
-from raag.graphs import Graph, _automorphism_generators, _bits, _nonneighbor_masks
+from raag.graphs import Graph, _bits, _nonneighbor_masks
 from raag.words import GroupElement, Word, _code_mask
 from raag.words import commutes  # noqa: F401  (unused here; perfbench's tests expect it bound in this module)
 
@@ -51,20 +52,13 @@ def _vertex_name(base: str, codes: tuple[int, ...], letters: dict[int, str]) -> 
     return f"{base}@{'.'.join(letters[c] for c in codes)}"
 
 
-def _conjugate_codes(winv: tuple[int, ...], gen: int, wcodes: tuple[int, ...], noncomm) -> tuple:
-    """The canonical codes of w^-1 v w, for the generator v of index gen,
-    given the codes of w and of its inverse."""
-    return tuple(_kernel.normalize(winv + (gen + 1,) + wcodes, noncomm))
-
-
 def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
-    """The extension-graph vertex v^conjugator, canonicalized."""
+    """The extension-graph vertex v^conjugator, canonicalized by the kernel."""
     g = conjugator.graph
     if v not in g:
         raise ValueError(f"foreign vertex {v!r} for graph {g.name!r}")
-    key = _conjugate_codes(conjugator.inverse().codes(), g._index[v], conjugator.codes(),
-                           g.nonneighbor_table())
-    return ExtVertex(v, GroupElement(Word._from_codes(g, key)))
+    codes = conjugator.inverse().codes() + (g._index[v] + 1,) + conjugator.codes()
+    return ExtVertex(v, GroupElement(Word._from_codes(g, tuple(_kernel.normalize(codes, g.nonneighbor_table())))))
 
 
 def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
@@ -179,7 +173,7 @@ def _lifted_automorphisms(
     n = len(g)
     flip = [n * number[tuple([-c for c in h])] for h in conjugators]
     perms = [tuple([vid[flip[c] + b] for c, b in zip(cnum, bases)])]
-    for sigma in _automorphism_generators(g):
+    for sigma in g._automorphism_gens():
         letter = {}
         for a, t in enumerate(sigma):
             letter[a + 1], letter[-a - 1] = t + 1, -t - 1
@@ -204,17 +198,27 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     to one to the cosets A(st(v)) h. The pair (h, v) is skipped when a first
     letter a of h (one that commutes with every letter before it) lies in
     st(v): then h = a h' with h' shorter, and v^h = v^h' was met at h'.
-    Otherwise h is the unique shortest element of its coset, so v^h is new,
-    and one normalization builds it. Conjugates are still deduplicated by
-    canonical representative, so the output does not depend on that
-    uniqueness argument; each vertex keeps its first conjugator, and a
-    table maps every kept pair (h, v) to the index of the vertex v^h.
+    Otherwise h is the unique shortest element of its coset, so v^h is new;
+    each vertex keeps that conjugator, and a table maps every kept pair
+    (h, v) to the index of the vertex v^h.
+
+    No kernel call builds a vertex: the canonical word of v^h is
+    canon(h^-1) v h. By induction along a kept h, each of its letters is
+    linked to v by a chain of letters that neither commute nor share a
+    generator: a letter that commutes with v lies in st(v), so it is not a
+    first letter, and an earlier letter of h blocks it. So in the trace of
+    h^-1 v h (Cartier & Foata 1969) the letters of h^-1 come before v and
+    those of h after it: the word is reduced, and its lex-least spelling is
+    that of h^-1, then v, then h, which is canonical. With h = c h', h' is
+    canonical (a suffix of a canonical word) and numbered earlier, so
+    canon(h^-1) is canon(h'^-1) c^-1 by _append_canonical, once per
+    conjugator.
 
     Adjacency uses the centralizer of a generator v, the subgroup A(st(v))
     generated by its star (Servatius, J. Algebra 1989). Let h and k be the
     first conjugators that produced x = h^-1 v h and y = k^-1 u k. Then y
     commutes with x iff h y h^-1 = u^m lies in A(st(v)), where m = k h^-1.
-    Two necessary conditions reject most pairs without a normalization. The
+    Two necessary conditions reject most pairs before any scan. The
     bases of x and y are adjacent in g: conjugates of one generator commute
     only when equal, and the retraction onto the subgroup generated by two
     non-adjacent generators, a free group, maps their conjugates to
@@ -254,60 +258,54 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     canonical word canonical, so each image is a kept pair, looked up in
     the table once the canonical s(h) is known; that comes from the
     canonical s of h's prefix by _append_canonical, once per conjugator.
-    The generators of Aut(g) come from _automorphism_generators.
+    The generators of Aut(g) are cached on g (Graph._automorphism_gens).
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     n = len(g)
-    noncomm = g.nonneighbor_table()
     st_mask = [g._star_meet(1 << a) for a in range(n)]
     noncomm_mask = _nonneighbor_masks(g)
-    # the table: every conjugator in shortlex order, its number, and
-    # vid[n * number + base index], the vertex of each kept pair (-1 for a
-    # skipped one); per conjugator, per bit of its last-letter mask (bit a
-    # for a, bit n + a for a^-1), n times the number of the conjugator with
-    # that letter deleted
+    # the table: every conjugator in shortlex order, its number, its
+    # canonical inverse, and vid[n * number + base index], the vertex of
+    # each kept pair (-1 for a skipped one); per conjugator, per bit of its
+    # last-letter mask (bit a for a, bit n + a for a^-1), n times the number
+    # of the conjugator with that letter deleted
     conjugators: list[tuple[int, ...]] = []
     number: dict[tuple[int, ...], int] = {}
+    inverses: list[tuple[int, ...]] = []
     drops: list[dict[int, int]] = []
     vid: list[int] = []
     blank = [-1] * n
-    # the vertex index of each canonical code tuple; per vertex the number
-    # of its first conjugator, the index of its generator and the
-    # conjugator's last-letter mask
-    index: dict[tuple[int, ...], int] = {}
+    # per vertex: the number of its conjugator h, the index of its generator
+    # v, h's last-letter mask, the support of v^h (canonical words are
+    # reduced, so their letters are their support) and supp(h) | st(v); per
+    # generator, the vertices it is the base of
     vertices: list[ExtVertex] = []
-    cnum: list[int] = []
-    bases: list[int] = []
-    lasts: list[int] = []
+    cnum, bases, lasts, supports, reach = [], [], [], [], []
+    with_base: list[list[int]] = [[] for _ in g.vertices]
     for h, first, pos, neg in _conjugators(g, radius):
         num = number[h] = len(conjugators)
         conjugators.append(h)
+        hinv = _append_canonical(inverses[number[h[1:]]], -h[0], g._nbr) if h else ()
+        inverses.append(hinv)
         last = pos | neg << n
         drops.append({a: n * number[_drop_last(h, a + 1 if a < n else n - a - 1)] for a in _bits(last)})
         vid += blank
-        hinv = tuple(-c for c in reversed(h))
+        supp = _code_mask(h)
         for gen, v in enumerate(g.vertices):
             if first & st_mask[gen]:
                 continue
-            key = _conjugate_codes(hinv, gen, h, noncomm)
-            i = index.get(key)
-            if i is None:
-                i = index[key] = len(vertices)
-                vertices.append(ExtVertex(v, GroupElement(Word._from_codes(g, key))))
-                cnum.append(num)
-                bases.append(gen)
-                lasts.append(last)
-            vid[n * num + gen] = i
-    with_base: list[list[int]] = [[] for _ in g.vertices]
-    for j, b in enumerate(bases):
-        with_base[b].append(j)
-    # canonical words are reduced, so their letters are their support
-    supports = [_code_mask(key) for key in index]
-    reach = [st_mask[b] | _code_mask(conjugators[c]) for b, c in zip(bases, cnum)]
+            vid[n * num + gen] = i = len(vertices)
+            with_base[gen].append(i)
+            vertices.append(ExtVertex(v, GroupElement(Word._from_codes(g, hinv + (gen + 1,) + h))))
+            cnum.append(num)
+            bases.append(gen)
+            lasts.append(last)
+            supports.append(supp | 1 << gen)
+            reach.append(supp | st_mask[gen])
     nbr = [0] * len(bases)
     for i, b in enumerate(bases):
-        tail = tuple(-c for c in reversed(conjugators[cnum[i]]))
+        tail = inverses[cnum[i]]
         st_v, supp_i, reach_i = st_mask[b], supports[i], reach[i]
         last_i, drop_i = lasts[i], drops[cnum[i]]
         for u in _bits(g._nbr[b]):

@@ -56,10 +56,12 @@ class Graph:
     Only the code that builds a graph can vouch for them, so the slot is
     empty except where _from_masks is handed them (extension balls);
     every derived graph starts empty again, and equality and hashing
-    ignore it.
+    ignore it. _autgens caches the generators of the full automorphism
+    group (_automorphism_gens); every graph, derived ones included, starts
+    without them.
     """
 
-    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash", "_automorphisms")
+    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash", "_automorphisms", "_autgens")
 
     def __init__(self, name: str, vertices: Iterable[str], edges: Iterable = ()):
         verts = tuple(vertices)
@@ -83,8 +85,7 @@ class Graph:
         self.vertices = verts
         self._index = index
         self._nbr = tuple(nbr)
-        self._nonadj = None
-        self._hash = None
+        self._nonadj = self._hash = self._autgens = None
         self._automorphisms = ()
 
     @classmethod
@@ -106,7 +107,7 @@ class Graph:
             dup = next(v for v in g.vertices if v in seen or seen.add(v))
             raise ValueError(f"duplicate vertex name {dup!r}")
         g._nbr = tuple(nbr)
-        g._nonadj = g._hash = None
+        g._nonadj = g._hash = g._autgens = None
         g._automorphisms = tuple(automorphisms)
         return g
 
@@ -157,6 +158,13 @@ class Graph:
         if self._nonadj is None:
             self._nonadj = tuple(tuple(_bits(m)) for m in _nonneighbor_masks(self))
         return self._nonadj
+
+    def _automorphism_gens(self) -> tuple[tuple[int, ...], ...]:
+        """The generators of Aut(self) that _automorphism_generators finds;
+        cached on first use."""
+        if self._autgens is None:
+            self._autgens = tuple(_automorphism_generators(self))
+        return self._autgens
 
     # -- vertex sets as bitmasks over vertex indices ---------------------------
 

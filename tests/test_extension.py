@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raag import _kernel, _purekernel, extension, graphs
+from raag import _kernel, _purekernel, graphs
 from raag.extension import (
     _conjugators,
     ball_as_graph,
@@ -155,7 +155,7 @@ def test_conjugators_are_the_elements_with_their_first_letters(monkeypatch):
     # one canonical word per element, in shortlex order; the first-letter
     # mask holds the generators a for which a h or a^-1 h is shorter than h,
     # the last-letter masks those for which h a^-1, respectively h a, is;
-    # and ext_ball normalizes one conjugate per vertex, never a repeat
+    # and ext_ball builds every vertex without normalizing anything
     normalize = _kernel.normalize
     calls = []
 
@@ -177,8 +177,8 @@ def test_conjugators_are_the_elements_with_their_first_letters(monkeypatch):
                     assert pos == _shortened_by(g, word, -1, False), (g.edges(), h)
                     assert neg == _shortened_by(g, word, 1, False), (g.edges(), h)
                 calls.clear()
-                ball = ext_ball(g, radius)
-                assert len(calls) == len(ball.vertices), (g.edges(), radius)
+                ext_ball(g, radius)
+                assert calls == [], (g.edges(), radius)
 
 
 def _last_letters(g, h):
@@ -196,28 +196,28 @@ def _without_last(h, c):
     return h[:k] + h[k + 1:]
 
 
+def _kept_pairs(ball):
+    """Per vertex v^h of the ball, (h, index of v), read from its codes
+    canon(h^-1) v h."""
+    g = ball.source
+    return [(x.element.word.codes()[len(x.element.word) // 2 + 1:], g.index(x.base)) for x in ball.vertices]
+
+
 def test_ball_conjugates_shared_last_letters_down_to_kept_parents(monkeypatch):
     # no kernel call decides an edge: for x = v^h and y = u^k whose first
     # conjugators share a signed last letter c, deleting the last c from
     # each leaves the first conjugators of two earlier vertices, and x ~ y
     # iff those parents are adjacent, for every shared letter
-    conjugate_codes = extension._conjugate_codes
-    survivors, pairs = [], []
-
-    def recording(winv, gen, wcodes, noncomm):
-        pairs.append((wcodes, gen))
-        return conjugate_codes(winv, gen, wcodes, noncomm)
-
+    survivors = []
     monkeypatch.setattr(_kernel, "survivors", lambda *args: survivors.append(args))
-    monkeypatch.setattr(extension, "_conjugate_codes", recording)
     resolved = 0
     for n in range(2, 6):
         for g in iso_class_representatives(n):
             for radius in (1, 2, 3) if n <= 3 else (1, 2):
-                pairs.clear()
                 ball = ext_ball(g, radius)
-                assert len(pairs) == len(ball.vertices)
+                pairs = _kept_pairs(ball)
                 where = {pair: i for i, pair in enumerate(pairs)}
+                assert len(where) == len(ball.vertices)
                 lasts = [_last_letters(g, h) for h, _ in pairs]
                 for i, (h, v) in enumerate(pairs):
                     for j in range(i + 1, len(pairs)):
@@ -371,10 +371,52 @@ def test_ball_under_the_compiled_kernel_matches_the_pure_kernel(compiled_kernel,
     monkeypatch.setattr(_kernel, "normalize", _purekernel.normalize)
     monkeypatch.setattr(_kernel, "survivors", _purekernel.survivors)
     pure = [ext_ball(g, radius) for g, radius in graphs]
+    # ext_ball calls no kernel, so rebuild every vertex with ext_vertex,
+    # which does
+    probes = [(x.base, Word._from_codes(ball.source, h))
+              for ball in pure for x, (h, _) in zip(ball.vertices, _kept_pairs(ball))]
+    by_pure = [ext_vertex(v, h) for v, h in probes]
+    assert by_pure == [x for ball in pure for x in ball.vertices]
     monkeypatch.setattr(_kernel, "normalize", compiled_kernel.normalize)
     monkeypatch.setattr(_kernel, "survivors", compiled_kernel.survivors)
     for (g, radius), expected in zip(graphs, pure):
         assert ext_ball(g, radius) == expected, (g.edges(), radius)
+    assert [ext_vertex(v, h) for v, h in probes] == by_pure
+
+
+def _check_vertices_spelled_without_the_kernel(g, radius):
+    """Every vertex v^h of the ball is spelled canon(h^-1) v h, which is
+    the canonical word the kernel gives v^h."""
+    ball = ext_ball(g, radius)
+    for x, (h, gen) in zip(ball.vertices, _kept_pairs(ball)):
+        codes = x.element.word.codes()
+        hinv = canonical_form(Word._from_codes(g, h).inverse()).word.codes()
+        assert codes == hinv + (gen + 1,) + h, (g.edges(), radius, codes)
+        assert codes == ext_vertex(x.base, Word._from_codes(g, h)).element.word.codes(), (g.edges(), radius, codes)
+
+
+def test_ball_vertices_are_the_canonical_inverse_then_base_then_conjugator():
+    for n in range(2, 6):
+        for g in iso_class_representatives(n):
+            for radius in (1, 2, 3) if n <= 3 else (1, 2):
+                _check_vertices_spelled_without_the_kernel(g, radius)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(drawn_graphs(1, 6, "a"), st.integers(1, 2))
+def test_ball_vertices_match_the_kernel_on_drawn_graphs(g, radius):
+    _check_vertices_spelled_without_the_kernel(g, radius)
+
+
+def test_ball_makes_no_kernel_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel called")
+
+    balls = [(cycle_graph(5), 2), (path_graph(4), 3), (path_complement(5), 2), (FREE2, 3)]
+    expected = [ext_ball(g, radius) for g, radius in balls]
+    monkeypatch.setattr(_kernel, "normalize", refuse)
+    monkeypatch.setattr(_kernel, "survivors", refuse)
+    assert [ext_ball(g, radius) for g, radius in balls] == expected
 
 
 def test_ball_vertices_monotone_in_radius():
@@ -672,6 +714,23 @@ def test_graphs_derived_from_a_ball_carry_no_symmetries(monkeypatch):
     monkeypatch.setattr(graphs, "full_embedding_search", recording)
     assert graphs.full_embedding_search(path_graph(3, "x"), bg, restrict=bg.vertices[:10]) is not None
     assert [g._automorphisms for g in searched[1:]] == [()]
+
+
+def test_automorphism_generators_are_cached_per_graph():
+    g = cycle_graph(6)
+    assert g._autgens is None
+    gens = g._automorphism_gens()
+    assert gens == tuple(graphs._automorphism_generators(g)) and g._autgens is gens
+    assert g._automorphism_gens() is gens
+    ext_ball(g, 1)
+    assert g._autgens is gens
+    bg = ball_as_graph(ext_ball(g, 1))
+    assert bg._autgens is None
+    bg._automorphism_gens()
+    for derived in (complement(g), induced_subgraph(g, g.vertices), complement(bg),
+                    induced_subgraph(bg, bg.vertices), Graph(g.name, g.vertices, g.edges())):
+        assert derived._autgens is None
+    assert bg == _without_symmetries(bg) and hash(bg) == hash(_without_symmetries(bg))
 
 
 def test_graph_equality_and_hash_ignore_symmetries():
