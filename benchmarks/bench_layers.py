@@ -16,12 +16,22 @@ Rows:
   _random_hom draws of those 500 trials);
 - words: reduce, support, is_trivial and canonical_form, one row each, on
   the raw image words of the perfbench extract_long pool of seed 1, cold;
+  then commutes on every pair of images of each homomorphism of that pool,
+  cold, where every image lies over a clique, so the centralizer test
+  decides each pair from the two supports, and on COMMUTE_PAIRS pairs of
+  random 12-letter words over 8 generators, cold, whose supports seldom
+  span a clique, so almost every pair goes to the kernel through
+  is_trivial of the commutator;
 - graphs: join_decompose on the 800 sources of that pool, and complement
   after induced_subgraph on each target's image support union (the
   support graph of the structural certificate), one pass each; then
   full_embedding_search on the 23 perfbench ext_query queries, and on its
   slowest one alone (P6c into the P5c radius-2 ball), SEARCH_PASSES passes
   each, with every ball and ball graph built once outside the timing;
+  then sequence_search on the clique chains of every anti-path factor of
+  2 or at least 4 vertices of that pool (the chains extract_anti_path
+  searches), SEARCH_PASSES passes, with the chains built once outside the
+  timing;
 - extract_full: one pass of extract_full over the 800 homomorphisms of that
   pool.
 
@@ -60,11 +70,11 @@ import time
 from pathlib import Path
 
 from raag import _kernel, _purekernel, graphs
-from raag.embedding import HomSpec, extract_full
+from raag.embedding import HomSpec, build_clique_chain, extract_full, sequence_search
 from raag.extension import ball_as_graph, ext_ball
 from raag.graphs import Graph, complement, induced_subgraph, join_decompose, path_graph
 from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
-from raag.words import Word, canonical_form, is_trivial, reduce, support
+from raag.words import Word, canonical_form, commutes, is_trivial, reduce, support
 
 try:
     from raag import _speedups
@@ -75,6 +85,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 7
 BALL_GRAPH_CALLS = 20
 SEARCH_PASSES = 10
+COMMUTE_PAIRS = 3000
 
 
 def make_graph(rng, n, p):
@@ -171,6 +182,39 @@ def fresh_images(pool):
     return [Word._from_codes(w.graph, w.codes()) for h in pool for w in h.images.values()]
 
 
+def fresh_image_pairs(pool):
+    """Every pair of images of each hom of the pool, as new words."""
+    out = []
+    for h in pool:
+        images = [Word._from_codes(w.graph, w.codes()) for w in h.images.values()]
+        out += [(a, b) for i, a in enumerate(images) for b in images[i + 1:]]
+    return out
+
+
+def random_word_pairs():
+    """One 8-generator graph of density 0.5 and the codes of COMMUTE_PAIRS
+    pairs of random 12-letter words over it."""
+    rng = random.Random(20241)
+    g = make_graph(rng, 8, 0.5)
+    return g, [(make_codes(rng, 8, 12), make_codes(rng, 8, 12)) for _ in range(COMMUTE_PAIRS)]
+
+
+def fresh_word_pairs(g, pairs):
+    """The pairs of codes as new words over g."""
+    return [(Word._from_codes(g, tuple(a)), Word._from_codes(g, tuple(b))) for a, b in pairs]
+
+
+def pool_chains(pool):
+    """The clique chain of every anti-path factor of 2 or at least 4
+    vertices of each hom of the pool, in pool and factor order."""
+    out = []
+    for h in pool:
+        for c in join_decompose(h.source).components:
+            if len(c.graph) == 2 or len(c.graph) >= 4:
+                out.append(build_clique_chain(h.restricted(c.graph)))
+    return out
+
+
 def support_unions(pool):
     """(target, union of the image supports in target order) per hom."""
     out = []
@@ -239,6 +283,11 @@ def rows():
     for function in (reduce, support, is_trivial, canonical_form):
         row("words", f"{function.__name__} on the extract_long pool images (seed 1, cold)",
             lambda words, function=function: [function(w) for w in words], lambda: fresh_images(pool))
+    row("words", "commutes on every image pair of each extract_long pool hom (seed 1, cold)",
+        lambda pairs: [commutes(a, b) for a, b in pairs], lambda: fresh_image_pairs(pool))
+    g, pairs = random_word_pairs()
+    row("words", f"commutes on {COMMUTE_PAIRS} pairs of random 12-letter words, 8 generators (cold)",
+        lambda fresh: [commutes(a, b) for a, b in fresh], lambda: fresh_word_pairs(g, pairs))
     sources, unions = [h.source for h in pool], support_unions(pool)
     row("graphs", "join_decompose on the extract_long pool sources (800, seed 1)",
         lambda: [join_decompose(g) for g in sources])
@@ -251,6 +300,9 @@ def rows():
         row("graphs", f"full_embedding_search x{SEARCH_PASSES} on {case}",
             lambda queries=queries: [graphs.full_embedding_search(lam, bg)
                                      for _ in range(SEARCH_PASSES) for lam, bg in queries])
+    chains = pool_chains(pool)
+    row("graphs", f"sequence_search x{SEARCH_PASSES} on the {len(chains)} extract_long pool chains (seed 1)",
+        lambda: [sequence_search(chain) for _ in range(SEARCH_PASSES) for chain in chains])
     row("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
         lambda specs: [extract_full(h) for h in specs], lambda: fresh_pool(pool))
     return out

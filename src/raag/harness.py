@@ -15,20 +15,31 @@ set of generators with nonzero exponent sum, and that set spans a clique.
 By Servatius's centralizer theorem ("Automorphisms of graph groups",
 J. Algebra 1989) two such images a and b commute iff supp(b) lies in the
 star meet of supp(a), the AND of the stars of its vertices, which
-raag.graphs computes for cliques and centralizers alike. So a table is
-accepted or rejected from bitmasks alone, without reducing a word;
-validate_hom runs once per trial, inside extract_full.
+raag.graphs computes for cliques and centralizers alike. The loop that
+draws an image word also sums its exponents and returns that support as a
+bitmask, so a table is accepted or rejected from bitmasks alone, without
+reducing or recounting a word; validate_hom runs once per trial, inside
+extract_full.
+
+Every uniform draw inside a trial (clique vertices, word lengths, letters
+and signs) calls the trial generator's getrandbits directly, under
+Random's own rejection rule for randrange(n): n.bit_length() bits, drawn
+again while they read n or more. The generator therefore yields the same
+bits in the same order as rng.choice and rng.randint would, and the
+reports are unchanged, without two or three Python frames per draw.
+rng.random, rng.shuffle and the once-per-trial graph and source draws
+stay on the public methods.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from raag.embedding import FullEmbedding, HomSpec, KernelWitness, extract_full
 from raag.graphs import Graph, _bits, graph_join, path_complement
-from raag.words import Word, _code_mask
+from raag.words import Word
 
 _IMAGE_ATTEMPTS = 50
 
@@ -127,12 +138,28 @@ def _tables(g: Graph) -> _Tables:
     return _Tables(tuple(range(1, len(g) + 1)), [tuple(j + 1 for j in _bits(m)) for m in g._nbr], g._nbr)
 
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n) by Random's own rule, as rng.randrange(n) and
+    rng.choice make it: k = n.bit_length() bits from bits (an rng's
+    getrandbits), drawn again while they read n or more. Raises IndexError
+    on n = 0, as rng.choice([]) does, where getrandbits(0) would return 0
+    forever."""
+    if n <= 0:
+        raise IndexError("cannot draw from an empty range")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_clique(rng: random.Random, t: _Tables) -> list[int]:
-    clique = [rng.choice(t.codes)]
+    bits = rng.getrandbits
+    clique = [1 + _below(bits, len(t.codes))]
     # the common neighbours of the clique so far, in vertex order
     candidates = t.links[clique[0] - 1]
     while candidates and rng.random() < 0.7:
-        c = rng.choice(candidates)
+        c = candidates[_below(bits, len(candidates))]
         clique.append(c)
         mask = t.nbr[c - 1]
         candidates = [d for d in candidates if mask >> (d - 1) & 1]
@@ -140,7 +167,7 @@ def _random_clique(rng: random.Random, t: _Tables) -> list[int]:
 
 
 def _maximal_clique(rng: random.Random, t: _Tables) -> list[int]:
-    clique = [rng.choice(t.codes)]
+    clique = [1 + _below(rng.getrandbits, len(t.codes))]
     common = t.nbr[clique[0] - 1]
     order = list(t.codes)
     rng.shuffle(order)
@@ -151,18 +178,44 @@ def _maximal_clique(rng: random.Random, t: _Tables) -> list[int]:
     return clique
 
 
-def _random_word_over(rng: random.Random, clique: list[int]) -> list[int]:
-    length = rng.randint(1, 4)
-    return [rng.choice(clique) * rng.choice((1, -1)) for _ in range(length)]
+def _random_word_over(rng: random.Random, clique: list[int]) -> tuple[list[int], int]:
+    """A word of 1 to 4 letters over clique, as signed codes, and its reduced
+    support as a bitmask: the generators with nonzero exponent sum.
+
+    The bits are those of rng.randint(1, 4) and then, per letter,
+    rng.choice(clique) and rng.choice((1, -1)), in that order: the sign is
+    two bits drawn again while they read 2 or more, 0 meaning +1."""
+    bits = rng.getrandbits
+    n = len(clique)
+    k = n.bit_length()
+    sums = [0] * n
+    word = []
+    for _ in range(1 + _below(bits, 4)):
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        s = bits(2)
+        while s >= 2:
+            s = bits(2)
+        if s:
+            sums[i] -= 1
+            word.append(-clique[i])
+        else:
+            sums[i] += 1
+            word.append(clique[i])
+    mask = 0
+    for c, e in zip(clique, sums):
+        if e:
+            mask |= 1 << (c - 1)
+    return word, mask
 
 
-def _relators_hold(edges: list[tuple[int, int]], words: list[list[int]], gamma: Graph) -> bool:
-    """Whether the images of every source edge (a, b) commute, for words of
-    codes over gamma that each lie over a clique. Per word, supp is the
-    bitmask of the generators with nonzero exponent sum (its reduced
-    support), a clique; the images of (a, b) commute iff supp[b] lies in the
-    star meet of supp[a], as in raag.words._centralizer_commutes."""
-    supp = [_code_mask([x for x in w if w.count(x) != w.count(-x)]) for w in words]
+def _relators_hold(edges: list[tuple[int, int]], supp: list[int], gamma: Graph) -> bool:
+    """Whether the images of every source edge (a, b) commute, given the
+    reduced support supp[i] of each image as a bitmask over gamma, for
+    images that each lie over a clique (so each supp[i] spans one). The
+    images of (a, b) commute iff supp[b] lies in the star meet of supp[a],
+    as in raag.words._centralizer_commutes."""
     meet = [gamma._star_meet(s) for s in supp]
     return not any(supp[b] & ~meet[a] for a, b in edges)
 
@@ -174,23 +227,30 @@ def _random_hom(rng: random.Random, lam: Graph, gamma: Graph) -> HomSpec:
     times; if the relators never line up, all images are drawn over one
     shared maximal clique, which commutes unconditionally. Each image is a
     word over a clique, hence in a free abelian subgroup, so its reduced
-    support is the set of generators with nonzero exponent sum; by the
+    support is the set of generators with nonzero exponent sum, which
+    _random_word_over returns as a bitmask with the word; by the
     centralizer theorem the images of an edge (a, b) commute iff supp(b)
     lies in the intersection of st(x) over x in supp(a), which
-    _relators_hold tests on bitmasks. Tables are drawn as generator codes;
-    words and the HomSpec are built only for the table returned.
+    _relators_hold tests on those bitmasks. The uniform draws read
+    rng.getrandbits directly, by the rule of _below, so they take the same
+    bits as rng.choice and rng.randint would. Tables are drawn as generator
+    codes; words and the HomSpec are built only for the table returned.
     """
     t = _tables(gamma)
     index = lam._index
     edges = [(index[u], index[v]) for u, v in lam.edges()]
     m = len(lam.vertices)
     for _ in range(_IMAGE_ATTEMPTS):
-        words = [_random_word_over(rng, _random_clique(rng, t)) for _ in range(m)]
-        if _relators_hold(edges, words, gamma):
+        words, supp = [], []
+        for _ in range(m):
+            w, mask = _random_word_over(rng, _random_clique(rng, t))
+            words.append(w)
+            supp.append(mask)
+        if _relators_hold(edges, supp, gamma):
             break
     else:
         shared = _maximal_clique(rng, t)
-        words = [_random_word_over(rng, shared) for _ in range(m)]
+        words = [_random_word_over(rng, shared)[0] for _ in range(m)]
     return HomSpec(lam, gamma, {v: Word._from_codes(gamma, tuple(w)) for v, w in zip(lam.vertices, words)})
 
 

@@ -9,6 +9,8 @@ from raag.harness import (
     _IMAGE_ATTEMPTS,
     HarnessConfig,
     HarnessReport,
+    _below,
+    _maximal_clique,
     _random_clique,
     _random_graph,
     _random_hom,
@@ -18,7 +20,7 @@ from raag.harness import (
     _tables,
     run_harness,
 )
-from raag.words import Word
+from raag.words import Word, _support_mask
 
 from conftest import SEEDS, drawn_graphs, random_graph
 
@@ -217,11 +219,48 @@ def test_relator_rule_matches_validate_hom(gamma, lam, seed):
     t = _tables(gamma)
     words = []
     for _ in lam.vertices:
-        w = list(_random_word_over(rng, _random_clique(rng, t)))
+        w, _ = _random_word_over(rng, _random_clique(rng, t))
         if rng.random() < 0.5:
             w += [-c for c in w if rng.random() < 0.7]
             rng.shuffle(w)
         words.append(tuple(w))
     h = HomSpec(lam, gamma, {v: Word._from_codes(gamma, w) for v, w in zip(lam.vertices, words)})
     edges = [(lam.index(u), lam.index(v)) for u, v in lam.edges()]
-    assert _relators_hold(edges, words, gamma) == validate_hom(h).is_homomorphism
+    supp = [_support_mask(h.images[v]) for v in lam.vertices]
+    assert _relators_hold(edges, supp, gamma) == validate_hom(h).is_homomorphism
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=drawn_graphs(1, 8, "t"), seed=SEEDS)
+def test_drawn_support_mask_is_the_reduced_support(gamma, seed):
+    # the mask the draw loop sums up is the reduced support of the word it
+    # draws, over random cliques and over maximal ones
+    rng = random.Random(seed)
+    t = _tables(gamma)
+    for clique in [_random_clique(rng, t) for _ in range(4)] + [_maximal_clique(rng, t)]:
+        for _ in range(4):
+            w, mask = _random_word_over(rng, clique)
+            assert 1 <= len(w) <= 4 and {abs(c) for c in w} <= set(clique)
+            assert mask == _support_mask(Word._from_codes(gamma, tuple(w)))
+
+
+def test_below_draws_like_randrange():
+    # _below reads the running interpreter's rejection rule off getrandbits;
+    # a Python whose randrange drew differently would fail here first
+    for seed in range(6):
+        for n in [*range(1, 65), 2**32 - 1, 2**32, 2**32 + 1]:
+            ours, ref = random.Random(seed * 1000 + n), random.Random(seed * 1000 + n)
+            for _ in range(8):
+                assert _below(ours.getrandbits, n) == ref.randrange(n)
+            assert ours.getstate() == ref.getstate()
+
+
+def test_below_an_empty_range_raises():
+    # getrandbits(0) returns 0 for ever, which no rejection loop escapes, so
+    # an empty range must be refused before any bits are drawn
+    def bits(k):
+        raise AssertionError(f"drew {k} bits for an empty range")
+
+    for n in (0, -1):
+        with pytest.raises(IndexError):
+            _below(bits, n)
