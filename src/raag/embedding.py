@@ -64,7 +64,7 @@ from raag.words import (
     Word,
     canonical_form,
     commutator,
-    commutes,  # noqa: F401  (unused here; perfbench's tests expect it bound in this module)
+    commutes,
     conjugate,
     is_trivial,
     parse_word,
@@ -148,14 +148,14 @@ def validate_hom(h: HomSpec) -> HomReport:
     check, union of image supports (in target vertex order), and the list of
     generators mapped to the identity. A relator whose images have a
     clique-spanning support is decided from the supports alone (centralizer
-    theorem); only the others are decided by reducing their commutator."""
+    theorem); only the others go to commutes."""
     g = h.target
     supports = {v: _support_mask(h.images[v]) for v in h.source.vertices}
     failures = []
     for u, v in h.source.edges():
         decided = _centralizer_commutes(g, supports[u], supports[v])
         if decided is None:
-            decided = is_trivial(commutator(reduce(h.images[u]), reduce(h.images[v])))
+            decided = commutes(h.images[u], h.images[v])
         if not decided:
             failures.append((u, v))
     violations = tuple((v, frozenset(g._names(s))) for v, s in supports.items() if s & ~g._star_meet(s))
@@ -210,18 +210,17 @@ class FullEmbedding:
 
 @dataclass(frozen=True)
 class KernelWitness:
-    """A word over the source generators, certified nontrivial in the
-    source group and mapped to the identity of the target."""
+    """A word over the source generators, nontrivial in the source group
+    and mapped to the identity of the target; check(h) decides both from
+    the word alone."""
 
     word: Word
+    # never read: the benchmark's tests still build witnesses with these
+    # two positional flags, so they stay until the benchmark drops them
     nontrivial_in_source: bool
     trivial_image: bool
     component: Optional[tuple[str, ...]] = None
     peel_checked: bool = False
-
-    @property
-    def verified(self) -> bool:
-        return self.nontrivial_in_source and self.trivial_image
 
     def check(self, h: HomSpec) -> Optional[str]:
         """None when the word is nontrivial over the source and its image
@@ -232,9 +231,18 @@ class KernelWitness:
             return "witness word is trivial over the source"
         if not is_trivial(h.apply(self.word)):
             return "witness image does not reduce to the identity"
-        if not self.verified:
-            return "witness carries unverified checks"
         return None
+
+
+def _checked_witness(h: HomSpec, word: Word, component: tuple[str, ...], what: str) -> KernelWitness:
+    """The kernel witness of word, checked against h; a failure raises
+    MechanismError naming what built it, since every builder constructs
+    its word to be one."""
+    witness = KernelWitness(word, True, True, component=component)
+    problem = witness.check(h)
+    if problem is not None:
+        raise MechanismError(f"{what}: {problem}")
+    return witness
 
 
 @dataclass(frozen=True)
@@ -376,10 +384,7 @@ def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
     for v, e in zip(src.vertices, z):
         sign = 1 if e > 0 else -1
         letters.extend([(v, sign)] * abs(e))
-    witness = KernelWitness(Word(src, letters), True, True, component=src.vertices)
-    if witness.check(h) is not None:
-        raise MechanismError("abelian kernel vector failed verification")
-    return witness
+    return _checked_witness(h, Word(src, letters), src.vertices, "abelian kernel vector")
 
 
 # -- anti-path components -------------------------------------------------------------
@@ -524,21 +529,16 @@ def obstruction_commutator(h: HomSpec) -> KernelWitness:
     """The kernel witness for an anti-path source with no distinct
     non-adjacent sequence: the conjugated commutator
     [v_1^(v_2 ... v_{n-1}), v_n] in the anti-path order of the source,
-    which is [v_1, v_2] letter for letter at n = 2. Both verifications
-    (nontrivial over the source, image reduces to the identity) are run
-    and recorded; a failure raises, since it contradicts the construction.
+    which is [v_1, v_2] letter for letter at n = 2, checked by
+    _checked_witness; a failure raises, since it contradicts the
+    construction.
     """
     order = _anti_path_order(h.source)
     if order is None or len(order) in (1, 3):
         raise ValueError("obstruction commutator is defined for anti-paths with n = 2 and n >= 4")
     gens = {v: Word(h.source, ((v, 1),)) for v in order}
     conj = conjugate(gens[order[0]], product(Word(h.source, ()), *[gens[v] for v in order[1:-1]]))
-    word = commutator(conj, gens[order[-1]])
-    witness = KernelWitness(word, True, True, component=tuple(order))
-    problem = witness.check(h)
-    if problem is not None:
-        raise MechanismError(f"obstruction commutator: {problem}")
-    return witness
+    return _checked_witness(h, commutator(conj, gens[order[-1]]), tuple(order), "obstruction commutator")
 
 
 def extract_anti_path(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
@@ -643,10 +643,7 @@ def extract_full(h: HomSpec) -> ExtractionOutcome:
         )
     if report.trivial_images:
         v = report.trivial_images[0]
-        witness = KernelWitness(Word(h.source, ((v, 1),)), True, True, component=(v,))
-        if witness.check(h) is not None:
-            raise MechanismError("trivial-image witness failed verification")
-        return witness
+        return _checked_witness(h, Word(h.source, ((v, 1),)), (v,), "trivial-image witness")
     decomp = join_decompose(h.source) if len(h.source) else None
     if decomp is None or any(c.order is None for c in decomp.components):
         raise ValueError("out of theorem scope: source is not the complement of a linear forest")

@@ -61,7 +61,7 @@ class Graph:
     without them.
     """
 
-    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_hash", "_automorphisms", "_autgens")
+    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_automorphisms", "_autgens")
 
     def __init__(self, name: str, vertices: Iterable[str], edges: Iterable = ()):
         verts = tuple(vertices)
@@ -85,7 +85,7 @@ class Graph:
         self.vertices = verts
         self._index = index
         self._nbr = tuple(nbr)
-        self._nonadj = self._hash = self._autgens = None
+        self._nonadj = self._autgens = None
         self._automorphisms = ()
 
     @classmethod
@@ -107,7 +107,7 @@ class Graph:
             dup = next(v for v in g.vertices if v in seen or seen.add(v))
             raise ValueError(f"duplicate vertex name {dup!r}")
         g._nbr = tuple(nbr)
-        g._nonadj = g._hash = g._autgens = None
+        g._nonadj = g._autgens = None
         g._automorphisms = tuple(automorphisms)
         return g
 
@@ -192,9 +192,7 @@ class Graph:
         return self.vertices == other.vertices and self._nbr == other._nbr
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.vertices, self._nbr))
-        return self._hash
+        return hash((self.vertices, self._nbr))
 
     def __repr__(self) -> str:
         return f"Graph({self.name!r}, |V|={len(self.vertices)}, |E|={self.edge_count()})"
@@ -390,15 +388,16 @@ def _forward_check(
     interpreter's recursion limit.
 
     symmetries are permutations of the targets that keep every domain
-    and link table. Once a value t at position 0 has led to no
-    assignment, the rest of its orbit under the group they generate is
-    dropped from position 0: a permutation that maps t to t2 maps an
-    assignment with t2 first to one with t first. So exactly the same
-    assignments come out, in the same order, and only searches that were
-    bound to fail are skipped (root-level orbit pruning: McKay & Piperno,
-    J. Symbolic Comput. 2014). An orbit is computed only when a root
-    value fails, so a search that succeeds at its first root value pays
-    nothing for them.
+    and link table. Once the subtree under a value t at position 0 has
+    been searched without an assignment, the rest of its orbit under the
+    group they generate is dropped from position 0: a permutation that
+    maps t to t2 maps an assignment with t2 first to one with t first. So
+    exactly the same assignments come out, in the same order, and only
+    searches that were bound to fail are skipped (root-level orbit
+    pruning: McKay & Piperno, J. Symbolic Comput. 2014). An orbit is
+    computed only when a root subtree fails, so a search that succeeds at
+    its first root value pays nothing for them; a root value that empties
+    a domain at once costs one forward check and is not worth an orbit.
     """
     n = len(domains)
     out = [0] * n
@@ -417,8 +416,6 @@ def _forward_check(
             for s2, table in links[s]:
                 nxt[s2] &= table[t]
                 if not nxt[s2]:
-                    if s == 0 and symmetries:
-                        d &= ~_orbit(low, symmetries)
                     break
             else:
                 out[s] = t

@@ -14,9 +14,10 @@ target, so it lies in a free abelian subgroup: its reduced support is the
 set of generators with nonzero exponent sum, and that set spans a clique.
 By Servatius's centralizer theorem ("Automorphisms of graph groups",
 J. Algebra 1989) two such images a and b commute iff supp(b) lies in the
-star meet of supp(a), the AND of the stars of its vertices, which
-raag.graphs computes for cliques and centralizers alike. The loop that
-draws an image word also sums its exponents and returns that support as a
+star meet of supp(a), the AND of the stars of its vertices, and
+raag.words._centralizer_commutes, the test validate_hom and commutes
+use, decides every relator from the two supports. The loop that draws an
+image word also sums its exponents and returns that support as a
 bitmask, so a table is accepted or rejected from bitmasks alone, without
 reducing or recounting a word; validate_hom runs once per trial, inside
 extract_full.
@@ -39,7 +40,7 @@ from typing import Callable, NamedTuple
 
 from raag.embedding import FullEmbedding, HomSpec, KernelWitness, extract_full
 from raag.graphs import Graph, _bits, graph_join, path_complement
-from raag.words import Word
+from raag.words import Word, _centralizer_commutes
 
 _IMAGE_ATTEMPTS = 50
 
@@ -213,11 +214,9 @@ def _random_word_over(rng: random.Random, clique: list[int]) -> tuple[list[int],
 def _relators_hold(edges: list[tuple[int, int]], supp: list[int], gamma: Graph) -> bool:
     """Whether the images of every source edge (a, b) commute, given the
     reduced support supp[i] of each image as a bitmask over gamma, for
-    images that each lie over a clique (so each supp[i] spans one). The
-    images of (a, b) commute iff supp[b] lies in the star meet of supp[a],
-    as in raag.words._centralizer_commutes."""
-    meet = [gamma._star_meet(s) for s in supp]
-    return not any(supp[b] & ~meet[a] for a, b in edges)
+    images that each lie over a clique (so each supp[i] spans one and
+    raag.words._centralizer_commutes decides every pair)."""
+    return all(_centralizer_commutes(gamma, supp[a], supp[b]) for a, b in edges)
 
 
 def _random_hom(rng: random.Random, lam: Graph, gamma: Graph) -> HomSpec:
@@ -231,7 +230,8 @@ def _random_hom(rng: random.Random, lam: Graph, gamma: Graph) -> HomSpec:
     _random_word_over returns as a bitmask with the word; by the
     centralizer theorem the images of an edge (a, b) commute iff supp(b)
     lies in the intersection of st(x) over x in supp(a), which
-    _relators_hold tests on those bitmasks. The uniform draws read
+    _relators_hold tests on those bitmasks with
+    raag.words._centralizer_commutes. The uniform draws read
     rng.getrandbits directly, by the rule of _below, so they take the same
     bits as rng.choice and rng.randint would. Tables are drawn as generator
     codes; words and the HomSpec are built only for the table returned.
@@ -264,6 +264,10 @@ def run_harness(cfg: HarnessConfig) -> HarnessReport:
     """
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
+    if cfg.seed < 0:
+        # random.Random seeds an int by its absolute value, so -s would
+        # silently run the trials of s
+        raise ValueError("seed must be >= 0")
     if not 0.0 <= cfg.edge_density <= 1.0:
         raise ValueError("edge density must lie in [0, 1]")
     if cfg.max_target_vertices < 1:

@@ -225,6 +225,12 @@ def test_verify_rejects_empty_target_range(capsys):
     assert err == "error: max target vertices must be >= 1\n"
 
 
+def test_verify_rejects_negative_seed(capsys):
+    # random.Random(-5) runs the trials of seed 5 under the heading "seed: -5"
+    code, out, err = run(capsys, ["verify", "--trials", "4", "--seed", "-5"])
+    assert (code, out, err) == (1, "", "error: seed must be >= 0\n")
+
+
 def test_usage_error_exit_one(capsys):
     code, _, err = run(capsys, ["reduce"])
     assert code == 1 and "usage error" in err

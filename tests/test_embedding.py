@@ -1098,6 +1098,15 @@ def test_witness_check_rejects_nontrivial_image():
     assert bad.check(h) == "witness image does not reduce to the identity"
 
 
+def test_witness_check_reads_only_the_word():
+    # the two flags carry no verdict: a valid word passes whatever they say
+    t = complete_graph(2, prefix="a")
+    h = HomSpec(path_complement(2), t, {"v1": parse_word(t, "a1"), "v2": parse_word(t, "a1^-1")})
+    word = parse_word(h.source, "v1 v2")
+    assert KernelWitness(word, False, False).check(h) is None
+    assert KernelWitness(word, True, True).check(h) is None
+
+
 def test_certificate_check_rejects_existing_embedding():
     h = identity_spec(path_complement(3))
     bad = StructuralCertificate(("v1", "v2", "v3"), ("v1", "v2", "v3"), (("v1", "v3"), ("v2",)))

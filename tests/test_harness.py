@@ -30,6 +30,8 @@ def test_rejects_bad_config():
         run_harness(HarnessConfig(trials=0, seed=1))
     with pytest.raises(ValueError):
         run_harness(HarnessConfig(trials=1, seed=1, edge_density=1.5))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run_harness(HarnessConfig(trials=1, seed=-5))
     with pytest.raises(ValueError, match="max target vertices must be >= 1"):
         run_harness(HarnessConfig(trials=1, seed=1, max_target_vertices=0))
     for sizes in ((), (2, 0), (-1,)):
