@@ -5,6 +5,10 @@ Rows:
 - kernel: normalize and survivors on long single words, on large batches of
   short commutator-shaped words, and on long words over a wide alphabet,
   where the piles of the compiled kernel are sized per generator;
+- kernel memory: the tracemalloc peak, in MB, of one call on one long
+  word (survivors and normalize on 50000 letters over 200 generators,
+  survivors on 20000 letters over 1000 generators), under each kernel;
+  tracemalloc sees the PyMem allocations of the compiled piles too;
 - ext_ball: the path P5 at radius 2 and 3, the path P4 at radius 3 and 4;
   the seven distinct balls of the perfbench ext_query queries (C4 r2, C5
   r1/r2, C6 r1, P4 r2, P5c r1/r2), one pass, where building the vertices is
@@ -56,6 +60,10 @@ PYTHONPATH pointing at the other checkout's src):
 
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<pr>.json --label after
 
+A kernel memory row carries pure_peak_mb and compiled_peak_mb instead of
+times; a peak moves by at most a few kB between runs, so each is measured
+once.
+
 Build the compiled kernel first (`python setup.py build_ext --inplace`) to
 fill the compiled column; without it that column is null.
 """
@@ -67,6 +75,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from raag import _kernel, _purekernel, graphs
@@ -115,6 +124,27 @@ def kernel_jobs():
         nn = make_graph(rng, n, p).nonneighbor_table()
         out.append((name, [(make_codes(rng, n, length), nn) for _ in range(count)]))
     return out
+
+
+def memory_jobs():
+    """(function, case, job) per kernel memory row; a job is (codes,
+    noncomm) for one word."""
+    rng = random.Random(20242)
+    out = []
+    for function, n, length in (("survivors", 200, 50_000), ("normalize", 200, 50_000), ("survivors", 1000, 20_000)):
+        nn = make_graph(rng, n, 0.5).nonneighbor_table()
+        out.append((function, f"{function} peak: 1 x len {length}, {n} generators", (make_codes(rng, n, length), nn)))
+    return out
+
+
+def peak_mb(call, job):
+    """The tracemalloc peak of call(*job), in MB."""
+    tracemalloc.start()
+    try:
+        call(*job)
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
 
 
 def median_and_min(run, setup=None):
@@ -266,6 +296,13 @@ def rows():
                     call(*job)
 
             row("kernel", f"{function}: {name}", run_jobs)
+    for function, case, job in memory_jobs():
+        entry = {"layer": "kernel memory", "case": case, "pure_peak_mb": None, "compiled_peak_mb": None}
+        for label, module in kernels:
+            entry[f"{label}_peak_mb"] = peak_mb(getattr(module, function), job)
+        out.append(entry)
+        print(f"{'memory':<8} {case:<58} {entry['pure_peak_mb']:>8}MB {entry['compiled_peak_mb'] or 'n/a':>8}"
+              + ("" if entry["compiled_peak_mb"] is None else "MB"), flush=True)
     balls = [(n, radius, path_graph(n)) for n, radius in ((5, 2), (4, 3), (5, 3), (4, 4))]
     for n, radius, g in balls:
         row("ext_ball", f"P{n} radius {radius}", lambda g=g, radius=radius: ext_ball(g, radius))

@@ -1,5 +1,10 @@
 /* Compiled piling kernel: normalize and survivors with the contracts of
- * raag._purekernel, whose docstrings describe the construction.
+ * raag._purekernel. Unlike the pure kernel, whose piles hold positions
+ * only, these piles keep zero markers: a letter also pushes a 0 onto the
+ * pile of every generator in its noncomm row, a letter cancels only against
+ * its inverse on top of its own pile (a marker on top blocks it), and
+ * depiling emits the smallest generator whose read head shows a letter,
+ * advancing the heads of its row past one marker each.
  *
  * The piles share one buffer in compressed-sparse-row layout. A letter pushes
  * onto its own pile and the piles of its noncomm row, and a cancellation only

@@ -6,7 +6,10 @@ graph's adjacency as defined (two distinct conjugates that commute), decided
 by commutes on one pair of vertices; ext_ball derives the same adjacency
 from conjugator supports instead. automorphisms_by_brute_force lists a
 graph's automorphism group by trying every vertex permutation, and closure
-lists the group that some permutations generate.
+lists the group that some permutations generate. marker_normalize and
+marker_survivors are the piling kernel as first written: every push leaves
+a zero marker on each pile of a non-commuting generator, and a letter
+cancels only against a real letter on top of its own pile.
 """
 
 import itertools
@@ -71,6 +74,62 @@ def oracle_is_trivial(w: Word, budget: int = _DEFAULT_ORACLE_BUDGET) -> Optional
                         return None
                     queue.append(nxt)
     return False
+
+
+def _marker_pile(codes, noncomm):
+    """The marker push pass: per generator, the pile of 1-based positions
+    of its surviving letters, with 0 marking a letter of a non-commuting
+    generator; and the number of survivors."""
+    piles = [[] for _ in noncomm]
+    count = 0
+    pos = 0
+    for c in codes:
+        pos += 1
+        i = c - 1 if c > 0 else -c - 1
+        p = piles[i]
+        if p and p[-1] and codes[p[-1] - 1] == -c:
+            p.pop()
+            for j in noncomm[i]:
+                piles[j].pop()
+            count -= 1
+        else:
+            p.append(pos)
+            for j in noncomm[i]:
+                piles[j].append(0)
+            count += 1
+    return piles, count
+
+
+def marker_normalize(codes, noncomm):
+    """The canonical reduced codes, as raag._purekernel.normalize: depiling
+    emits the smallest generator whose pile shows a real letter, and
+    consumes one marker from each pile of its noncomm row."""
+    piles, count = _marker_pile(codes, noncomm)
+    n = len(noncomm)
+    out = []
+    ptr = [0] * n
+    while count:
+        for i in range(n):
+            k = ptr[i]
+            p = piles[i]
+            if k < len(p) and p[k]:
+                out.append(codes[p[k] - 1])
+                ptr[i] = k + 1
+                for j in noncomm[i]:
+                    ptr[j] += 1
+                count -= 1
+                break
+        else:
+            # a consistent push pass always leaves some pile showing a letter
+            raise ValueError("no letter can be emitted while letters remain; is noncomm symmetric?")
+    return out
+
+
+def marker_survivors(codes, noncomm):
+    """The 0-based positions left by the marker push pass, ascending, as
+    raag._purekernel.survivors."""
+    piles, _ = _marker_pile(codes, noncomm)
+    return sorted(pos - 1 for p in piles for pos in p if pos)
 
 
 def enumerate_reduced_words(g: Graph, max_len: int) -> Iterator[Word]:

@@ -132,6 +132,22 @@ def test_check_hom(capsys, tmp_path):
     assert "supp: a b c d" in out
 
 
+def test_check_hom_reports_every_failure(capsys, tmp_path):
+    # a -> a b spans the non-edge a-b, and does not commute with c's image b
+    # although a-c is an edge of the source; b is mapped to the identity
+    hom = _hom_files(tmp_path, "map a = a b\nmap b = 1\nmap c = b\nmap d = d\n")
+    code, out, _ = run(capsys, ["check-hom", "--hom", hom])
+    assert code == 0
+    assert out == (
+        "homomorphism: false\n"
+        "relator_failure: a c\n"
+        "clique_support: false\n"
+        "clique_support_violation: a : a b\n"
+        "supp: a b d\n"
+        "trivial_image: b\n"
+    )
+
+
 def test_extract_embedding_exit_zero(capsys, tmp_path):
     hom = _hom_files(tmp_path, "map a = a\nmap b = b\nmap c = c\nmap d = d\n")
     code, out, _ = run(capsys, ["extract", "--hom", hom])

@@ -109,6 +109,17 @@ def test_validate_reports_relator_failure():
     assert not report.is_homomorphism
 
 
+def test_validate_sends_undecided_relators_to_commutes():
+    # every image is supported on the non-clique {a, b}, so the centralizer
+    # test leaves both relators undecided: (ab)^2 commutes with ab, and
+    # (ab)^2 does not commute with ba
+    lam = path_graph(3, prefix="u")
+    target = Graph("t", ["a", "b", "c"], [("b", "c")])
+    images = {"u1": "a b", "u2": "a b a b", "u3": "b a"}
+    h = HomSpec(lam, target, {v: parse_word(target, w) for v, w in images.items()})
+    assert validate_hom(h).relator_failures == (("u2", "u3"),)
+
+
 def test_validate_clique_support_with_triangle():
     k3 = complete_graph(3, prefix="a")
     src = Graph("s", ["u"])

@@ -92,6 +92,43 @@ def test_report_format_shape():
     assert isinstance(report, HarnessReport)
 
 
+def _failing_extraction(monkeypatch):
+    """Makes the harness's extract_full raise on the first trial and return
+    a witness of the empty word, which check(h) rejects, on the second; the
+    later trials extract as usual."""
+    calls = []
+
+    def extract(h):
+        calls.append(h)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        if len(calls) == 2:
+            return KernelWitness(Word(h.source, []), True, True)
+        return extract_full(h)
+
+    monkeypatch.setattr("raag.harness.extract_full", extract)
+
+
+def test_extraction_errors_and_failed_checks_are_reported(monkeypatch, capsys):
+    from raag.cli import main
+
+    _failing_extraction(monkeypatch)
+    report = run_harness(HarnessConfig(trials=3, seed=5))
+    lines = report.format().splitlines()
+    assert lines[6] == "trial 1: error UNVERIFIED RuntimeError('boom')"
+    assert lines[7] == "trial 2: witness UNVERIFIED len=0"
+    assert lines[8] == "trial 3: witness ok len=1"
+    assert "errors: 1" in lines and "failed_invariants: 2" in lines
+    assert lines[-2:] == [
+        "failed: trial 1: extraction error: RuntimeError('boom')",
+        "failed: trial 2: witness word is trivial over the source",
+    ]
+    assert not report.clean
+    _failing_extraction(monkeypatch)
+    assert main(["verify", "--trials", "3", "--seed", "5"]) == 1
+    assert capsys.readouterr().out == report.format()
+
+
 def test_report_pinned_across_commits():
     # any change to instance generation, extraction or re-checking that moves
     # a single byte of the report changes this digest

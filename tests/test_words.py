@@ -28,7 +28,7 @@ from raag.words import (
 )
 
 from conftest import SEEDS, drawn_graphs, random_graph, random_word_letters
-from reference import oracle_is_trivial
+from reference import marker_normalize, marker_survivors, oracle_is_trivial
 
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
@@ -566,6 +566,47 @@ def test_kernel_parity_on_long_words(compiled_kernel, g, seed):
     assert _purekernel.survivors(codes, nn) == compiled_kernel.survivors(codes, nn)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn_graphs(1, 64, "g"), SEEDS)
+def test_pure_kernel_matches_marker_reference(g, seed):
+    # half the words come from a sub-alphabet of at most three generators,
+    # so that they cancel deeply; the rest from a random sub-alphabet
+    from raag import _purekernel
+
+    rnd = random.Random(seed)
+    size = rnd.randint(1, min(3, len(g))) if rnd.random() < 0.5 else rnd.randint(1, len(g))
+    alphabet = rnd.sample(g.vertices, size)
+    letters = [(rnd.choice(alphabet), rnd.choice((1, -1))) for _ in range(rnd.randint(0, 400))]
+    codes = Word(g, letters).codes()
+    nn = g.nonneighbor_table()
+    assert _purekernel.normalize(codes, nn) == marker_normalize(codes, nn)
+    assert _purekernel.survivors(codes, nn) == marker_survivors(codes, nn)
+
+
+@pytest.mark.parametrize("function, generators, length", [
+    ("survivors", 1000, 20_000),
+    ("normalize", 200, 50_000),
+])
+def test_pure_kernel_memory_is_bounded(function, generators, length):
+    # the piles hold each surviving position once, so the peak grows with the
+    # letters plus the generators, not with their product
+    import tracemalloc
+
+    from raag import _purekernel
+
+    rng = random.Random(generators)
+    nn = random_graph(rng, generators, 0.5).nonneighbor_table()
+    codes = [rng.choice((1, -1)) * rng.randint(1, generators) for _ in range(length)]
+    call = getattr(_purekernel, function)
+    tracemalloc.start()
+    try:
+        call(codes, nn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def _kernel_outcomes(compiled_kernel, calls):
     """Evaluates each call, such as "pure.normalize([1], ((),))", in a
     child interpreter where pure is raag._purekernel and compiled is the
@@ -594,11 +635,13 @@ def _kernel_outcomes(compiled_kernel, calls):
 
 
 def test_normalize_raises_when_no_letter_can_be_emitted(compiled_kernel):
-    # generator 0 lists 1 as non-commuting but not the other way round: the
-    # letter of generator 0 leaves a marker on pile 1, and emitting it moves
-    # pile 1's read head past the letter of generator 1 onto that marker
+    # generator 0 lists 1 as non-commuting but not the other way round: in the
+    # compiled kernel the letter of generator 0 leaves a marker on pile 1, and
+    # emitting it moves pile 1's read head past the letter of generator 1 onto
+    # that marker. The pure kernel's piles hold no markers, and the earliest
+    # front always qualifies, so it returns for any table.
     calls = [f"{kernel}.normalize([2, 1], ((1,), ()))" for kernel in ("pure", "compiled")]
-    assert _kernel_outcomes(compiled_kernel, calls) == ["ValueError", "ValueError"]
+    assert _kernel_outcomes(compiled_kernel, calls) == ["returned", "ValueError"]
 
 
 def test_compiled_kernel_rejects_out_of_range_input(compiled_kernel):
