@@ -4,11 +4,11 @@ was built, under the compiled one, and write the rows to a JSON file.
 Rows:
 - kernel: normalize and survivors on long single words, on large batches of
   short commutator-shaped words, and on long words over a wide alphabet,
-  where the piles of the compiled kernel are sized per generator;
+  where normalize's depile checks many fronts per letter;
 - kernel memory: the tracemalloc peak, in MB, of one call on one long
   word (survivors and normalize on 50000 letters over 200 generators,
   survivors on 20000 letters over 1000 generators), under each kernel;
-  tracemalloc sees the PyMem allocations of the compiled piles too;
+  tracemalloc sees the PyMem allocations of the compiled kernel too;
 - ext_ball: the path P5 at radius 2 and 3, the path P4 at radius 3 and 4;
   the seven distinct balls of the perfbench ext_query queries (C4 r2, C5
   r1/r2, C6 r1, P4 r2, P5c r1/r2), one pass, where building the vertices is

@@ -15,11 +15,12 @@ the package. The earliest of all fronts always qualifies, for any table,
 so depiling never stalls. Fronts only move later, so each generator keeps
 the generator that last blocked it and rechecks it with one comparison.
 
-Memory is O(letters + generators). raag._speedups, when built, exports
-normalize and survivors with the same contracts and is preferred (see
-raag._kernel). Unlike it, this module does not check letter codes against
-len(noncomm): the package calls the kernel only on the codes of a Word,
-whose letters are checked when the Word is built.
+Memory is O(letters + generators). raag._speedups, when built, runs the
+same algorithm on the same piles in C, exports normalize and survivors
+with the same contracts and is preferred (see raag._kernel). Unlike it,
+this module does not check letter codes against len(noncomm): the package
+calls the kernel only on the codes of a Word, whose letters are checked
+when the Word is built.
 """
 
 

@@ -1,39 +1,35 @@
 /* Compiled piling kernel: normalize and survivors with the contracts of
- * raag._purekernel. Unlike the pure kernel, whose piles hold positions
- * only, these piles keep zero markers: a letter also pushes a 0 onto the
- * pile of every generator in its noncomm row, a letter cancels only against
- * its inverse on top of its own pile (a marker on top blocks it), and
- * depiling emits the smallest generator whose read head shows a letter,
- * advancing the heads of its row past one marker each.
+ * raag._purekernel, by the same algorithm on the same piles. The push pass
+ * keeps one stack per generator: the ascending positions of its surviving
+ * letters. A letter cancels against the top of its own stack when that top is
+ * its inverse and no stack of a generator in its noncomm row has a later top;
+ * otherwise it is pushed. normalize depiles by fronts (earliest positions
+ * left): it emits the smallest generator whose front comes before the front
+ * of every generator in its noncomm row, and rechecks first the generator
+ * that last blocked it, since fronts only move later.
  *
- * The piles share one buffer in compressed-sparse-row layout. A letter pushes
- * onto its own pile and the piles of its noncomm row, and a cancellation only
- * pops, so pile j never holds more than bound[j] = cnt[j] + the sum of cnt[i]
- * over the rows i that name j (cnt[i]: the letters of generator i), and the
- * piles take L * (1 + non-commuting degree) bytes. An entry is the sign of a
- * letter of the pile's generator, or 0 for a letter of a non-commuting one;
- * each pile follows a 0 sentinel. The positions of the letters on pile j sit
- * on a stack of their own. Codes and noncomm entries are checked before use:
- * an out-of-range value would address memory outside the piles. */
+ * The codes fill the first half of one int32 buffer and the stacks the
+ * second. Stack j has room for the letters of generator j between a -1 below
+ * it, which no position precedes, and one slot above, where normalize writes
+ * L as the front of an emptied stack. So memory is O(letters + generators)
+ * beside the int32 copy of noncomm. Codes and noncomm entries are checked
+ * before use: an out-of-range value would address memory outside the stacks. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 typedef struct {
-    Py_ssize_t L, n, count;  /* letters; generators; letters left on the piles */
-    int32_t *code;        /* the L signed generator codes, then the position stacks */
+    Py_ssize_t L, n, count;  /* letters; generators; letters left on the stacks */
+    int32_t *code;        /* the L signed generator codes, then the stacks */
     int32_t *row;         /* noncomm row i is row[off[i] .. off[i + 1]) */
-    signed char *pile, **head, **top;  /* pile j runs from head[j] up to top[j] */
-    Py_ssize_t *off, *pos, *ptop;  /* position stack j is code[pos[j] .. ptop[j]) */
+    Py_ssize_t *off, *pos, *top, *blk;  /* stack j is code[pos[j] .. top[j]); blk: see normalize */
 } Piles;
 
 static void piles_free(Piles *p)
 {
     PyMem_Free(p->code);
     PyMem_Free(p->row);
-    PyMem_Free(p->pile);
     PyMem_Free(p->off);
-    PyMem_Free(p->head);
 }
 
 /* Reads an int in lo..hi other than skip. It runs no Python code, so no
@@ -83,15 +79,14 @@ static int read_noncomm(PyObject *rows, Piles *p)
     return 0;
 }
 
-/* Parses and checks (codes, noncomm), lays out the piles and runs the push
+/* Parses and checks (codes, noncomm), lays out the stacks and runs the push
  * pass; the generators are the len(noncomm) rows. On success the caller frees
  * p with piles_free; on failure p holds nothing and an exception is set. */
 static int pile(PyObject *const *args, Py_ssize_t nargs, Piles *p)
 {
-    Py_ssize_t L, n, i, j, k, t, q, *cnt, *bound;
+    Py_ssize_t L, n, j, k, q, *pos, *top;
     PyObject *codes = NULL, *rows = NULL;
     int32_t *code;
-    signed char *e, **top;
     int status = -1;
     memset(p, 0, sizeof(*p));
     if (nargs != 2) {
@@ -109,60 +104,44 @@ static int pile(PyObject *const *args, Py_ssize_t nargs, Piles *p)
     }
     p->L = L;
     p->n = n;
-    code = p->code = PyMem_New(int32_t, 2 * L + 1);
-    p->off = PyMem_Calloc(3 * n + 1, sizeof(Py_ssize_t));
-    p->head = PyMem_New(signed char *, 2 * n + 1);
-    if (code == NULL || p->off == NULL || p->head == NULL) {
+    code = p->code = PyMem_New(int32_t, 2 * (L + n) + 1);
+    p->off = PyMem_Calloc(4 * n + 1, sizeof(Py_ssize_t));
+    if (code == NULL || p->off == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    cnt = p->pos = p->off + n + 1;  /* pos and ptop hold cnt and bound until the layout below */
-    bound = p->ptop = p->pos + n;
-    top = p->top = p->head + n;
+    pos = p->pos = p->off + n + 1;
+    top = p->top = pos + n;  /* top[j] counts the letters of generator j until the layout below */
+    p->blk = top + n;
     if (read_noncomm(rows, p) < 0)
         goto fail;
     for (k = 0; k < L; k++) {
         long c;
         if (read_int(PySequence_Fast_GET_ITEM(codes, k), -(long)n, (long)n, 0, "letter code", &c) < 0)
             goto fail;
-        p->code[k] = (int32_t)c;
-        cnt[(c > 0 ? c : -c) - 1]++;
-    }
-    memcpy(bound, cnt, n * sizeof(Py_ssize_t));
-    for (i = 0; i < n; i++)
-        for (t = p->off[i]; t < p->off[i + 1]; t++)
-            bound[p->row[t]] += cnt[i];
-    for (q = n, j = 0; j < n; j++)
-        q += bound[j];
-    if ((e = p->pile = PyMem_New(signed char, q + 1)) == NULL) {
-        PyErr_NoMemory();
-        goto fail;
+        code[k] = (int32_t)c;
+        top[(c > 0 ? c : -c) - 1]++;
     }
     for (q = L, j = 0; j < n; j++) {
-        Py_ssize_t b = bound[j], c = cnt[j];
-        *e++ = 0;
-        p->head[j] = top[j] = e;
-        e += b;
-        p->pos[j] = p->ptop[j] = q;
-        q += c;
+        Py_ssize_t c = top[j];
+        code[q] = -1;
+        pos[j] = top[j] = q + 1;
+        q += c + 2;
     }
     for (k = 0; k < L; k++) {
-        int32_t c = code[k], v = (c > 0 ? c : -c) - 1;
-        signed char sign = c > 0 ? 1 : -1;
+        int32_t c = code[k], v = (c > 0 ? c : -c) - 1, t = code[top[v] - 1];
         const int32_t *r = p->row + p->off[v], *end = p->row + p->off[v + 1];
-        if (top[v][-1] == -sign) {
-            top[v]--;
-            p->ptop[v]--;
-            for (; r < end; r++)
-                top[*r]--;
-            p->count--;
-        } else {
-            *top[v]++ = sign;
-            code[p->ptop[v]++] = (int32_t)k;
-            for (; r < end; r++)
-                *top[*r]++ = 0;
-            p->count++;
+        if (t >= 0 && code[t] == -c) {
+            while (r < end && code[top[*r] - 1] < t)
+                r++;
+            if (r == end) {
+                top[v]--;
+                p->count--;
+                continue;
+            }
         }
+        code[top[v]++] = (int32_t)k;
+        p->count++;
     }
     status = 0;
 fail:
@@ -177,24 +156,34 @@ static PyObject *normalize(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
 {
     Piles p;
     Py_ssize_t i, t, k;
+    int32_t f;
     PyObject *out, *letter;
     if (pile(args, nargs, &p) < 0)
         return NULL;
-    /* emit the smallest generator whose pile shows a letter at its read head */
+    for (i = 0; i < p.n; i++) {
+        p.code[p.top[i]] = (int32_t)p.L;
+        p.blk[i] = i;
+    }
+    /* emit the smallest generator whose front comes before every front in its
+     * noncomm row; the earliest front always does, so the scan stops below n */
     if ((out = PyList_New(p.count)) != NULL)
         for (k = 0; k < p.count; k++) {
-            for (i = 0; i < p.n && !(p.head[i] < p.top[i] && *p.head[i]); i++)
-                ;
-            if (i == p.n)
-                PyErr_SetString(PyExc_ValueError, "no letter can be emitted while letters remain; is noncomm symmetric?");
-            if (i == p.n || (letter = PyLong_FromSsize_t((i + 1) * *p.head[i])) == NULL) {
+            for (i = 0;; i++) {
+                f = p.code[p.pos[i]];
+                if (f == p.L || p.code[p.pos[p.blk[i]]] < f)
+                    continue;
+                for (t = p.off[i]; t < p.off[i + 1] && p.code[p.pos[p.row[t]]] > f; t++)
+                    ;
+                if (t == p.off[i + 1])
+                    break;
+                p.blk[i] = p.row[t];
+            }
+            if ((letter = PyLong_FromLong(p.code[f])) == NULL) {
                 Py_CLEAR(out);
                 break;
             }
             PyList_SET_ITEM(out, k, letter);
-            p.head[i]++;
-            for (t = p.off[i]; t < p.off[i + 1]; t++)
-                p.head[p.row[t]]++;
+            p.pos[i]++;
         }
     piles_free(&p);
     return out;
@@ -211,7 +200,7 @@ static PyObject *survivors(PyObject *Py_UNUSED(self), PyObject *const *args, Py_
      * the codes, then read the flags in order */
     memset(p.code, 0, p.L * sizeof(int32_t));
     for (j = 0; j < p.n; j++)
-        for (q = p.pos[j]; q < p.ptop[j]; q++)
+        for (q = p.pos[j]; q < p.top[j]; q++)
             p.code[p.code[q]] = 1;
     if ((out = PyList_New(p.count)) != NULL)
         for (q = 0; q < p.L; q++) {

@@ -258,11 +258,12 @@ class StructuralCertificate:
 
     def check(self, h: HomSpec) -> Optional[str]:
         """None when the component is a 3-vertex anti-path of the source,
-        supp is the union of its image supports in target order, the
-        component has no full embedding into the induced support subgraph,
-        and complement_components are that subgraph's complement
-        components, each complete; otherwise the first problem found.
-        Repeats the exhaustive embedding search."""
+        supp is the union of its image supports in target order, and
+        complement_components are the complement components of the induced
+        support subgraph, each complete; otherwise the first problem found.
+        Complete complement components are exactly what leaves the
+        3-vertex anti-path (an edge plus a vertex, whose complement is the
+        path on three vertices) no full embedding, so no search is run."""
         comp = tuple(self.component)
         if len(comp) != 3 or len(set(comp)) != 3 or any(v not in h.source for v in comp):
             return "certificate component does not name three distinct source vertices"
@@ -273,11 +274,9 @@ class StructuralCertificate:
         if self.supp != supp:
             return "certificate support is not the union of the component image supports"
         sub = induced_subgraph(h.target, supp)
-        if full_embedding_search(comp_graph, sub) is not None:
-            return "certificate refuted: a full embedding into the support exists"
         names = _complete_complement_components(sub)
         if names is None:
-            return "certificate refuted: support complement component is not complete"
+            return "certificate refuted: a full embedding into the support exists"
         if self.complement_components != names:
             return "certificate complement components differ from those of the support"
         return None
@@ -575,25 +574,21 @@ def extract_anti_path(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
 
 def extract_anti_path3(h: HomSpec) -> Union[FullEmbedding, StructuralCertificate]:
     """Dichotomy for the 3-vertex anti-path (one edge plus an isolated
-    vertex): exhaustive search for a full embedding into the induced
-    subgraph on the image support; if none exists, that subgraph's
-    complement necessarily splits into complete components, which is
-    emitted as the structural certificate of non-injectivity."""
+    vertex) on the induced subgraph of the image support: when that
+    subgraph's complement splits into complete components, no full
+    embedding exists (the complement of the anti-path is the path on three
+    vertices, which fits in no complete graph), and they are emitted as the
+    structural certificate of non-injectivity; otherwise a full embedding
+    exists, and the embedding search returns its first one."""
     src = h.source
     if len(src) != 3 or _anti_path_order(src) is None:
         raise ValueError("source of extract_anti_path3 must be a 3-vertex anti-path")
     supp = _support_union(h, src.vertices)
     sub = induced_subgraph(h.target, supp)
-    mapping = full_embedding_search(src, sub)
-    if mapping is not None:
-        return FullEmbedding(mapping)
     names = _complete_complement_components(sub)
-    if names is None:
-        raise MechanismError(
-            "no full embedding found, yet the support complement is not a "
-            "union of complete graphs; instance corrupted"
-        )
-    return StructuralCertificate(src.vertices, supp, names)
+    if names is not None:
+        return StructuralCertificate(src.vertices, supp, names)
+    return FullEmbedding(full_embedding_search(src, sub))
 
 
 # -- gluing and the end-to-end pipeline ------------------------------------------------

@@ -34,6 +34,7 @@ from raag.graphs import (
     complement,
     complete_graph,
     format_graph,
+    full_embedding_search,
     graph_join,
     induced_subgraph,
     join_decompose,
@@ -758,6 +759,22 @@ def test_complete_complement_components_match_the_complement_graph():
                 left = [v for v in left if v not in comp]
             expected = tuple(comps) if all(c.spans_clique(comp) for comp in comps) else None
             assert _complete_complement_components(g) == expected
+
+
+def test_anti_path3_embeds_iff_complement_components_are_not_complete():
+    # the equivalence that lets the structural certificate's check run no
+    # search: the complement of the anti-path is the path on three vertices
+    lam = path_complement(3)
+    for n in range(0, 6):
+        for g in all_labeled_graphs(n) if n else [Graph("empty", [])]:
+            assert (full_embedding_search(lam, g) is None) == (_complete_complement_components(g) is not None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn_graphs(0, 8, "s"))
+def test_anti_path3_embeds_iff_complement_components_are_not_complete_up_to_8(g):
+    lam = path_complement(3)
+    assert (full_embedding_search(lam, g) is None) == (_complete_complement_components(g) is not None)
 
 
 # -- gluing -----------------------------------------------------------------------------------------
