@@ -56,9 +56,12 @@ run close together.
 
 Runs of different checkouts go into one file, each under its own --label,
 so a change and its parent can be read side by side (run this script with
-PYTHONPATH pointing at the other checkout's src):
+PYTHONPATH pointing at the other checkout's src). Every run needs a label
+the file does not hold yet: alternate the two checkouts and number the
+runs (parent-1, change-1, parent-2, ...). A label already in the file is
+refused before anything is measured, and the file is left as it was:
 
-    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<pr>.json --label after
+    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json --label change-1
 
 A kernel memory row carries pure_peak_mb and compiled_peak_mb instead of
 times; a peak moves by at most a few kB between runs, so each is measured
@@ -351,6 +354,9 @@ def main():
     parser.add_argument("--label", default="current", help="name of this run in the output file")
     args = parser.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
+    if args.label in data["runs"]:
+        sys.exit(f"{args.out} already holds a run labelled {args.label!r} (labels: {', '.join(data['runs'])}); "
+                 "give each run its own label")
     run = {
         "python": platform.python_version(),
         "machine": platform.machine(),

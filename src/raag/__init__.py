@@ -13,7 +13,6 @@ from raag.embedding import (
     HomSpec,
     KernelWitness,
     MechanismError,
-    ReachSets,
     StructuralCertificate,
     build_clique_chain,
     extract_abelian,

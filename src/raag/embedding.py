@@ -23,6 +23,9 @@ reduced codes its Word caches (raag.words._reduced_codes), directly or by
 reduce, is_trivial and support: the word spelling an image never changes
 an outcome, and each image is piled once for all routes and checks.
 
+Vertex sets of the target (supports, chains, reach sets) are bitmasks
+over its vertex indices; names are built only for outcomes and messages.
+
 Per-component machinery for an anti-path component v_1 .. v_n (consecutive
 vertices non-adjacent, all other pairs adjacent). Every route takes only
 the homomorphism: the order v_1 .. v_n is read from its source by
@@ -58,6 +61,7 @@ from raag.graphs import (
     _bits,
     _components_of,
     _forward_check,
+    _induced,
     _nonneighbor_masks,
 )
 from raag.words import (
@@ -70,7 +74,6 @@ from raag.words import (
     parse_word,
     product,
     reduce,
-    support,
     _centralizer_commutes,
     _reduced_codes,
     _support_mask,
@@ -188,22 +191,22 @@ class FullEmbedding:
             return f"embedding check failed: {exc}"
         if not chk:
             return f"embedding check failed: {chk.violation}"
+        image = {v: h.target.index(x) for v, x in self.mapping.items()}
         supp = _support_union(h, h.source.vertices)
-        outside = [v for v, x in self.mapping.items() if x not in supp]
+        outside = [v for v, t in image.items() if not supp >> t & 1]
         if outside:
             return f"image of {outside[0]!r} lies outside the homomorphism support"
-        # the empty map fully embeds an empty source, which has no components
-        for comp in join_decompose(h.source).components if len(h.source) else ():
-            if comp.kind == "singleton":
-                continue
-            if len(comp.graph) == 3:
-                comp_supp = _support_union(h, comp.graph.vertices)
-                for v in comp.graph.vertices:
-                    if self.mapping[v] not in comp_supp:
+        # the join components of the source: its complement's components
+        for comp in _components_of(_nonneighbor_masks(h.source)):
+            names = h.source._names(comp)
+            if len(names) == 3:
+                comp_supp = _support_union(h, names)
+                for v in names:
+                    if not comp_supp >> image[v] & 1:
                         return f"vertex {v!r} mapped outside its component support"
-            else:
-                for v in comp.graph.vertices:
-                    if self.mapping[v] not in support(h.images[v]):
+            elif len(names) > 1:
+                for v in names:
+                    if not _support_mask(h.images[v]) >> image[v] & 1:
                         return f"anti-path vertex {v!r} mapped outside the support of its image"
         return None
 
@@ -270,10 +273,9 @@ class StructuralCertificate:
         comp_graph = induced_subgraph(h.source, comp)
         if _anti_path_order(comp_graph) is None:
             return "certificate component is not a 3-vertex anti-path"
-        supp = _support_union(h, comp)
-        if self.supp != supp:
+        sub = _induced(h.target, _support_union(h, comp), h.target.name + "_sub")
+        if self.supp != sub.vertices:
             return "certificate support is not the union of the component image supports"
-        sub = induced_subgraph(h.target, supp)
         names = _complete_complement_components(sub)
         if names is None:
             return "certificate refuted: a full embedding into the support exists"
@@ -282,13 +284,13 @@ class StructuralCertificate:
         return None
 
 
-def _support_union(h: HomSpec, vertices) -> tuple[str, ...]:
+def _support_union(h: HomSpec, vertices) -> int:
     """Union of the reduced supports of the images of the given source
-    vertices, in target vertex order."""
+    vertices, as a mask over the target."""
     union = 0
     for v in vertices:
         union |= _support_mask(h.images[v])
-    return h.target._names(union)
+    return union
 
 
 def _complete_complement_components(g: Graph) -> Optional[tuple[tuple[str, ...], ...]]:
@@ -307,11 +309,12 @@ ExtractionOutcome = Union[FullEmbedding, KernelWitness, StructuralCertificate]
 # -- abelian factors ----------------------------------------------------------------
 
 
-def _exponent_matrix(h: HomSpec, columns: tuple[str, ...]) -> list[list[int]]:
-    # one row per source vertex: the exponent sums of the column vertices in
-    # its image, counted by vertex index over the reduced codes, which have
-    # the image's exponent sums since reduction cancels inverse pairs
-    index = [h.target.index(c) + 1 for c in columns]
+def _exponent_matrix(h: HomSpec, columns: int) -> list[list[int]]:
+    # one row per source vertex: the exponent sums of the target vertices of
+    # the mask columns in its image, counted by vertex index over the
+    # reduced codes, which have the image's exponent sums since reduction
+    # cancels inverse pairs
+    index = [i + 1 for i in _bits(columns)]
     rows = []
     for v in h.source.vertices:
         counts: dict[int, int] = {}
@@ -373,12 +376,11 @@ def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
     if not src.spans_clique(src.vertices):
         raise ValueError("source of extract_abelian must be a complete graph")
     supp = _support_union(h, src.vertices)
-    if not h.target.spans_clique(supp):
+    if supp & ~h.target._star_meet(supp):
         raise ValueError("image supports are not contained in a clique of the target")
-    matrix = _exponent_matrix(h, supp)
-    z = _integer_left_nullvector(matrix)
+    z = _integer_left_nullvector(_exponent_matrix(h, supp))
     if z is None:
-        return FullEmbedding(dict(zip(src.vertices, supp)))
+        return FullEmbedding(dict(zip(src.vertices, h.target._names(supp))))
     letters = []
     for v, e in zip(src.vertices, z):
         sign = 1 if e > 0 else -1
@@ -392,22 +394,13 @@ def extract_abelian(h: HomSpec) -> Union[FullEmbedding, KernelWitness]:
 @dataclass(frozen=True)
 class CliqueChain:
     """The anti-path order v_1..v_n of the source and the supports
-    C_1..C_n of the images of v_1..v_n, each spanning a clique of the
-    target and listed in target vertex order; every cross pair at distance
-    > 1 in the order is identical or adjacent."""
+    C_1..C_n of the images of v_1..v_n, as masks over the target graph,
+    each spanning a clique; every cross pair at distance > 1 in the order
+    is identical or adjacent."""
 
     graph: Graph
     order: tuple[str, ...]
-    cliques: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
-class ReachSets:
-    """The inductively defined subsets Y_1..Y_{n-1} of the chain: Y_1 is
-    all of C_1, and Y_i collects the vertices of C_i having a distinct
-    non-neighbor in Y_{i-1}."""
-
-    sets: tuple[tuple[str, ...], ...]
+    cliques: tuple[int, ...]
 
 
 def build_clique_chain(h: HomSpec) -> CliqueChain:
@@ -434,7 +427,7 @@ def build_clique_chain(h: HomSpec) -> CliqueChain:
                     "not a homomorphism on this component: images of "
                     f"{order[i]!r} and {order[j]!r} do not commute"
                 )
-    return CliqueChain(gamma, order, tuple(gamma._names(s) for s in supports))
+    return CliqueChain(gamma, order, tuple(supports))
 
 
 def sequence_search(chain: CliqueChain) -> Optional[tuple[str, ...]]:
@@ -445,57 +438,54 @@ def sequence_search(chain: CliqueChain) -> Optional[tuple[str, ...]]:
     clique in target insertion order; the first solution is returned. The
     forward-checking engine of raag.graphs keeps every unfilled position's
     remaining vertices as a bitmask: choosing y_i keeps only the distinct
-    non-neighbours of y_i at position i + 1 and removes y_i everywhere
-    further on, and a choice that empties some position is dropped. That
-    pruning discards only choices without a solution, so the result is the
-    first solution of the plain backtracking scan in the same orders."""
+    non-neighbours of y_i at position i + 1 and its neighbours further on,
+    which the chain makes all but y_i itself; a choice that empties some
+    position is dropped. That pruning discards only choices without a
+    solution, so the result is the first solution of the plain
+    backtracking scan in the same orders."""
     n = len(chain.cliques)
     if n < 2:
         raise ValueError("sequence search needs a chain of length >= 2")
     g = chain.graph
     non = _nonneighbor_masks(g)
-    other = [~(1 << t) for t in range(len(g))]
-    domains = [sum(1 << g.index(y) for y in clique) for clique in chain.cliques]
-    links = [[(j, non if j == i + 1 else other) for j in range(i + 1, n)] for i in range(n)]
-    found = next(_forward_check(domains, links), None)
+    links = [[(j, non if j == i + 1 else g._nbr) for j in range(i + 1, n)] for i in range(n)]
+    found = next(_forward_check(list(chain.cliques), links), None)
     if found is None:
         return None
     return tuple(g.vertices[t] for t in found)
 
 
-def reach_sets(chain: CliqueChain) -> ReachSets:
-    """Y_1 = C_1; Y_i = vertices of C_i with a distinct non-neighbor in
-    Y_{i-1} (a generator commutes with itself, so equal vertices do not
-    count). Sets may be empty. Produces Y_1..Y_{n-1}."""
-    g = chain.graph
+def reach_sets(chain: CliqueChain) -> tuple[int, ...]:
+    """The reach sets Y_1..Y_{n-1}, as masks over the target: Y_1 = C_1;
+    Y_i = vertices of C_i with a distinct non-neighbor in Y_{i-1} (a
+    generator commutes with itself, so equal vertices do not count). Sets
+    may be empty."""
+    non = _nonneighbor_masks(chain.graph)
     sets = [chain.cliques[0]]
-    for i in range(1, len(chain.cliques) - 1):
-        prev = sets[-1]
-        sets.append(
-            tuple(
-                y for y in chain.cliques[i]
-                if any(x != y and not g.adjacent(x, y) for x in prev)
-            )
-        )
-    return ReachSets(tuple(sets))
+    for clique in chain.cliques[1:-1]:
+        reach = 0
+        for x in _bits(sets[-1]):
+            reach |= non[x]
+        sets.append(clique & reach)
+    return tuple(sets)
 
 
-def check_reach_adjacency(chain: CliqueChain, reach: ReachSets) -> None:
+def check_reach_adjacency(chain: CliqueChain, reach: tuple[int, ...]) -> None:
     """When no distinct non-adjacent sequence exists, every vertex of the
     last clique must be identical-or-adjacent to every vertex of every
-    reach set. Raises MechanismError otherwise."""
+    reach set (masks over the target). Raises MechanismError otherwise,
+    naming the first pair in target order."""
     g = chain.graph
-    last = chain.cliques[-1]
-    for ys in reach.sets:
-        for y in ys:
-            for c in last:
-                if c != y and not g.adjacent(c, y):
-                    raise MechanismError(
-                        f"reach-set adjacency failed at pair ({y!r}, {c!r})"
-                    )
+    non = _nonneighbor_masks(g)
+    for ys in reach:
+        for y in _bits(ys):
+            bad = chain.cliques[-1] & non[y]
+            if bad:
+                c = g.vertices[(bad & -bad).bit_length() - 1]
+                raise MechanismError(f"reach-set adjacency failed at pair ({g.vertices[y]!r}, {c!r})")
 
 
-def peel_words(h: HomSpec, chain: CliqueChain, reach: ReachSets) -> tuple[Word, ...]:
+def peel_words(h: HomSpec, chain: CliqueChain, reach: tuple[int, ...]) -> tuple[Word, ...]:
     """Peel the reduced image words down to their reach sets.
 
     With W_i = reduce(image of v_i), the peeled word P_i keeps exactly the
@@ -507,12 +497,10 @@ def peel_words(h: HomSpec, chain: CliqueChain, reach: ReachSets) -> tuple[Word, 
     canonical forms. A failure is an internal error, since it cannot happen
     once no distinct non-adjacent sequence exists in the chain.
     """
-    verts = h.target.vertices
     peeled: list[Word] = []
     for i, v in enumerate(chain.order[:-1]):
         w = reduce(h.images[v])
-        allowed = set(reach.sets[i])
-        p = Word._from_codes(h.target, tuple(c for c in w.codes() if verts[abs(c) - 1] in allowed))
+        p = Word._from_codes(h.target, tuple(c for c in w.codes() if reach[i] >> abs(c) - 1 & 1))
         peeled.append(p)
         if i == 0:
             lhs, rhs = p, w
@@ -583,11 +571,10 @@ def extract_anti_path3(h: HomSpec) -> Union[FullEmbedding, StructuralCertificate
     src = h.source
     if len(src) != 3 or _anti_path_order(src) is None:
         raise ValueError("source of extract_anti_path3 must be a 3-vertex anti-path")
-    supp = _support_union(h, src.vertices)
-    sub = induced_subgraph(h.target, supp)
+    sub = _induced(h.target, _support_union(h, src.vertices), h.target.name + "_sub")
     names = _complete_complement_components(sub)
     if names is not None:
-        return StructuralCertificate(src.vertices, supp, names)
+        return StructuralCertificate(src.vertices, sub.vertices, names)
     return FullEmbedding(full_embedding_search(src, sub))
 
 

@@ -218,12 +218,10 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     generated by its star (Servatius, J. Algebra 1989). Let h and k be the
     first conjugators that produced x = h^-1 v h and y = k^-1 u k. Then y
     commutes with x iff h y h^-1 = u^m lies in A(st(v)), where m = k h^-1.
-    Two necessary conditions reject most pairs before any scan. The
-    bases of x and y are adjacent in g: conjugates of one generator commute
-    only when equal, and the retraction onto the subgroup generated by two
-    non-adjacent generators, a free group, maps their conjugates to
-    non-commuting elements. And every element of h^-1 A(st(v)) h has its
-    support in the union of supp(h) and st(v).
+    Only pairs whose bases are adjacent in g are tested: conjugates of one
+    generator commute only when equal, and the retraction onto the
+    subgroup generated by two non-adjacent generators, a free group, maps
+    their conjugates to non-commuting elements.
 
     When some signed letter c is a last letter of both h and k (one that
     commutes with every letter after it; _conjugators yields these masks),
@@ -244,7 +242,10 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     A(st(v)), then u^m = u^d, which lies in A(st(v)) because u does.
     Conversely, the retraction of the group onto A(st(v)), which kills every
     generator outside st(v), fixes u^m, so m times the inverse of its image
-    centralizes u and lies in A(st(u)). One scan of m decides membership: a
+    centralizes u and lies in A(st(u)). Every element of the double coset
+    has its support in st(u) | st(v), and m, being reduced, has support
+    supp(h) | supp(k): a pair whose conjugator supports leave st(u) | st(v)
+    is no edge, with no scan. Otherwise one scan of m decides membership: a
     letter of st(u) that commutes with every letter kept before it moves to
     the front and is dropped; any other letter is kept and must lie in
     st(v).
@@ -277,11 +278,11 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     vid: list[int] = []
     blank = [-1] * n
     # per vertex: the number of its conjugator h, the index of its generator
-    # v, h's last-letter mask, the support of v^h (canonical words are
-    # reduced, so their letters are their support) and supp(h) | st(v); per
-    # generator, the vertices it is the base of
+    # v, h's last-letter mask and supp(h) (canonical words are reduced, so
+    # their letters are their support); per generator, the vertices it is
+    # the base of
     vertices: list[ExtVertex] = []
-    cnum, bases, lasts, supports, reach = [], [], [], [], []
+    cnum, bases, lasts, supports = [], [], [], []
     with_base: list[list[int]] = [[] for _ in g.vertices]
     for h, first, pos, neg in _conjugators(g, radius):
         num = number[h] = len(conjugators)
@@ -301,17 +302,17 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
             cnum.append(num)
             bases.append(gen)
             lasts.append(last)
-            supports.append(supp | 1 << gen)
-            reach.append(supp | st_mask[gen])
+            supports.append(supp)
     nbr = [0] * len(bases)
     for i, b in enumerate(bases):
         tail = inverses[cnum[i]]
-        st_v, supp_i, reach_i = st_mask[b], supports[i], reach[i]
+        st_v, supp_i = st_mask[b], supports[i]
         last_i, drop_i = lasts[i], drops[cnum[i]]
         for u in _bits(g._nbr[b]):
             st_u = st_mask[u]
+            outside = ~(st_u | st_v)
             for j in with_base[u]:
-                if j <= i or supports[j] & ~reach_i or supp_i & ~reach[j]:
+                if j <= i:
                     continue
                 shared = last_i & lasts[j]
                 if shared:
@@ -320,6 +321,8 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
                     if nbr[vid[drop_i[a] + b]] >> vid[drops[cnum[j]][a] + u] & 1:
                         nbr[i] |= 1 << j
                         nbr[j] |= 1 << i
+                    continue
+                if (supp_i | supports[j]) & outside:
                     continue
                 kept = 0
                 for c in conjugators[cnum[j]] + tail:

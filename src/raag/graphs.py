@@ -215,18 +215,24 @@ def complement(g: Graph) -> Graph:
 
 
 def induced_subgraph(g: Graph, names: Iterable[str], name: Optional[str] = None) -> Graph:
-    """Induced subgraph on the given vertices, kept in g's insertion order:
-    each kept neighbour mask compressed to the kept indices."""
+    """Induced subgraph on the given vertices, kept in g's insertion order.
+    An unknown or repeated name is a ValueError."""
     keep = 0
     for v in names:
         bit = 1 << g.index(v)
         if keep & bit:
             raise ValueError(f"duplicate vertex {v!r} in selection")
         keep |= bit
+    return _induced(g, keep, name if name is not None else g.name + "_sub")
+
+
+def _induced(g: Graph, keep: int, name: str) -> Graph:
+    """Induced subgraph on the vertices of the mask keep, in g's insertion
+    order: each kept neighbour mask compressed to the kept indices."""
     idxs = list(_bits(keep))
     pos = {i: k for k, i in enumerate(idxs)}
     nbr = [sum(1 << pos[j] for j in _bits(g._nbr[i] & keep)) for i in idxs]
-    return Graph._from_masks(name if name is not None else g.name + "_sub", g._names(keep), nbr)
+    return Graph._from_masks(name, g._names(keep), nbr)
 
 
 def graph_join(parts: Sequence[Graph], name: str = "join") -> Graph:
@@ -348,7 +354,7 @@ def join_decompose(g: Graph) -> JoinDecomposition:
         raise ValueError("empty input")
     comps = []
     for keep in _components_of(_nonneighbor_masks(g)):
-        sub = induced_subgraph(g, g._names(keep), f"{g.name}_comp{len(comps) + 1}")
+        sub = _induced(g, keep, f"{g.name}_comp{len(comps) + 1}")
         comps.append(JoinComponent(sub, _anti_path_order(sub)))
     return JoinDecomposition(tuple(comps))
 

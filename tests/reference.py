@@ -10,6 +10,10 @@ lists the group that some permutations generate. marker_normalize and
 marker_survivors are the piling kernel as first written: every push leaves
 a zero marker on each pile of a non-commuting generator, and a letter
 cancels only against a real letter on top of its own pile.
+reach_sets_by_name and full_embedding_problem spell the reach sets of a
+clique chain and the check of a full-embedding outcome with vertex names,
+support name sets and join_decompose, where raag.embedding keeps vertex
+sets as bitmasks.
 """
 
 import itertools
@@ -17,8 +21,8 @@ from collections import deque
 from typing import Iterator, Optional
 
 from raag.extension import ExtVertex
-from raag.graphs import Graph
-from raag.words import Word, commutes, is_reduced
+from raag.graphs import Graph, join_decompose, verify_full_embedding
+from raag.words import Word, commutes, is_reduced, support
 
 _DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -183,3 +187,45 @@ def closure(perms, n: int) -> set[tuple[int, ...]]:
                 group.add(r)
                 frontier.append(r)
     return group
+
+
+def reach_sets_by_name(g: Graph, cliques) -> tuple[tuple[str, ...], ...]:
+    """The reach sets Y_1..Y_{n-1} of the vertex-name sets C_1..C_n of a
+    chain over g, as first defined: Y_1 = C_1, and Y_i keeps the vertices
+    of C_i with a distinct non-neighbour in Y_{i-1}, each set in the order
+    of C_i."""
+    sets = [tuple(cliques[0])]
+    for clique in cliques[1:-1]:
+        prev = sets[-1]
+        sets.append(tuple(y for y in clique if any(x != y and not g.adjacent(x, y) for x in prev)))
+    return tuple(sets)
+
+
+def full_embedding_problem(h, mapping) -> Optional[str]:
+    """The first problem of mapping as a full-embedding outcome of h, or
+    None: verify_full_embedding, then every image inside the union of the
+    image supports, then per join component of the source (join_decompose)
+    a 3-vertex component inside its own support union and a larger one
+    vertex by vertex inside the support of its image."""
+    try:
+        chk = verify_full_embedding(h.source, h.target, mapping)
+    except ValueError as exc:
+        return f"embedding check failed: {exc}"
+    if not chk:
+        return f"embedding check failed: {chk.violation}"
+    supp = set().union(*(support(w) for w in h.images.values()))
+    outside = [v for v, x in mapping.items() if x not in supp]
+    if outside:
+        return f"image of {outside[0]!r} lies outside the homomorphism support"
+    for comp in join_decompose(h.source).components if len(h.source) else ():
+        verts = comp.graph.vertices
+        if len(verts) == 3:
+            comp_supp = set().union(*(support(h.images[v]) for v in verts))
+            for v in verts:
+                if mapping[v] not in comp_supp:
+                    return f"vertex {v!r} mapped outside its component support"
+        elif len(verts) > 1:
+            for v in verts:
+                if mapping[v] not in support(h.images[v]):
+                    return f"anti-path vertex {v!r} mapped outside the support of its image"
+    return None

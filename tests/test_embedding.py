@@ -11,7 +11,6 @@ from raag.embedding import (
     HomSpec,
     KernelWitness,
     MechanismError,
-    ReachSets,
     StructuralCertificate,
     build_clique_chain,
     check_reach_adjacency,
@@ -54,10 +53,17 @@ from raag.words import (
 )
 
 from conftest import SEEDS, all_labeled_graphs, cycle_graph, drawn_graphs, random_graph
+from reference import full_embedding_problem, reach_sets_by_name
 
 
 def identity_spec(g):
     return HomSpec(g, g, {v: Word(g, [(v, 1)]) for v in g.vertices})
+
+
+def masks(g, *sets):
+    """Vertex-name sets of g as bitmasks over its vertex indices, the
+    format of clique chains and reach sets."""
+    return tuple(sum(1 << g.index(v) for v in names) for names in sets)
 
 
 def collapsed_spec(src, target, gen, powers=None):
@@ -254,7 +260,7 @@ def test_chain_identity_p4c():
     h = identity_spec(path_complement(4))
     chain = build_clique_chain(h)
     assert chain.order == ("v1", "v2", "v3", "v4")
-    assert chain.cliques == (("v1",), ("v2",), ("v3",), ("v4",))
+    assert chain.cliques == masks(h.target, ("v1",), ("v2",), ("v3",), ("v4",))
 
 
 def test_chain_vacuous_for_two_vertices():
@@ -314,17 +320,17 @@ def test_chain_judges_labelings_by_the_pairwise_rule(srcs, outcomes):
         if obeyed:
             chain = build_clique_chain(h)
             assert _pairwise_anti_path_order(src, chain.order), src.edges()
-            assert chain.cliques == tuple((v,) for v in chain.order)
+            assert chain.cliques == masks(src, *((v,) for v in chain.order))
         else:
             with pytest.raises(ValueError, match="not the complement of a path"):
                 build_clique_chain(h)
     assert seen == outcomes
 
 
-def _reference_cross_pair(chain):
-    """The first (v_i, v_j) with j >= i + 2 whose cliques hold a distinct
-    non-adjacent pair, by the pairwise scan over every cross pair."""
-    g, order, cliques = chain.graph, chain.order, chain.cliques
+def _reference_cross_pair(g, order, cliques):
+    """The first (v_i, v_j) with j >= i + 2 whose vertex-name sets hold a
+    distinct non-adjacent pair, by the pairwise scan over every cross
+    pair."""
     for i in range(len(cliques)):
         for j in range(i + 2, len(cliques)):
             for x in cliques[i]:
@@ -350,10 +356,10 @@ def test_chain_cross_check_matches_the_pairwise_rule():
             images[v] = Word(t, [(rnd.choice(clique), rnd.choice((1, -1))) for _ in range(rnd.randint(1, 4))])
         h = HomSpec(src, t, images)
         cliques = tuple(tuple(u for u in t.vertices if u in support(h.images[v])) for v in src.vertices)
-        want = _reference_cross_pair(CliqueChain(t, src.vertices, cliques))
+        want = _reference_cross_pair(t, src.vertices, cliques)
         outcomes.add(want is None)
         if want is None:
-            assert build_clique_chain(h) == CliqueChain(t, src.vertices, cliques)
+            assert build_clique_chain(h) == CliqueChain(t, src.vertices, masks(t, *cliques))
         else:
             with pytest.raises(ValueError, match="not a homomorphism on this component") as exc:
                 build_clique_chain(h)
@@ -371,36 +377,36 @@ def test_sequence_search_identity_p4c():
 
 def test_sequence_search_fails_inside_one_clique():
     t = complete_graph(3, prefix="a")
-    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), (("a1", "a2"), ("a2", "a3"), ("a1",), ("a3",)))
+    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), masks(t, ("a1", "a2"), ("a2", "a3"), ("a1",), ("a3",)))
     assert sequence_search(chain) is None
 
 
 def test_sequence_search_two_supports():
     t = Graph("t", ["a", "b"])
-    chain = CliqueChain(t, ("v1", "v2"), (("a",), ("b",)))
+    chain = CliqueChain(t, ("v1", "v2"), masks(t, ("a",), ("b",)))
     assert sequence_search(chain) == ("a", "b")
 
 
 def test_sequence_search_needs_two_cliques():
     t = Graph("t", ["a"])
     with pytest.raises(ValueError):
-        sequence_search(CliqueChain(t, ("v1",), (("a",),)))
+        sequence_search(CliqueChain(t, ("v1",), masks(t, ("a",))))
 
 
-def _reference_sequence_search(chain):
-    """The plain backtracking scan that sequence_search prunes: positions
-    in chain order, each trying its clique in order, skipping used vertices
-    and neighbours of the previous choice. Its first solution is the one
-    the search must return."""
-    n = len(chain.cliques)
-    g = chain.graph
+def _reference_sequence_search(g, cliques):
+    """The plain backtracking scan that sequence_search prunes, on the
+    vertex-name sets of a chain over g: positions in chain order, each
+    trying its set in order, skipping used vertices and neighbours of the
+    previous choice. Its first solution is the one the search must
+    return."""
+    n = len(cliques)
     chosen = []
     used = set()
 
     def step(i):
         if i == n:
             return True
-        for y in chain.cliques[i]:
+        for y in cliques[i]:
             if y in used:
                 continue
             if i > 0 and g.adjacent(chosen[-1], y):
@@ -420,16 +426,26 @@ def _reference_sequence_search(chain):
 
 @st.composite
 def _chains(draw):
-    """Chains of 2 to 6 vertex sets over a graph on at most 10 vertices,
-    each set in target order like build_clique_chain's. The sets need not
-    be cliques: the search does not rely on it."""
+    """A graph on at most 10 vertices and 2 to 6 non-empty vertex-name sets
+    over it, each in target order like build_clique_chain's supports, with
+    every cross pair at distance > 1 identical or adjacent, as the chain
+    check guarantees. The sets need not be cliques: nothing here relies on
+    it. A set with no vertex left to draw ends the chain."""
     g = draw(drawn_graphs(1, 10, "t"))
     rnd = random.Random(draw(SEEDS))
     sets = []
     for _ in range(rnd.randint(2, 6)):
-        members = rnd.sample(g.vertices, rnd.randint(1, min(5, len(g))))
+        allowed = [y for y in g.vertices
+                   if all(x == y or g.adjacent(x, y) for earlier in sets[:-1] for x in earlier)]
+        if not allowed:
+            break
+        members = rnd.sample(allowed, rnd.randint(1, min(5, len(allowed))))
         sets.append(tuple(v for v in g.vertices if v in members))
-    return CliqueChain(g, tuple(f"v{i}" for i in range(1, len(sets) + 1)), tuple(sets))
+    return g, tuple(sets)
+
+
+def _chain(g, sets):
+    return CliqueChain(g, tuple(f"v{i}" for i in range(1, len(sets) + 1)), masks(g, *sets))
 
 
 def test_sequence_search_returns_the_reference_sequence():
@@ -437,10 +453,10 @@ def test_sequence_search_returns_the_reference_sequence():
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_chains())
-    def check(chain):
-        want = _reference_sequence_search(chain)
+    def check(drawn):
+        want = _reference_sequence_search(*drawn)
         outcomes.add(want is not None)
-        assert sequence_search(chain) == want
+        assert sequence_search(_chain(*drawn)) == want
 
     check()
     assert outcomes == {True, False}
@@ -453,15 +469,14 @@ def test_reach_sets_start_with_first_clique():
     h = identity_spec(path_complement(4))
     chain = build_clique_chain(h)
     rs = reach_sets(chain)
-    assert rs.sets[0] == ("v1",)
-    assert rs.sets == (("v1",), ("v2",), ("v3",))
+    assert rs == masks(h.target, ("v1",), ("v2",), ("v3",))
 
 
 def test_reach_sets_empty_inside_clique():
     t = complete_graph(2, prefix="a")
-    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), (("a1",), ("a2",), ("a1",), ("a2",)))
+    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), masks(t, ("a1",), ("a2",), ("a1",), ("a2",)))
     rs = reach_sets(chain)
-    assert rs.sets == (("a1",), (), ())
+    assert rs == masks(t, ("a1",), (), ())
 
 
 def test_reach_adjacency_names_the_first_distinct_non_adjacent_pair():
@@ -469,10 +484,25 @@ def test_reach_adjacency_names_the_first_distinct_non_adjacent_pair():
     # {a, b} pass against the last clique (a, b), and a reach-set c fails
     # at its pair with a
     t = Graph("t", ["a", "b", "c"], [("a", "b")])
-    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), (("a",), ("b",), ("a",), ("a", "b")))
-    check_reach_adjacency(chain, ReachSets((("a",), ("b",), ("a", "b"))))
+    chain = CliqueChain(t, ("v1", "v2", "v3", "v4"), masks(t, ("a",), ("b",), ("a",), ("a", "b")))
+    check_reach_adjacency(chain, masks(t, ("a",), ("b",), ("a", "b")))
     with pytest.raises(MechanismError, match=r"at pair \('c', 'a'\)"):
-        check_reach_adjacency(chain, ReachSets((("a",), ("b", "c"), ())))
+        check_reach_adjacency(chain, masks(t, ("a",), ("b", "c"), ()))
+
+
+def test_reach_sets_match_the_name_based_reference():
+    empty = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_chains())
+    def check(drawn):
+        g, sets = drawn
+        want = reach_sets_by_name(g, sets)
+        empty.add(() in want)
+        assert reach_sets(_chain(g, sets)) == masks(g, *want)
+
+    check()
+    assert empty == {True, False}
 
 
 def test_peel_keeps_words_already_in_reach_sets():
@@ -529,7 +559,7 @@ def test_peel_deletes_single_blocking_letter():
     chain = build_clique_chain(h)
     assert sequence_search(chain) is None
     rs = reach_sets(chain)
-    assert rs.sets == (("d",), ("b",), ())
+    assert rs == masks(t, ("d",), ("b",), ())
     peeled = peel_words(h, chain, rs)
     assert [str(w) for w in peeled] == ["d", "b b", "1"]
     out = extract_anti_path(h)
@@ -542,7 +572,7 @@ def test_peel_rejects_forged_reach_sets():
     t = Graph("t", ["a", "b"])
     p3c = path_complement(3)
     h = HomSpec(p3c, t, {"v1": parse_word(t, "a"), "v2": parse_word(t, "b"), "v3": parse_word(t, "a")})
-    forged = ReachSets((("a",), ()))
+    forged = masks(t, ("a",), ())
     with pytest.raises(MechanismError, match="diverged at stage 2"):
         peel_words(h, build_clique_chain(h), forged)
 
@@ -1204,6 +1234,65 @@ def test_embedding_check_rejects_map_naming_non_source_vertices():
     h = identity_spec(path_complement(2))
     bad = FullEmbedding({"v1": "v1", "v2": "v2", "zz": "v1"})
     assert bad.check(h) == "embedding check failed: map mentions non-source vertex 'zz'"
+
+
+_EMBEDDING_PROBLEMS = (
+    "embedding check failed",
+    "outside the homomorphism support",
+    "outside its component support",
+    "outside the support of its image",
+)
+
+
+def test_embedding_check_matches_the_name_based_reference():
+    # a source, a target holding a full embedding phi of it among up to two
+    # extra vertices, and images whose supports miss phi(v) now and then;
+    # the maps checked are phi, phi with its images shuffled, random ones
+    # and phi made malformed, so most of them are wrong. The images need not
+    # define a homomorphism: the check reads only their supports.
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(SEEDS, st.sampled_from(("phi", "shuffle", "random", "malformed")))
+    def check(seed, kind):
+        rnd = random.Random(seed)
+        if rnd.random() < 0.7:
+            parts = [path_complement(rnd.randint(1, 4), prefix=f"s{c}_") for c in range(rnd.randint(1, 3))]
+            src = graph_join(parts)
+        else:
+            src = random_graph(rnd, rnd.randint(0, 4), rnd.random(), prefix="s")
+        n = len(src)
+        names = [f"t{i}" for i in range(1, n + rnd.randint(0, 2) + 1)]
+        rnd.shuffle(names)
+        edges = [(names[i], names[j]) for i, j in itertools.combinations(range(len(names)), 2)
+                 if (src.adjacent(src.vertices[i], src.vertices[j]) if j < n else rnd.random() < 0.5)]
+        t = Graph("t", sorted(names, key=lambda v: int(v[1:])), edges)
+        phi = dict(zip(src.vertices, names))
+        images = {}
+        for v in src.vertices:
+            letters = [y for y in t.vertices if rnd.random() < (0.85 if y == phi[v] else 0.3)]
+            images[v] = Word(t, [(y, rnd.choice((1, -1))) for y in letters])
+        h = HomSpec(src, t, images)
+        mapping = dict(phi)
+        if kind == "shuffle":
+            mapping = dict(zip(phi, rnd.sample(list(phi.values()), n)))
+        elif kind == "random":
+            mapping = {v: rnd.choice(t.vertices) for v in src.vertices}
+        elif kind == "malformed" and n:
+            v = rnd.choice(src.vertices)
+            fault = rnd.randrange(3)
+            if fault == 0:
+                del mapping[v]
+            elif fault == 1:
+                mapping["zz"] = mapping[v]
+            else:
+                mapping[v] = "zz"
+        want = full_embedding_problem(h, mapping)
+        seen.add(want and next(k for k in _EMBEDDING_PROBLEMS if k in want))
+        assert FullEmbedding(mapping).check(h) == want
+
+    check()
+    assert seen == {None, *_EMBEDDING_PROBLEMS}
 
 
 def test_witness_check_rejects_word_over_another_graph():

@@ -289,16 +289,58 @@ def _commutator_edges(ball, trivial):
     return edges
 
 
+def _conjugator_and_last_letters(x):
+    """The conjugator h of a ball vertex x = h^-1 v h, read off its
+    canonical word, and h's last letters: the signed codes of the letters
+    that commute with (are adjacent in g to, so distinct from) every letter
+    after them."""
+    g, codes = x.element.word.graph, x.element.word.codes()
+    h = codes[len(codes) // 2 + 1:]
+    last = {c for p, c in enumerate(h)
+            if all(g._nbr[abs(c) - 1] >> abs(d) - 1 & 1 for d in h[p + 1:])}
+    return h, last
+
+
+def _support_test_counts(ball, edges):
+    """Check the double-coset support test on every pair of vertices x =
+    v^h, y = u^k with adjacent bases and no shared last letter: an edge
+    needs supp(h) | supp(k) inside st(u) | st(v) (Servatius). Returns how
+    many such pairs are non-edges that pass, edges (which all pass), and
+    non-edges that fail."""
+    g = ball.source
+    star = [g._nbr[i] | 1 << i for i in range(len(g))]
+    conj = [_conjugator_and_last_letters(x) for x in ball.vertices]
+    counts = [0, 0, 0]
+    for i, j in itertools.combinations(range(len(ball.vertices)), 2):
+        (h, hl), (k, kl) = conj[i], conj[j]
+        v, u = (g.index(ball.vertices[t].base) for t in (i, j))
+        if hl & kl or not g._nbr[v] >> u & 1:
+            continue
+        supp = sum({1 << abs(c) - 1 for c in h + k})
+        if supp & ~(star[u] | star[v]):
+            assert (i, j) not in edges, (g.edges(), ball.vertices[i], ball.vertices[j])
+            counts[2] += 1
+        else:
+            counts[(i, j) in edges] += 1
+    return counts
+
+
 def test_ball_edges_match_commutator_reference_on_small_graphs():
     # ext_ball decides adjacency from conjugator supports; the reduced
     # commutator, and on the smallest balls the brute-force oracle, decide it
     # independently (radius 1 on at most 4 vertices is covered by the 5-vertex
-    # pass)
+    # pass). Every edge between vertices with no shared last letter passes
+    # the double-coset support test, which passes some non-edges and fails
+    # others.
+    counts = [0, 0, 0]
     for n in range(1, 5):
         for g in iso_class_representatives(n):
             for radius in (0, 2):
                 ball = ext_ball(g, radius)
-                assert ball.edges == _commutator_edges(ball, is_trivial), (g.edges(), radius)
+                edges = _commutator_edges(ball, is_trivial)
+                assert ball.edges == edges, (g.edges(), radius)
+                counts = [a + b for a, b in zip(counts, _support_test_counts(ball, edges))]
+    assert min(counts) > 0, counts
     for n in range(1, 6):
         for g in iso_class_representatives(n):
             ball = ext_ball(g, 1)
