@@ -63,6 +63,21 @@ refused before anything is measured, and the file is left as it was:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json --label change-1
 
+With --against <src dir of another checkout>, the run holds only the
+ext_ball and graphs rows, timed on both checkouts in one process: the
+other checkout's raag is loaded beside this one under the package name
+raag_against, each row is built once per checkout from that checkout's own
+modules, and the two sides alternate on every one of INTERLEAVED_REPEATS
+repetitions (this checkout first on even repetitions, the other first on
+odd ones). So host drift, which moves separate runs by tens of percent,
+reaches both sides alike. These rows make no kernel call, so each side
+keeps the kernel its raag._kernel picked. A row carries, per side, the
+median, the minimum and the quartiles (this_* and against_*), and
+this_faster, the number of repetitions in which this checkout was faster:
+
+    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json \
+        --label interleaved-1 --against ../parent/src
+
 A kernel memory row carries pure_peak_mb and compiled_peak_mb instead of
 times; a peak moves by at most a few kB between runs, so each is measured
 once.
@@ -72,6 +87,7 @@ fill the compiled column; without it that column is null.
 """
 
 import argparse
+import importlib
 import json
 import platform
 import random
@@ -80,11 +96,11 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
-from raag import _kernel, _purekernel, graphs
-from raag.embedding import HomSpec, build_clique_chain, extract_full, sequence_search
-from raag.extension import ball_as_graph, ext_ball
-from raag.graphs import Graph, complement, induced_subgraph, join_decompose, path_graph
+from raag import _kernel, _purekernel, embedding, extension, graphs, words
+from raag.embedding import extract_full
+from raag.graphs import Graph
 from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
 from raag.words import Word, canonical_form, commutes, is_trivial, reduce, support
 
@@ -95,9 +111,13 @@ except ImportError:
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 7
+INTERLEAVED_REPEATS = 11
 BALL_GRAPH_CALLS = 20
 SEARCH_PASSES = 10
 COMMUTE_PAIRS = 3000
+# the raag modules the rows are built from: this checkout's, or another's
+# (load_checkout)
+THIS = SimpleNamespace(graphs=graphs, extension=extension, embedding=embedding, words=words)
 
 
 def make_graph(rng, n, p):
@@ -189,24 +209,26 @@ def extract_long_pool():
     return perfbench_workloads().ExtractLong(1).specs
 
 
-def ext_query_balls():
+def ext_query_balls(r):
     """(target, radius) of each distinct ball of the perfbench ext_query
-    queries, on the targets its _named_graph builds."""
+    queries, on the targets its _named_graph builds with the raag modules
+    r."""
     wl = perfbench_workloads()
-    return [(wl._named_graph(graphs, name, "a"), radius) for name, radius in sorted({q[:2] for q in wl.QUERIES})]
+    return [(wl._named_graph(r.graphs, name, "a"), radius) for name, radius in sorted({q[:2] for q in wl.QUERIES})]
 
 
-def ext_query_searches():
+def ext_query_searches(r):
     """(source, ball graph) of each perfbench ext_query query, in its
-    order, on the graphs its _named_graph builds; each ball is built
-    once."""
+    order, on the graphs its _named_graph builds with the raag modules r;
+    each ball is built once."""
     wl = perfbench_workloads()
     balls = {}
     out = []
     for target, radius, source, *_ in wl.QUERIES:
         if (target, radius) not in balls:
-            balls[target, radius] = ball_as_graph(ext_ball(wl._named_graph(graphs, target, "a"), radius))
-        out.append((wl._named_graph(graphs, source, "x"), balls[target, radius]))
+            g = wl._named_graph(r.graphs, target, "a")
+            balls[target, radius] = r.extension.ball_as_graph(r.extension.ext_ball(g, radius))
+        out.append((wl._named_graph(r.graphs, source, "x"), balls[target, radius]))
     return out
 
 
@@ -237,33 +259,136 @@ def fresh_word_pairs(g, pairs):
     return [(Word._from_codes(g, tuple(a)), Word._from_codes(g, tuple(b))) for a, b in pairs]
 
 
-def pool_chains(pool):
+def pool_chains(pool, r):
     """The clique chain of every anti-path factor of 2 or at least 4
-    vertices of each hom of the pool, in pool and factor order."""
+    vertices of each hom of the pool, in pool and factor order, built by
+    the raag modules r."""
     out = []
     for h in pool:
-        for c in join_decompose(h.source).components:
+        for c in r.graphs.join_decompose(h.source).components:
             if len(c.graph) == 2 or len(c.graph) >= 4:
-                out.append(build_clique_chain(h.restricted(c.graph)))
+                out.append(r.embedding.build_clique_chain(h.restricted(c.graph)))
     return out
 
 
-def support_unions(pool):
+def support_unions(pool, r):
     """(target, union of the image supports in target order) per hom."""
     out = []
     for h in pool:
-        union = frozenset().union(*(support(w) for w in h.images.values()))
+        union = frozenset().union(*(r.words.support(w) for w in h.images.values()))
         out.append((h.target, [v for v in h.target.vertices if v in union]))
     return out
 
 
-def fresh_pool(pool):
-    """The pool rebuilt from names and codes, with new graphs and words."""
+def fresh_pool(pool, r=THIS):
+    """The pool rebuilt from names and codes, with new graphs and words, of
+    the raag modules r."""
     out = []
     for h in pool:
-        source = Graph(h.source.name, h.source.vertices, h.source.edges())
-        target = Graph(h.target.name, h.target.vertices, h.target.edges())
-        out.append(HomSpec(source, target, {v: Word._from_codes(target, w.codes()) for v, w in h.images.items()}))
+        source = r.graphs.Graph(h.source.name, h.source.vertices, h.source.edges())
+        target = r.graphs.Graph(h.target.name, h.target.vertices, h.target.edges())
+        images = {v: r.words.Word._from_codes(target, w.codes()) for v, w in h.images.items()}
+        out.append(r.embedding.HomSpec(source, target, images))
+    return out
+
+
+def load_checkout(src):
+    """The modules of the raag package under the directory src, imported
+    beside this checkout's as the package raag_against. While it imports,
+    the raag entries of sys.modules are set aside, so its modules bind one
+    another; afterwards they are registered under raag_against and this
+    checkout's raag is restored."""
+    names = ("graphs", "words", "extension", "embedding", "_kernel")
+    mine = {k: m for k, m in sys.modules.items() if k == "raag" or k.startswith("raag.")}
+    for k in mine:
+        del sys.modules[k]
+    sys.path.insert(0, str(src))
+    try:
+        package = importlib.import_module("raag")
+        modules = {name: importlib.import_module(f"raag.{name}") for name in names}
+    finally:
+        sys.path.remove(str(src))
+        theirs = {k: m for k, m in sys.modules.items() if k == "raag" or k.startswith("raag.")}
+        for k in theirs:
+            del sys.modules[k]
+        sys.modules.update(mine)
+    sys.modules.update({"raag_against" + k[len("raag"):]: m for k, m in theirs.items()})
+    if Path(package.__file__).resolve().parent != (Path(src) / "raag").resolve():
+        sys.exit(f"--against {src}: no raag package there")
+    return SimpleNamespace(**modules)
+
+
+def ball_rows(r):
+    """(layer, case, run) of the ext_ball rows, on graphs and balls built
+    by the raag modules r."""
+    ext_ball, ball_as_graph = r.extension.ext_ball, r.extension.ball_as_graph
+    out = []
+    balls = [(n, radius, r.graphs.path_graph(n)) for n, radius in ((5, 2), (4, 3), (5, 3), (4, 4))]
+    for n, radius, g in balls:
+        out.append(("ext_ball", f"P{n} radius {radius}", lambda g=g, radius=radius: ext_ball(g, radius)))
+    queried = ext_query_balls(r)
+    out.append(("ext_ball", f"the {len(queried)} ext_query balls, one pass",
+                lambda: [ext_ball(g, radius) for g, radius in queried]))
+    for n, radius, g in balls:
+        ball = ext_ball(g, radius)
+        out.append(("ext_ball", f"ball_as_graph x{BALL_GRAPH_CALLS} on the P{n} radius {radius} ball",
+                    lambda ball=ball: [ball_as_graph(ball) for _ in range(BALL_GRAPH_CALLS)]))
+    return out
+
+
+def graph_rows(r, pool):
+    """(layer, case, run) of the graphs rows, on inputs built by the raag
+    modules r from the pool, which r's classes built."""
+    gr = r.graphs
+    sources, unions = [h.source for h in pool], support_unions(pool, r)
+    out = [
+        ("graphs", "join_decompose on the extract_long pool sources (800, seed 1)",
+         lambda: [gr.join_decompose(g) for g in sources]),
+        ("graphs", "complement(induced_subgraph) on its support unions (800, seed 1)",
+         lambda: [gr.complement(gr.induced_subgraph(t, s)) for t, s in unions]),
+    ]
+    searches = ext_query_searches(r)
+    tail = [(lam, bg) for lam, bg in searches if (lam.name, bg.name) == ("P6c", "P5c_ball2")]
+    for case, queries in ((f"the {len(searches)} ext_query queries", searches),
+                          ("the ext_query tail, P6c into the P5c radius 2 ball", tail)):
+        out.append(("graphs", f"full_embedding_search x{SEARCH_PASSES} on {case}",
+                    lambda queries=queries: [gr.full_embedding_search(lam, bg)
+                                             for _ in range(SEARCH_PASSES) for lam, bg in queries]))
+    chains = pool_chains(pool, r)
+    sequence_search = r.embedding.sequence_search
+    out.append(("graphs", f"sequence_search x{SEARCH_PASSES} on the {len(chains)} extract_long pool chains (seed 1)",
+                lambda: [sequence_search(chain) for _ in range(SEARCH_PASSES) for chain in chains]))
+    return out
+
+
+def spread(times):
+    """Median, minimum and quartiles of times, rounded."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"s": round(median, 4), "min_s": round(min(times), 4), "quartiles_s": [round(q1, 4), round(q3, 4)]}
+
+
+def interleaved_rows(other):
+    """The ext_ball and graphs rows of this checkout and of the raag
+    modules other, the two sides alternating on every repetition."""
+    pool = extract_long_pool()
+    this_rows = ball_rows(THIS) + graph_rows(THIS, pool)
+    other_rows = ball_rows(other) + graph_rows(other, fresh_pool(pool, other))
+    out = []
+    for (layer, case, run), (_, other_case, other_run) in zip(this_rows, other_rows, strict=True):
+        assert case == other_case, (case, other_case)
+        times = ([], [])
+        for k in range(INTERLEAVED_REPEATS):
+            for side in (0, 1) if k % 2 == 0 else (1, 0):
+                start = time.perf_counter()
+                (run, other_run)[side]()
+                times[side].append(time.perf_counter() - start)
+        entry = {"layer": layer, "case": case}
+        for prefix, side in (("this", 0), ("against", 1)):
+            entry.update({f"{prefix}_{k}": v for k, v in spread(times[side]).items()})
+        entry["this_faster"] = sum(a < b for a, b in zip(*times))
+        out.append(entry)
+        print(f"{layer:<8} {case:<58} {entry['this_s']:>9}s against {entry['against_s']:>9}s"
+              f"  faster {entry['this_faster']}/{INTERLEAVED_REPEATS}", flush=True)
     return out
 
 
@@ -306,16 +431,8 @@ def rows():
         out.append(entry)
         print(f"{'memory':<8} {case:<58} {entry['pure_peak_mb']:>8}MB {entry['compiled_peak_mb'] or 'n/a':>8}"
               + ("" if entry["compiled_peak_mb"] is None else "MB"), flush=True)
-    balls = [(n, radius, path_graph(n)) for n, radius in ((5, 2), (4, 3), (5, 3), (4, 4))]
-    for n, radius, g in balls:
-        row("ext_ball", f"P{n} radius {radius}", lambda g=g, radius=radius: ext_ball(g, radius))
-    queried = ext_query_balls()
-    row("ext_ball", f"the {len(queried)} ext_query balls, one pass",
-        lambda: [ext_ball(g, radius) for g, radius in queried])
-    for n, radius, g in balls:
-        ball = ext_ball(g, radius)
-        row("ext_ball", f"ball_as_graph x{BALL_GRAPH_CALLS} on the P{n} radius {radius} ball",
-            lambda ball=ball: [ball_as_graph(ball) for _ in range(BALL_GRAPH_CALLS)])
+    for layer, case, run in ball_rows(THIS):
+        row(layer, case, run)
     config = HarnessConfig(trials=500, seed=42)
     row("harness", "run_harness(500 trials, seed 42)", lambda: run_harness(config))
     row("harness", "instance generation of run_harness(500 trials, seed 42)", lambda: draw_instances(config))
@@ -328,21 +445,8 @@ def rows():
     g, pairs = random_word_pairs()
     row("words", f"commutes on {COMMUTE_PAIRS} pairs of random 12-letter words, 8 generators (cold)",
         lambda fresh: [commutes(a, b) for a, b in fresh], lambda: fresh_word_pairs(g, pairs))
-    sources, unions = [h.source for h in pool], support_unions(pool)
-    row("graphs", "join_decompose on the extract_long pool sources (800, seed 1)",
-        lambda: [join_decompose(g) for g in sources])
-    row("graphs", "complement(induced_subgraph) on its support unions (800, seed 1)",
-        lambda: [complement(induced_subgraph(t, s)) for t, s in unions])
-    searches = ext_query_searches()
-    tail = [(lam, bg) for lam, bg in searches if (lam.name, bg.name) == ("P6c", "P5c_ball2")]
-    for case, queries in ((f"the {len(searches)} ext_query queries", searches),
-                          ("the ext_query tail, P6c into the P5c radius 2 ball", tail)):
-        row("graphs", f"full_embedding_search x{SEARCH_PASSES} on {case}",
-            lambda queries=queries: [graphs.full_embedding_search(lam, bg)
-                                     for _ in range(SEARCH_PASSES) for lam, bg in queries])
-    chains = pool_chains(pool)
-    row("graphs", f"sequence_search x{SEARCH_PASSES} on the {len(chains)} extract_long pool chains (seed 1)",
-        lambda: [sequence_search(chain) for _ in range(SEARCH_PASSES) for chain in chains])
+    for layer, case, run in graph_rows(THIS, pool):
+        row(layer, case, run)
     row("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
         lambda specs: [extract_full(h) for h in specs], lambda: fresh_pool(pool))
     return out
@@ -352,20 +456,34 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
     parser.add_argument("--label", default="current", help="name of this run in the output file")
+    parser.add_argument("--against", type=Path, metavar="SRC",
+                        help="src directory of another checkout: time the ext_ball and graphs rows of both, "
+                             "interleaved")
     args = parser.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     if args.label in data["runs"]:
         sys.exit(f"{args.out} already holds a run labelled {args.label!r} (labels: {', '.join(data['runs'])}); "
                  "give each run its own label")
-    run = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "repeats": REPEATS,
-        "compiled_kernel": _speedups is not None,
-        "rows": rows(),
-    }
-    if _speedups is None:
-        print("compiled kernel not built; build it with `python setup.py build_ext --inplace` to compare")
+    if args.against:
+        other = load_checkout(args.against)
+        run = {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "against": str(args.against),
+            "repeats": INTERLEAVED_REPEATS,
+            "kernels": {"this": _kernel.kernel_name(), "against": other._kernel.kernel_name()},
+            "rows": interleaved_rows(other),
+        }
+    else:
+        run = {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "repeats": REPEATS,
+            "compiled_kernel": _speedups is not None,
+            "rows": rows(),
+        }
+        if _speedups is None:
+            print("compiled kernel not built; build it with `python setup.py build_ext --inplace` to compare")
     data["runs"][args.label] = run
     args.out.write_text(json.dumps(data, indent=1) + "\n")
 

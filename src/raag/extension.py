@@ -231,8 +231,9 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     Deleting a last letter keeps a canonical word canonical (it commutes
     with every letter after it, so it blocked no move: Anisimov & Knuth)
     and adds no first letter, so (h', v) and (k', u) are kept pairs with shorter
-    conjugators: their vertices come earlier, their masks are final, and
-    the edge bit is copied from them. No kernel call is needed.
+    conjugators: their vertices come earlier, and the edge bit is copied
+    from the row of (h', v), which is final by then (below). No kernel call
+    is needed.
 
     Otherwise k h^-1 is reduced: a product of two reduced words is reduced
     unless it holds a pair c ... c^-1 whose letters in between all commute
@@ -260,6 +261,18 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     the table once the canonical s(h) is known; that comes from the
     canonical s of h's prefix by _append_canonical, once per conjugator.
     The generators of Aut(g) are cached on g (Graph._automorphism_gens).
+
+    The lifts are automorphisms of the ball, so the rows are filled one
+    orbit of the group they generate at a time, vertices taken in index
+    order. The first vertex i whose row is still open gets its bits toward
+    the open vertices j > i by the rules above; every other vertex of its
+    orbit, reached from i along the generating permutations, gets the image
+    sigma(row) of an earlier member's row. Every bit a row gains is also
+    set in the row of the other end, and the orbit's rows are then closed.
+    So when i's turn comes, its row already holds its bits toward every
+    closed vertex, and every vertex before i is closed: the bits toward the
+    open j > i complete it. A copy reads the row of (h', v), whose
+    conjugator is shorter than h, so it comes before i and is closed.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -268,19 +281,16 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     noncomm_mask = _nonneighbor_masks(g)
     # the table: every conjugator in shortlex order, its number, its
     # canonical inverse, and vid[n * number + base index], the vertex of
-    # each kept pair (-1 for a skipped one); per conjugator, per bit of its
-    # last-letter mask (bit a for a, bit n + a for a^-1), n times the number
-    # of the conjugator with that letter deleted
+    # each kept pair (-1 for a skipped one)
     conjugators: list[tuple[int, ...]] = []
     number: dict[tuple[int, ...], int] = {}
     inverses: list[tuple[int, ...]] = []
-    drops: list[dict[int, int]] = []
     vid: list[int] = []
     blank = [-1] * n
     # per vertex: the number of its conjugator h, the index of its generator
-    # v, h's last-letter mask and supp(h) (canonical words are reduced, so
-    # their letters are their support); per generator, the vertices it is
-    # the base of
+    # v, h's last-letter mask (bit a for a, bit n + a for a^-1) and supp(h)
+    # (canonical words are reduced, so their letters are their support); per
+    # generator, the vertices it is the base of
     vertices: list[ExtVertex] = []
     cnum, bases, lasts, supports = [], [], [], []
     with_base: list[list[int]] = [[] for _ in g.vertices]
@@ -289,10 +299,8 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
         conjugators.append(h)
         hinv = _append_canonical(inverses[number[h[1:]]], -h[0], g._nbr) if h else ()
         inverses.append(hinv)
-        last = pos | neg << n
-        drops.append({a: n * number[_drop_last(h, a + 1 if a < n else n - a - 1)] for a in _bits(last)})
         vid += blank
-        supp = _code_mask(h)
+        last, supp = pos | neg << n, _code_mask(h)
         for gen, v in enumerate(g.vertices):
             if first & st_mask[gen]:
                 continue
@@ -303,22 +311,28 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
             bases.append(gen)
             lasts.append(last)
             supports.append(supp)
+    automorphisms = _lifted_automorphisms(g, conjugators, number, vid, cnum, bases)
     nbr = [0] * len(bases)
+    closed = [False] * len(bases)
     for i, b in enumerate(bases):
-        tail = inverses[cnum[i]]
-        st_v, supp_i = st_mask[b], supports[i]
-        last_i, drop_i = lasts[i], drops[cnum[i]]
+        if closed[i]:
+            continue
+        closed[i] = True
+        h, tail = conjugators[cnum[i]], inverses[cnum[i]]
+        st_v, supp_i, last_i = st_mask[b], supports[i], lasts[i]
         for u in _bits(g._nbr[b]):
             st_u = st_mask[u]
             outside = ~(st_u | st_v)
             for j in with_base[u]:
-                if j <= i:
+                if j <= i or closed[j]:
                     continue
                 shared = last_i & lasts[j]
                 if shared:
                     # conjugate both down by a shared last letter
                     a = shared.bit_length() - 1
-                    if nbr[vid[drop_i[a] + b]] >> vid[drops[cnum[j]][a] + u] & 1:
+                    c = a + 1 if a < n else n - a - 1
+                    p = vid[n * number[_drop_last(h, c)] + b]
+                    if nbr[p] >> vid[n * number[_drop_last(conjugators[cnum[j]], c)] + u] & 1:
                         nbr[i] |= 1 << j
                         nbr[j] |= 1 << i
                     continue
@@ -335,7 +349,25 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
                 else:
                     nbr[i] |= 1 << j
                     nbr[j] |= 1 << i
-    automorphisms = _lifted_automorphisms(g, conjugators, number, vid, cnum, bases)
+        # the rest of i's orbit: y = perm(x) gets the image of x's row, and
+        # sets its bit in the rows it touches
+        orbit = [i]
+        for x in orbit:
+            row = nbr[x]
+            for perm in automorphisms:
+                y = perm[x]
+                if closed[y]:
+                    continue
+                closed[y] = True
+                orbit.append(y)
+                image, bit, rest = 0, 1 << y, row
+                while rest:
+                    low = rest & -rest
+                    k = perm[low.bit_length() - 1]
+                    image |= 1 << k
+                    nbr[k] |= bit
+                    rest ^= low
+                nbr[y] = image
     return ExtBall(g, radius, tuple(vertices), tuple(nbr), automorphisms)
 
 

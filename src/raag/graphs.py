@@ -532,14 +532,15 @@ def full_embedding_search(
         return {}
     if n > m:
         return None
-    ldeg = [a.bit_count() for a in lam._nbr]
-    gdeg = [a.bit_count() for a in gamma._nbr]
     # t can host s only if t has enough neighbors and enough non-neighbors
-    # inside any n-vertex induced image.
-    domains = [
-        sum(1 << t for t in range(m) if gdeg[t] >= ldeg[s] and m - 1 - gdeg[t] >= n - 1 - ldeg[s])
-        for s in range(n)
-    ]
+    # inside any n-vertex induced image: deg(s) <= deg(t) <= m - n + deg(s).
+    # below[d] holds the targets of degree < d.
+    below = [0] * (m + 1)
+    for t, a in enumerate(gamma._nbr):
+        below[a.bit_count() + 1] |= 1 << t
+    for d in range(1, m + 1):
+        below[d] |= below[d - 1]
+    domains = [below[m - n + d + 1] & ~below[d] for d in (a.bit_count() for a in lam._nbr)]
     found = next(_forward_check(domains, _embedding_links(lam, gamma), gamma._automorphisms), None)
     if found is None:
         return None

@@ -13,7 +13,8 @@ cancels only against a real letter on top of its own pile.
 reach_sets_by_name and full_embedding_problem spell the reach sets of a
 clique chain and the check of a full-embedding outcome with vertex names,
 support name sets and join_decompose, where raag.embedding keeps vertex
-sets as bitmasks.
+sets as bitmasks. degree_prefilter is full_embedding_search's candidate
+rule, target by target for each source vertex.
 """
 
 import itertools
@@ -173,6 +174,17 @@ def automorphisms_by_brute_force(g: Graph) -> set[tuple[int, ...]]:
         p for p in itertools.permutations(range(n))
         if all(g._nbr[p[i]] == sum(1 << p[j] for j in range(n) if g._nbr[i] >> j & 1) for i in range(n))
     }
+
+
+def degree_prefilter(lam: Graph, gamma: Graph) -> list[int]:
+    """Per source vertex s, the mask of the targets t with enough neighbours
+    and enough non-neighbours to host s in an induced image of len(lam)
+    vertices."""
+    n, m = len(lam), len(gamma)
+    ldeg = [lam.degree(v) for v in lam.vertices]
+    gdeg = [gamma.degree(x) for x in gamma.vertices]
+    return [sum(1 << t for t in range(m) if gdeg[t] >= ldeg[s] and m - 1 - gdeg[t] >= n - 1 - ldeg[s])
+            for s in range(n)]
 
 
 def closure(perms, n: int) -> set[tuple[int, ...]]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raag import _kernel, _purekernel, graphs
+from raag import _kernel, _purekernel, extension, graphs
 from raag.extension import (
     _conjugators,
     ball_as_graph,
@@ -47,7 +47,14 @@ from conftest import (
     random_graph,
     random_word_letters,
 )
-from reference import automorphisms_by_brute_force, closure, enumerate_reduced_words, ext_adjacent, oracle_is_trivial
+from reference import (
+    automorphisms_by_brute_force,
+    closure,
+    degree_prefilter,
+    enumerate_reduced_words,
+    ext_adjacent,
+    oracle_is_trivial,
+)
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
 FREE2 = Graph("free2", ["a", "b"])
@@ -626,14 +633,24 @@ def test_no_full_embedding_into_radius2_ball(target, lam):
 # -- symmetries of balls ------------------------------------------------------------
 
 
-def _check_lifted_automorphisms(g, radius):
+def _rows_without_symmetry(monkeypatch, g, radius):
+    """The rows of the radius ball of g built with no lifted automorphism,
+    so every row is computed from the rules rather than copied along an
+    orbit."""
+    with monkeypatch.context() as m:
+        m.setattr(extension, "_lifted_automorphisms", lambda *args: ())
+        return ext_ball(g, radius).nbr
+
+
+def _check_lifted_automorphisms(monkeypatch, g, radius):
     """Each permutation of ball.automorphisms is an automorphism of the
-    ball that keeps conjugator length, and is either word reversal or the
-    lift of an automorphism s of g, read off the radius-0 slice: it maps
-    each vertex to the canonical form of the reversed word, respectively of
-    s applied letter by letter. The lifts of g's automorphisms generate
-    Aut(g)."""
+    ball, whose rows are built without symmetry, that keeps conjugator
+    length, and is either word reversal or the lift of an automorphism s of
+    g, read off the radius-0 slice: it maps each vertex to the canonical
+    form of the reversed word, respectively of s applied letter by letter.
+    The lifts of g's automorphisms generate Aut(g)."""
     ball = ext_ball(g, radius)
+    rows = _rows_without_symmetry(monkeypatch, g, radius)
     n, size = len(g), len(ball.vertices)
     words = [x.element.word for x in ball.vertices]
     aut = set(automorphisms_by_brute_force(g))
@@ -641,7 +658,7 @@ def _check_lifted_automorphisms(g, radius):
     for perm in ball.automorphisms:
         assert sorted(perm) == list(range(size)) and perm != tuple(range(size))
         for i in range(size):
-            assert ball.nbr[perm[i]] == sum(1 << perm[j] for j in range(size) if ball.nbr[i] >> j & 1)
+            assert rows[perm[i]] == sum(1 << perm[j] for j in range(size) if rows[i] >> j & 1)
             assert len(words[perm[i]]) == len(words[i])
         sigma = perm[:n]
         if sigma == tuple(range(n)):
@@ -655,18 +672,32 @@ def _check_lifted_automorphisms(g, radius):
     return ball
 
 
-def test_lifted_automorphisms_are_automorphisms_of_the_ball():
+def test_lifted_automorphisms_are_automorphisms_of_the_ball(monkeypatch):
     reversed_somewhere = False
     for n in range(1, 5):
         for g in all_labeled_graphs(n):
             for radius in (0, 1, 2):
-                ball = _check_lifted_automorphisms(g, radius)
+                ball = _check_lifted_automorphisms(monkeypatch, g, radius)
                 reversed_somewhere |= any(p[:n] == tuple(range(n)) for p in ball.automorphisms)
     assert reversed_somewhere
     for g in (path_graph(5), cycle_graph(5), cycle_graph(6), path_complement(5)):
-        ball = _check_lifted_automorphisms(g, 2)
+        ball = _check_lifted_automorphisms(monkeypatch, g, 2)
         # word reversal and at least one lift of a non-trivial automorphism
         assert len({p[:len(g)] == tuple(range(len(g))) for p in ball.automorphisms}) == 2
+
+
+def test_rows_copied_along_orbits_are_the_rows_built_without_symmetry(monkeypatch):
+    # ext_ball computes one row per orbit of its automorphisms and maps it
+    # to the rest of the orbit; computing every row gives the same ball
+    balls = [(g, radius) for n in range(1, 6) for g in iso_class_representatives(n) for radius in (0, 1, 2)]
+    balls += [(_named_graph(target, "a"), radius) for target, radius in sorted({q[:2] for q in EXT_QUERIES})]
+    balls.append((cycle_graph(6), 2))
+    copied = 0
+    for g, radius in balls:
+        ball = ext_ball(g, radius)
+        assert ball.nbr == _rows_without_symmetry(monkeypatch, g, radius), (g.edges(), radius)
+        copied += bool(ball.automorphisms) and len(ball.vertices) > 1
+    assert copied > len(balls) // 2
 
 
 def _named_graph(name, prefix):
@@ -713,6 +744,17 @@ def test_search_keeps_its_first_solution_under_ball_symmetries():
         assert got == full_embedding_search(lam, _without_symmetries(bg)), (target, radius, source)
         found.append(got is not None)
     assert found.count(True) == 7
+
+
+def test_search_domains_on_the_ext_query_queries_are_the_degree_prefilter(monkeypatch):
+    domains = []
+    engine = graphs._forward_check
+    monkeypatch.setattr(graphs, "_forward_check", lambda d, *rest: domains.append(d) or engine(d, *rest))
+    for target, radius, source in EXT_QUERIES:
+        bg, lam = _ball_graph(target, radius), _named_graph(source, "x")
+        domains.clear()
+        full_embedding_search(lam, bg)
+        assert domains == [degree_prefilter(lam, bg)], (target, radius, source)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raag import graphs
 from raag.graphs import (
     Graph,
     complement,
@@ -24,7 +25,7 @@ from raag.graphs import (
 )
 
 from conftest import all_labeled_graphs, assert_same_as_rebuilt, cycle_graph, drawn_graphs, random_graph
-from reference import automorphisms_by_brute_force, closure
+from reference import automorphisms_by_brute_force, closure, degree_prefilter
 
 
 # -- construction and basic accessors ------------------------------------------
@@ -441,6 +442,23 @@ def test_search_returns_the_reference_mapping():
     check()
     # found and not found, each with and without restrict
     assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_search_domains_are_the_degree_prefilter(monkeypatch):
+    # domains read off a table of target degrees hold the same targets as
+    # the prefilter applied target by target
+    domains = []
+    engine = graphs._forward_check
+    monkeypatch.setattr(graphs, "_forward_check", lambda d, *rest: domains.append(d) or engine(d, *rest))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn_graphs(1, 7, "u"), drawn_graphs(1, 12, "t"))
+    def check(lam, gamma):
+        domains.clear()
+        full_embedding_search(lam, gamma)
+        assert domains == ([degree_prefilter(lam, gamma)] if len(lam) <= len(gamma) else [])
+
+    check()
 
 
 def test_automorphism_generators_generate_the_automorphism_group():
