@@ -64,16 +64,22 @@ refused before anything is measured, and the file is left as it was:
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json --label change-1
 
 With --against <src dir of another checkout>, the run holds only the
-ext_ball and graphs rows, timed on both checkouts in one process: the
-other checkout's raag is loaded beside this one under the package name
-raag_against, each row is built once per checkout from that checkout's own
-modules, and the two sides alternate on every one of INTERLEAVED_REPEATS
-repetitions (this checkout first on even repetitions, the other first on
-odd ones). So host drift, which moves separate runs by tens of percent,
-reaches both sides alike. These rows make no kernel call, so each side
-keeps the kernel its raag._kernel picked. A row carries, per side, the
-median, the minimum and the quartiles (this_* and against_*), and
-this_faster, the number of repetitions in which this checkout was faster:
+kernel time rows, the ext_ball rows and the graphs rows, timed on both
+checkouts in one process: the other checkout's raag is loaded beside this
+one under the package name raag_against, each row is built once per
+checkout from that checkout's own modules, and the two sides alternate on
+every one of INTERLEAVED_REPEATS repetitions (this checkout first on even
+repetitions, the other first on odd ones). So host drift, which moves
+separate runs by tens of percent, reaches both sides alike. Each side
+runs the kernel its own raag._kernel picked (the compiled one only where
+that checkout has it built): the kernel rows call that module's normalize
+and survivors, and the other rows reach it through their own modules.
+Before each timed repetition the garbage collector runs, and it stays
+disabled while the repetition is timed, so a collection that the other
+side's garbage triggers is not charged to this one. A row carries, per
+side, the median, the minimum and the quartiles (this_* and against_*),
+and this_faster, the number of repetitions in which this checkout was
+faster:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json \
         --label interleaved-1 --against ../parent/src
@@ -87,6 +93,7 @@ fill the compiled column; without it that column is null.
 """
 
 import argparse
+import gc
 import importlib
 import json
 import platform
@@ -117,7 +124,7 @@ SEARCH_PASSES = 10
 COMMUTE_PAIRS = 3000
 # the raag modules the rows are built from: this checkout's, or another's
 # (load_checkout)
-THIS = SimpleNamespace(graphs=graphs, extension=extension, embedding=embedding, words=words)
+THIS = SimpleNamespace(graphs=graphs, extension=extension, embedding=embedding, words=words, _kernel=_kernel)
 
 
 def make_graph(rng, n, p):
@@ -146,6 +153,21 @@ def kernel_jobs():
     ):
         nn = make_graph(rng, n, p).nonneighbor_table()
         out.append((name, [(make_codes(rng, n, length), nn) for _ in range(count)]))
+    return out
+
+
+def kernel_rows(r):
+    """(layer, case, run) of the kernel time rows, each calling the
+    _kernel module of the raag modules r, looked up at call time."""
+    out = []
+    for name, jobs in kernel_jobs():
+        for function in ("normalize", "survivors"):
+            def run_jobs(function=function, jobs=jobs):
+                call = getattr(r._kernel, function)
+                for job in jobs:
+                    call(*job)
+
+            out.append(("kernel", f"{function}: {name}", run_jobs))
     return out
 
 
@@ -367,21 +389,32 @@ def spread(times):
     return {"s": round(median, 4), "min_s": round(min(times), 4), "quartiles_s": [round(q1, 4), round(q3, 4)]}
 
 
+def timed(run):
+    """The time of one run(), collected before and with the garbage
+    collector disabled while it runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        run()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
 def interleaved_rows(other):
-    """The ext_ball and graphs rows of this checkout and of the raag
-    modules other, the two sides alternating on every repetition."""
+    """The kernel, ext_ball and graphs rows of this checkout and of the
+    raag modules other, the two sides alternating on every repetition."""
     pool = extract_long_pool()
-    this_rows = ball_rows(THIS) + graph_rows(THIS, pool)
-    other_rows = ball_rows(other) + graph_rows(other, fresh_pool(pool, other))
+    this_rows = kernel_rows(THIS) + ball_rows(THIS) + graph_rows(THIS, pool)
+    other_rows = kernel_rows(other) + ball_rows(other) + graph_rows(other, fresh_pool(pool, other))
     out = []
     for (layer, case, run), (_, other_case, other_run) in zip(this_rows, other_rows, strict=True):
         assert case == other_case, (case, other_case)
         times = ([], [])
         for k in range(INTERLEAVED_REPEATS):
             for side in (0, 1) if k % 2 == 0 else (1, 0):
-                start = time.perf_counter()
-                (run, other_run)[side]()
-                times[side].append(time.perf_counter() - start)
+                times[side].append(timed((run, other_run)[side]))
         entry = {"layer": layer, "case": case}
         for prefix, side in (("this", 0), ("against", 1)):
             entry.update({f"{prefix}_{k}": v for k, v in spread(times[side]).items()})
@@ -412,18 +445,13 @@ def rows():
         print(f"{layer:<8} {case:<58} {entry['pure_s']:>9}s {entry['compiled_s'] or 'n/a':>9}"
               + ("" if entry["compiled_s"] is None else "s"), flush=True)
 
-    for name, jobs in kernel_jobs():
-        for function in ("normalize", "survivors"):
-            if _speedups:
+    if _speedups:
+        for name, jobs in kernel_jobs():
+            for function in ("normalize", "survivors"):
                 pure, compiled = getattr(_purekernel, function), getattr(_speedups, function)
                 assert all(pure(*job) == compiled(*job) for job in jobs[:50])
-
-            def run_jobs(function=function, jobs=jobs):
-                call = getattr(_kernel, function)
-                for job in jobs:
-                    call(*job)
-
-            row("kernel", f"{function}: {name}", run_jobs)
+    for layer, case, run in kernel_rows(THIS):
+        row(layer, case, run)
     for function, case, job in memory_jobs():
         entry = {"layer": "kernel memory", "case": case, "pure_peak_mb": None, "compiled_peak_mb": None}
         for label, module in kernels:
@@ -457,8 +485,8 @@ def main():
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
     parser.add_argument("--label", default="current", help="name of this run in the output file")
     parser.add_argument("--against", type=Path, metavar="SRC",
-                        help="src directory of another checkout: time the ext_ball and graphs rows of both, "
-                             "interleaved")
+                        help="src directory of another checkout: time the kernel, ext_ball and graphs rows of "
+                             "both, interleaved")
     args = parser.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     if args.label in data["runs"]:

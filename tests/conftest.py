@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from raag.graphs import Graph
+from raag.graphs import Graph, complete_graph, graph_join, path_complement
 
 
 def assert_same_as_rebuilt(d):
@@ -90,6 +90,24 @@ def cycle_graph(n, prefix="a"):
     verts = [f"{prefix}{i}" for i in range(1, n + 1)]
     edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
     return Graph(f"C{n}", verts, edges)
+
+
+def symmetric_sources(prefix="x"):
+    """Sources with many automorphisms, where the search's lex-leader
+    orderings act: the cycles C3-C8, the complete graphs K2-K5, the
+    edgeless graphs E2-E4, the path complements P4c-P7c, joins of two path
+    complements and the stars K(1,3)-K(1,5)."""
+    def edgeless(n, p):
+        return Graph(f"E{n}", [f"{p}{i}" for i in range(1, n + 1)])
+
+    out = [cycle_graph(n, prefix) for n in range(3, 9)]
+    out += [complete_graph(n, prefix=prefix, name=f"K{n}") for n in range(2, 6)]
+    out += [edgeless(n, prefix) for n in range(2, 5)]
+    out += [path_complement(n, prefix=prefix, name=f"P{n}c") for n in range(4, 8)]
+    out += [graph_join([path_complement(a, prefix=prefix), path_complement(b, prefix=prefix + "y")],
+                       name=f"P{a}c*P{b}c") for a, b in ((2, 3), (3, 3), (2, 4), (3, 4))]
+    out += [graph_join([Graph("hub", [prefix + "0"]), edgeless(n, prefix)], name=f"K1,{n}") for n in (3, 4, 5)]
+    return out
 
 
 @pytest.fixture

@@ -176,6 +176,13 @@ def automorphisms_by_brute_force(g: Graph) -> set[tuple[int, ...]]:
     }
 
 
+def stabilizer_orbits_by_brute_force(g: Graph) -> list[int]:
+    """Per vertex index i, the mask of the images of i under the
+    automorphisms of g that fix 0, ..., i - 1."""
+    aut = automorphisms_by_brute_force(g)
+    return [sum({1 << p[i] for p in aut if p[:i] == tuple(range(i))}) for i in range(len(g))]
+
+
 def degree_prefilter(lam: Graph, gamma: Graph) -> list[int]:
     """Per source vertex s, the mask of the targets t with enough neighbours
     and enough non-neighbours to host s in an induced image of len(lam)

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import shutil
@@ -65,6 +66,7 @@ def test_interleaved_rows_alternate_the_two_checkouts(bench, tmp_path, monkeypat
         side = "this" if r.extension is bench.THIS.extension else "against"
         return [("ext_ball", "one call", lambda: calls.append(side))]
 
+    monkeypatch.setattr(bench, "kernel_rows", lambda r: [])
     monkeypatch.setattr(bench, "ball_rows", tiny_rows)
     monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
@@ -81,3 +83,69 @@ def test_interleaved_rows_alternate_the_two_checkouts(bench, tmp_path, monkeypat
     for side in ("this", "against"):
         low, high = row[f"{side}_quartiles_s"]
         assert row[f"{side}_min_s"] <= low <= row[f"{side}_s"] <= high
+
+
+def test_interleaved_kernel_rows_call_each_checkouts_own_kernel(bench, tmp_path, monkeypatch):
+    other = bench.load_checkout(_copy_of_raag(tmp_path))
+    assert other._kernel is not bench.THIS._kernel
+    real_jobs = bench.kernel_jobs()
+    monkeypatch.setattr(bench, "kernel_jobs", lambda: [(name, jobs[:3]) for name, jobs in real_jobs])
+    calls = []
+    for side, r in (("this", bench.THIS), ("against", other)):
+        for function in ("normalize", "survivors"):
+            def recording(*job, side=side, function=function, real=getattr(r._kernel, function)):
+                calls.append((side, function))
+                return real(*job)
+            monkeypatch.setattr(r._kernel, function, recording)
+    this_rows, other_rows = bench.kernel_rows(bench.THIS), bench.kernel_rows(other)
+    # the cases of the plain run's kernel rows: three workloads, two functions
+    assert [case for _, case, _ in this_rows] == [case for _, case, _ in other_rows]
+    assert len(this_rows) == 6 and {layer for layer, _, _ in this_rows} == {"kernel"}
+    for (_, case, run), (_, _, other_run) in zip(this_rows, other_rows):
+        function = case.split(":")[0]
+        calls.clear()
+        run()
+        assert calls == [("this", function)] * 3
+        calls.clear()
+        other_run()
+        assert calls == [("against", function)] * 3
+
+
+def test_interleaved_rows_start_with_the_kernel_rows(bench, tmp_path, monkeypatch):
+    other_src = _copy_of_raag(tmp_path)
+    monkeypatch.setattr(bench, "kernel_rows", lambda r: [("kernel", "one kernel call", lambda: None)])
+    monkeypatch.setattr(bench, "ball_rows", lambda r: [("ext_ball", "one ball", lambda: None)])
+    monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
+    monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
+    rows = bench.interleaved_rows(bench.load_checkout(other_src))
+    assert [(row["layer"], row["case"]) for row in rows] == [("kernel", "one kernel call"), ("ext_ball", "one ball")]
+
+
+def test_interleaved_repetitions_run_with_the_collector_collected_and_off(bench, tmp_path, monkeypatch):
+    other_src = _copy_of_raag(tmp_path)
+    events = []
+
+    class RecordingGC:
+        def collect(self):
+            events.append("collect")
+            return gc.collect()
+
+        def disable(self):
+            events.append("disable")
+            gc.disable()
+
+        def enable(self):
+            events.append("enable")
+            gc.enable()
+
+    def tiny_rows(r):
+        return [("ext_ball", "one call", lambda: events.append(("run", gc.isenabled())))]
+
+    monkeypatch.setattr(bench, "gc", RecordingGC())
+    monkeypatch.setattr(bench, "kernel_rows", lambda r: [])
+    monkeypatch.setattr(bench, "ball_rows", tiny_rows)
+    monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
+    monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
+    bench.interleaved_rows(bench.load_checkout(other_src))
+    assert events == ["collect", "disable", ("run", False), "enable"] * (2 * bench.INTERLEAVED_REPEATS)
+    assert gc.isenabled()

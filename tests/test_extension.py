@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raag import _kernel, _purekernel, extension, graphs
+from raag import _kernel, _purekernel, cli, embedding, extension, graphs
 from raag.extension import (
     _conjugators,
     ball_as_graph,
@@ -46,6 +46,7 @@ from conftest import (
     iso_class_representatives,
     random_graph,
     random_word_letters,
+    symmetric_sources,
 )
 from reference import (
     automorphisms_by_brute_force,
@@ -54,6 +55,7 @@ from reference import (
     enumerate_reduced_words,
     ext_adjacent,
     oracle_is_trivial,
+    stabilizer_orbits_by_brute_force,
 )
 
 EDGE = Graph("edge", ["a", "b"], [("a", "b")])
@@ -752,6 +754,9 @@ def test_search_domains_on_the_ext_query_queries_are_the_degree_prefilter(monkey
     monkeypatch.setattr(graphs, "_forward_check", lambda d, *rest: domains.append(d) or engine(d, *rest))
     for target, radius, source in EXT_QUERIES:
         bg, lam = _ball_graph(target, radius), _named_graph(source, "x")
+        # the orderings read Aut(lam), whose generators come from the same
+        # engine; build them first so only the search's domains are recorded
+        lam._automorphism_gens()
         domains.clear()
         full_embedding_search(lam, bg)
         assert domains == [degree_prefilter(lam, bg)], (target, radius, source)
@@ -762,6 +767,87 @@ def test_search_domains_on_the_ext_query_queries_are_the_degree_prefilter(monkey
 def test_search_keeps_its_first_solution_on_sampled_sources(lam, ball):
     bg = _ball_graph(*ball)
     assert full_embedding_search(lam, bg) == full_embedding_search(lam, _without_symmetries(bg))
+
+
+def test_search_keeps_its_first_solution_for_symmetric_sources():
+    # sources whose automorphisms give the lex-leader orderings something
+    # to cut, into every ext_query ball and the 342-vertex C6 radius 2 ball
+    found = 0
+    for target, radius in sorted({q[:2] for q in EXT_QUERIES}) + [("C6", 2)]:
+        bg = _ball_graph(target, radius)
+        assert bg._automorphisms
+        for lam in symmetric_sources():
+            got = full_embedding_search(lam, bg)
+            assert got == full_embedding_search(lam, _without_symmetries(bg)), (target, radius, lam.name)
+            found += got is not None
+    assert 60 < found < 8 * len(symmetric_sources())
+
+
+@pytest.mark.parametrize("target", ["C5", "P5c"])
+def test_ordered_engine_keeps_the_lex_leader_of_every_orbit_of_assignments(target):
+    # the masked links keep exactly the assignments f with f(i) < f(s) for
+    # every s of the orbit of i under the automorphisms of lam that fix
+    # 0, ..., i - 1, and each assignment has an image f.a, a in Aut(lam),
+    # among them: its lexicographically least one
+    bg = _ball_graph(target, 1)
+    names = {"C4", "C5", "K3", "E3", "P4c", "P5c", "K1,3"}
+    sources = [lam for lam in symmetric_sources() if lam.name in names]
+    assert len(sources) == len(names)
+    kept = 0
+    for lam in sources:
+        n = len(lam)
+        aut, orbits = automorphisms_by_brute_force(lam), stabilizer_orbits_by_brute_force(lam)
+        domains = [(1 << len(bg)) - 1] * n
+        everything = list(_forward_check(domains, _embedding_links(lam, bg)))
+        ordered = list(_forward_check(domains, _embedding_links(lam, bg, graphs._stabilizer_orbits(lam))))
+        meets = [f for f in everything
+                 if all(f[i] < f[s] for i in range(n) for s in range(i + 1, n) if orbits[i] >> s & 1)]
+        assert ordered == meets, lam.name
+        leaders = {min(tuple(f[p[k]] for k in range(n)) for p in aut) for f in everything}
+        assert leaders == set(map(tuple, ordered)), lam.name
+        kept += len(ordered)
+    assert kept
+
+
+def test_searches_into_targets_without_automorphisms_build_no_source_generators(monkeypatch, capsys, tmp_path):
+    # the orderings are built only for targets with automorphisms: elsewhere
+    # the generators of Aut(lam) would cost more than the search they prune
+    built = []
+    engine = graphs._automorphism_generators
+    monkeypatch.setattr(graphs, "_automorphism_generators", lambda g: built.append(g) or engine(g))
+    searched = []
+
+    def recording(search):
+        def run(lam, *args):
+            searched.append(lam)
+            return search(lam, *args)
+        return run
+
+    monkeypatch.setattr(embedding, "full_embedding_search", recording(embedding.full_embedding_search))
+    monkeypatch.setattr(cli, "full_embedding_search", recording(cli.full_embedding_search))
+    p3c, k3 = path_complement(3), complete_graph(3, prefix="a")
+    # a 3-vertex certificate: the supports span a triangle
+    certificate = embedding.HomSpec(p3c, k3, {v: Word(k3, [(a, 1)]) for v, a in zip(p3c.vertices, k3.vertices)})
+    assert isinstance(embedding.extract_full(certificate), embedding.StructuralCertificate)
+    # a 3-vertex embedding, found by the search
+    identity = embedding.HomSpec(p3c, p3c, {v: Word(p3c, [(v, 1)]) for v in p3c.vertices})
+    assert isinstance(embedding.extract_full(identity), embedding.FullEmbedding)
+    assert searched and all(g._autgens is None for g in searched)
+    assert p3c._autgens is None
+    searched.clear()
+    c4 = cycle_graph(4, "x")
+    lam_file, target_file = tmp_path / "lam.txt", tmp_path / "target.txt"
+    lam_file.write_text(graphs.format_graph(c4))
+    target_file.write_text(graphs.format_graph(cycle_graph(6)))
+    assert cli.main(["embed-search", "--graph", str(lam_file), "--target", str(target_file)]) == 2
+    assert "found: false" in capsys.readouterr().out
+    assert len(searched) == 1 and searched[0]._autgens is None
+    bg = _ball_graph("C5", 1)
+    assert full_embedding_search(c4, bg, restrict=bg.vertices[:12]) is None
+    assert c4._autgens is None and built == []
+    # a search into the ball itself builds them once, for the source
+    full_embedding_search(c4, bg)
+    assert built == [c4] and c4._autgens
 
 
 def test_search_engine_under_ball_symmetries_yields_every_assignment():

@@ -24,8 +24,15 @@ from raag.graphs import (
     _automorphism_generators,
 )
 
-from conftest import all_labeled_graphs, assert_same_as_rebuilt, cycle_graph, drawn_graphs, random_graph
-from reference import automorphisms_by_brute_force, closure, degree_prefilter
+from conftest import (
+    all_labeled_graphs,
+    assert_same_as_rebuilt,
+    cycle_graph,
+    drawn_graphs,
+    random_graph,
+    symmetric_sources,
+)
+from reference import automorphisms_by_brute_force, closure, degree_prefilter, stabilizer_orbits_by_brute_force
 
 
 # -- construction and basic accessors ------------------------------------------
@@ -475,6 +482,13 @@ def test_automorphism_generators_generate_the_automorphism_group():
         assert tuple(range(len(g))) not in gens and set(gens) <= aut, g.edges()
         assert closure(gens, len(g)) == aut, g.edges()
         assert len(gens) <= len(g) * (len(g) - 1) // 2
+
+
+def test_stabilizer_orbits_are_the_orbits_of_the_pointwise_stabilizers():
+    # O(i) is the set of images of i under the automorphisms that fix
+    # 0, ..., i - 1, not under the whole group
+    for g in [g for n in range(1, 5) for g in all_labeled_graphs(n)] + symmetric_sources():
+        assert graphs._stabilizer_orbits(g) == stabilizer_orbits_by_brute_force(g), (g.name, g.edges())
 
 
 def test_search_deeper_than_the_recursion_limit():
