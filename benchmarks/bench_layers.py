@@ -79,7 +79,17 @@ disabled while the repetition is timed, so a collection that the other
 side's garbage triggers is not charged to this one. A row carries, per
 side, the median, the minimum and the quartiles (this_* and against_*),
 and this_faster, the number of repetitions in which this checkout was
-faster:
+faster.
+
+Two sides that run the same code need not read 50/50: which side runs
+first, or where each side's objects sit in memory, can favour one. So each
+--against run also times this checkout against a copy of itself, loaded
+from a temporary directory as the package raag_self, on the same rows, each
+right after the comparison with the other checkout. A row's "self" entry
+holds that control, with the copy as the against side; a this_faster that
+the control also reads is bias, not a change. The temporary copy is
+removed when the run ends, and neither loaded checkout gets bytecode
+written:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json \
         --label interleaved-1 --against ../parent/src
@@ -98,8 +108,10 @@ import importlib
 import json
 import platform
 import random
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -314,27 +326,29 @@ def fresh_pool(pool, r=THIS):
     return out
 
 
-def load_checkout(src):
+def load_checkout(src, alias="raag_against"):
     """The modules of the raag package under the directory src, imported
-    beside this checkout's as the package raag_against. While it imports,
-    the raag entries of sys.modules are set aside, so its modules bind one
-    another; afterwards they are registered under raag_against and this
-    checkout's raag is restored."""
+    beside this checkout's as the package alias, without writing bytecode.
+    While it imports, the raag entries of sys.modules are set aside, so its
+    modules bind one another; afterwards they are registered under alias
+    and this checkout's raag is restored."""
     names = ("graphs", "words", "extension", "embedding", "_kernel")
     mine = {k: m for k, m in sys.modules.items() if k == "raag" or k.startswith("raag.")}
     for k in mine:
         del sys.modules[k]
     sys.path.insert(0, str(src))
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         package = importlib.import_module("raag")
         modules = {name: importlib.import_module(f"raag.{name}") for name in names}
     finally:
+        sys.dont_write_bytecode = writes
         sys.path.remove(str(src))
         theirs = {k: m for k, m in sys.modules.items() if k == "raag" or k.startswith("raag.")}
         for k in theirs:
             del sys.modules[k]
         sys.modules.update(mine)
-    sys.modules.update({"raag_against" + k[len("raag"):]: m for k, m in theirs.items()})
+    sys.modules.update({alias + k[len("raag"):]: m for k, m in theirs.items()})
     if Path(package.__file__).resolve().parent != (Path(src) / "raag").resolve():
         sys.exit(f"--against {src}: no raag package there")
     return SimpleNamespace(**modules)
@@ -402,26 +416,38 @@ def timed(run):
         gc.enable()
 
 
-def interleaved_rows(other):
-    """The kernel, ext_ball and graphs rows of this checkout and of the
-    raag modules other, the two sides alternating on every repetition."""
+def compared(run, other_run):
+    """this_*, against_* and this_faster of run against other_run, the two
+    alternating on every one of INTERLEAVED_REPEATS repetitions."""
+    times = ([], [])
+    for k in range(INTERLEAVED_REPEATS):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            times[side].append(timed((run, other_run)[side]))
+    out = {}
+    for prefix, side in (("this", 0), ("against", 1)):
+        out.update({f"{prefix}_{k}": v for k, v in spread(times[side]).items()})
+    out["this_faster"] = sum(a < b for a, b in zip(*times))
+    return out
+
+
+def interleaved_rows(other, copy):
+    """The kernel, ext_ball and graphs rows of this checkout against the
+    raag modules other, and under "self" against copy, a copy of this
+    checkout, on the same rows."""
     pool = extract_long_pool()
-    this_rows = kernel_rows(THIS) + ball_rows(THIS) + graph_rows(THIS, pool)
-    other_rows = kernel_rows(other) + ball_rows(other) + graph_rows(other, fresh_pool(pool, other))
+
+    def rows_of(r):
+        return kernel_rows(r) + ball_rows(r) + graph_rows(r, pool if r is THIS else fresh_pool(pool, r))
+
     out = []
-    for (layer, case, run), (_, other_case, other_run) in zip(this_rows, other_rows, strict=True):
-        assert case == other_case, (case, other_case)
-        times = ([], [])
-        for k in range(INTERLEAVED_REPEATS):
-            for side in (0, 1) if k % 2 == 0 else (1, 0):
-                times[side].append(timed((run, other_run)[side]))
-        entry = {"layer": layer, "case": case}
-        for prefix, side in (("this", 0), ("against", 1)):
-            entry.update({f"{prefix}_{k}": v for k, v in spread(times[side]).items()})
-        entry["this_faster"] = sum(a < b for a, b in zip(*times))
+    for (layer, case, run), (_, other_case, other_run), (_, copy_case, copy_run) in zip(
+            rows_of(THIS), rows_of(other), rows_of(copy), strict=True):
+        assert case == other_case == copy_case, (case, other_case, copy_case)
+        entry = {"layer": layer, "case": case, **compared(run, other_run), "self": compared(run, copy_run)}
         out.append(entry)
         print(f"{layer:<8} {case:<58} {entry['this_s']:>9}s against {entry['against_s']:>9}s"
-              f"  faster {entry['this_faster']}/{INTERLEAVED_REPEATS}", flush=True)
+              f"  faster {entry['this_faster']}/{INTERLEAVED_REPEATS},"
+              f" against itself {entry['self']['this_faster']}/{INTERLEAVED_REPEATS}", flush=True)
     return out
 
 
@@ -486,7 +512,7 @@ def main():
     parser.add_argument("--label", default="current", help="name of this run in the output file")
     parser.add_argument("--against", type=Path, metavar="SRC",
                         help="src directory of another checkout: time the kernel, ext_ball and graphs rows of "
-                             "both, interleaved")
+                             "both, interleaved, and of this checkout against a copy of itself")
     args = parser.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     if args.label in data["runs"]:
@@ -494,13 +520,19 @@ def main():
                  "give each run its own label")
     if args.against:
         other = load_checkout(args.against)
+        with tempfile.TemporaryDirectory() as tmp:
+            shutil.copytree(Path(graphs.__file__).parent, Path(tmp) / "raag",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            copy = load_checkout(tmp, "raag_self")
+            rows = interleaved_rows(other, copy)
         run = {
             "python": platform.python_version(),
             "machine": platform.machine(),
             "against": str(args.against),
             "repeats": INTERLEAVED_REPEATS,
-            "kernels": {"this": _kernel.kernel_name(), "against": other._kernel.kernel_name()},
-            "rows": interleaved_rows(other),
+            "kernels": {"this": _kernel.kernel_name(), "against": other._kernel.kernel_name(),
+                        "self": copy._kernel.kernel_name()},
+            "rows": rows,
         }
     else:
         run = {

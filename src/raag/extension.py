@@ -18,7 +18,7 @@ from typing import Iterator
 
 from raag import _kernel
 from raag.graphs import Graph, _bits, _nonneighbor_masks
-from raag.words import GroupElement, Word, _code_mask
+from raag.words import GroupElement, Word
 from raag.words import commutes  # noqa: F401  (unused here; perfbench's tests expect it bound in this module)
 
 
@@ -61,12 +61,13 @@ def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
     return ExtVertex(v, GroupElement(Word._from_codes(g, tuple(_kernel.normalize(codes, g.nonneighbor_table())))))
 
 
-def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
     """Each element of length <= max_len once, as the codes of its canonical
     word (the lex-least reduced spelling, which the kernel's normal form
     spells), in shortlex order (length ascending, then letter order a, a^-1,
-    b, ...), with three masks: first, the generators of the first letters
-    (those that commute with every letter before them), and pos and neg,
+    b, ...), with four masks: supp, the generators of its letters (a
+    reduced word's support); first, the generators of the first letters
+    (those that commute with every letter before them); and pos and neg,
     the generators a for which a, respectively a^-1, is a last letter (one
     that commutes with every letter after it).
 
@@ -76,7 +77,7 @@ def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int,
     with every letter after them), and stays lex-least unless c commutes
     past a larger letter (Anisimov & Knuth's lexicographic normal form of a
     trace)."""
-    yield (), 0, 0, 0
+    yield (), 0, 0, 0, 0
     nbr = g._nbr
     # per word: codes, support, first-letter mask, the generators whose
     # letter would commute past a larger letter, and the generators of the
@@ -95,11 +96,11 @@ def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int,
                 if not neg & bit:
                     word, last_pos, last_neg = codes + (a + 1,), pos & lk | bit, neg & lk
                     nxt.append((word, supp | bit, grown_first, grown_barred, last_pos, last_neg))
-                    yield word, grown_first, last_pos, last_neg
+                    yield word, supp | bit, grown_first, last_pos, last_neg
                 if not pos & bit:
                     word, last_pos, last_neg = codes + (-a - 1,), pos & lk, neg & lk | bit
                     nxt.append((word, supp | bit, grown_first, grown_barred, last_pos, last_neg))
-                    yield word, grown_first, last_pos, last_neg
+                    yield word, supp | bit, grown_first, last_pos, last_neg
         level = nxt
 
 
@@ -173,7 +174,7 @@ def _lifted_automorphisms(
     n = len(g)
     flip = [n * number[tuple([-c for c in h])] for h in conjugators]
     perms = [tuple([vid[flip[c] + b] for c, b in zip(cnum, bases)])]
-    for sigma in g._automorphism_gens():
+    for sigma in g._stabilizer_chain().gens:
         letter = {}
         for a, t in enumerate(sigma):
             letter[a + 1], letter[-a - 1] = t + 1, -t - 1
@@ -260,7 +261,7 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     canonical word canonical, so each image is a kept pair, looked up in
     the table once the canonical s(h) is known; that comes from the
     canonical s of h's prefix by _append_canonical, once per conjugator.
-    The generators of Aut(g) are cached on g (Graph._automorphism_gens).
+    The generators of Aut(g) are cached on g (Graph._stabilizer_chain).
 
     The lifts are automorphisms of the ball, so the rows are filled one
     orbit of the group they generate at a time, vertices taken in index
@@ -288,19 +289,18 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     vid: list[int] = []
     blank = [-1] * n
     # per vertex: the number of its conjugator h, the index of its generator
-    # v, h's last-letter mask (bit a for a, bit n + a for a^-1) and supp(h)
-    # (canonical words are reduced, so their letters are their support); per
-    # generator, the vertices it is the base of
+    # v, h's last-letter mask (bit a for a, bit n + a for a^-1) and supp(h);
+    # per generator, the vertices it is the base of
     vertices: list[ExtVertex] = []
     cnum, bases, lasts, supports = [], [], [], []
     with_base: list[list[int]] = [[] for _ in g.vertices]
-    for h, first, pos, neg in _conjugators(g, radius):
+    for h, supp, first, pos, neg in _conjugators(g, radius):
         num = number[h] = len(conjugators)
         conjugators.append(h)
         hinv = _append_canonical(inverses[number[h[1:]]], -h[0], g._nbr) if h else ()
         inverses.append(hinv)
         vid += blank
-        last, supp = pos | neg << n, _code_mask(h)
+        last = pos | neg << n
         for gen, v in enumerate(g.vertices):
             if first & st_mask[gen]:
                 continue

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _EDGE_RE = re.compile(r"([A-Za-z0-9_]+)-([A-Za-z0-9_]+)\Z")
@@ -57,12 +57,12 @@ class Graph:
     Only the code that builds a graph can vouch for them, so the slot is
     empty except where _from_masks is handed them (extension balls);
     every derived graph starts empty again, and equality and hashing
-    ignore it. _autgens caches the generators of the full automorphism
-    group (_automorphism_gens); every graph, derived ones included, starts
-    without them.
+    ignore it. _stabchain caches the strong generators of the full
+    automorphism group and their basic orbits (_stabilizer_chain); every
+    graph, derived ones included, starts without them.
     """
 
-    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_automorphisms", "_autgens")
+    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_automorphisms", "_stabchain")
 
     def __init__(self, name: str, vertices: Iterable[str], edges: Iterable = ()):
         verts = tuple(vertices)
@@ -86,7 +86,7 @@ class Graph:
         self.vertices = verts
         self._index = index
         self._nbr = tuple(nbr)
-        self._nonadj = self._autgens = None
+        self._nonadj = self._stabchain = None
         self._automorphisms = ()
 
     @classmethod
@@ -108,7 +108,7 @@ class Graph:
             dup = next(v for v in g.vertices if v in seen or seen.add(v))
             raise ValueError(f"duplicate vertex name {dup!r}")
         g._nbr = tuple(nbr)
-        g._nonadj = g._autgens = None
+        g._nonadj = g._stabchain = None
         g._automorphisms = tuple(automorphisms)
         return g
 
@@ -160,12 +160,12 @@ class Graph:
             self._nonadj = tuple(tuple(_bits(m)) for m in _nonneighbor_masks(self))
         return self._nonadj
 
-    def _automorphism_gens(self) -> tuple[tuple[int, ...], ...]:
-        """The generators of Aut(self) that _automorphism_generators finds;
-        cached on first use."""
-        if self._autgens is None:
-            self._autgens = tuple(_automorphism_generators(self))
-        return self._autgens
+    def _stabilizer_chain(self) -> _StabilizerChain:
+        """The strong generators of Aut(self) and their basic orbits, as
+        _automorphism_generators finds them; cached on first use."""
+        if self._stabchain is None:
+            self._stabchain = _automorphism_generators(self)
+        return self._stabchain
 
     # -- vertex sets as bitmasks over vertex indices ---------------------------
 
@@ -476,10 +476,19 @@ def _embedding_links(
     return links
 
 
-def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+class _StabilizerChain(NamedTuple):
+    """What _automorphism_generators finds: gens and orbits."""
+
+    gens: tuple[tuple[int, ...], ...]
+    orbits: tuple[int, ...]
+
+
+def _automorphism_generators(g: Graph) -> _StabilizerChain:
     """Generators of the automorphism group of g, as permutations of its
     vertex indices (identity left out), along the stabilizer chain of the
-    indices 0, 1, ...: a strong generating set (Sims).
+    indices 0, 1, ...: a strong generating set (Sims, 1970), and per index
+    i, as a mask, its basic orbit: its orbit under the automorphisms that
+    fix 0, ..., i - 1.
 
     Index i is taken from the last to the first. Every generator found so
     far fixes 0, ..., i - 1, so it lies in the stabilizer G_i of those
@@ -487,7 +496,8 @@ def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     those generators is tried as the image of i by one first-solution run
     of the forward-checking engine, with 0, ..., i - 1 fixed; a solution is
     a new generator. So the generators found at levels >= i move i onto its
-    whole G_i-orbit and, with G_(i+1), generate G_i. This costs at most
+    whole G_i-orbit and, with G_(i+1), generate G_i: the orbit closed at
+    the end of level i is the basic orbit of i. This costs at most
     n(n - 1)/2 searches and never lists the group, which has up to n!
     elements."""
     n = len(g)
@@ -495,6 +505,7 @@ def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     deg = [m.bit_count() for m in g._nbr]
     same = [sum(1 << t for t in range(n) if deg[t] == deg[s]) for s in range(n)]
     gens: list[tuple[int, ...]] = []
+    orbits = [0] * n
     for i in reversed(range(n)):
         fixed = [1 << k for k in range(i)]
         moved = (1 << n) - (1 << i)
@@ -507,21 +518,8 @@ def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
                 continue
             gens.append(tuple(found))
             orbit = _orbit(orbit, gens)
-    return gens
-
-
-def _stabilizer_orbits(g: Graph) -> list[int]:
-    """Per index i of g, as a mask, the orbit of i under the generators of
-    g._automorphism_gens() that fix 0, ..., i - 1. Those generators form a
-    strong generating set along that chain, so this is the orbit of i
-    under the pointwise stabilizer of 0, ..., i - 1 in Aut(g)."""
-    gens = g._automorphism_gens()
-    out = []
-    for i in range(len(g)):
-        if i:
-            gens = [p for p in gens if p[i - 1] == i - 1]
-        out.append(_orbit(1 << i, gens))
-    return out
+        orbits[i] = orbit
+    return _StabilizerChain(tuple(gens), tuple(orbits))
 
 
 def full_embedding_search(
@@ -552,7 +550,7 @@ def full_embedding_search(
     Source symmetry, by lex-leader orderings along a stabilizer chain
     (Crawford, Ginsberg, Luks & Roy, KR 1996; Puget, IJCAI 2005, for
     injective maps): with O(i) the orbit of position i under the
-    automorphisms of lam that fix 0, ..., i - 1 (_stabilizer_orbits), the
+    automorphisms of lam that fix 0, ..., i - 1 (its basic orbit), the
     search keeps only maps f with f(i) < f(s) for every s != i in O(i), by
     masking the link table of each such (i, s) to the targets above f(i).
     For an automorphism a of lam, write f.a for the map s -> f(a(s)); a
@@ -585,10 +583,11 @@ def full_embedding_search(
     of the values tried on the ext_query benchmark queries, but filtering
     the generators at each backtrack took longer.
 
-    The orderings cost the generators of Aut(lam), cached on lam, so they
-    are built only for targets with automorphisms: the other searches
-    (induced supports in raag.embedding) run on small fresh sources, where
-    that costs more than the search it would prune.
+    The orderings read the basic orbits of Aut(lam), cached on lam with its
+    generators (Graph._stabilizer_chain), so they are built only for
+    targets with automorphisms: the other searches (induced supports in
+    raag.embedding) run on small fresh sources, where that costs more than
+    the search it would prune.
     """
     if restrict is not None:
         return full_embedding_search(lam, induced_subgraph(gamma, restrict))
@@ -606,7 +605,7 @@ def full_embedding_search(
     for d in range(1, m + 1):
         below[d] |= below[d - 1]
     domains = [below[m - n + d + 1] & ~below[d] for d in (a.bit_count() for a in lam._nbr)]
-    orbits = _stabilizer_orbits(lam) if gamma._automorphisms else ()
+    orbits = lam._stabilizer_chain().orbits if gamma._automorphisms else ()
     found = next(_forward_check(domains, _embedding_links(lam, gamma, orbits), gamma._automorphisms), None)
     if found is None:
         return None

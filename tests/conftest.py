@@ -115,13 +115,12 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-@pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The committed src/raag/_speedups.c, compiled and linked the way this
-    Python builds extensions, and loaded under a private module name: never
-    as raag._speedups, so the kernel raag._kernel selects for the rest of
-    the suite stays the one it imported. Any compiler warning fails the
-    build. Skips only when there are no Python headers or no compiler."""
+def build_kernel(directory, *flags):
+    """Compiles the committed src/raag/_speedups.c into directory with the
+    given optimization and sanitizer flags, compiled and linked the way
+    this Python builds extensions, and returns the path of the module. Any
+    compiler warning fails the build. Skips only when there are no Python
+    headers or no compiler."""
     include = sysconfig.get_paths()["include"]
     if not os.path.exists(os.path.join(include, "Python.h")):
         pytest.skip(f"no Python headers in {include}")
@@ -129,12 +128,21 @@ def compiled_kernel(tmp_path_factory):
     if not link or shutil.which(link[0]) is None:
         pytest.skip(f"no C compiler to build extensions with (LDSHARED={link!r})")
     source = Path(__file__).resolve().parent.parent / "src" / "raag" / "_speedups.c"
-    out = tmp_path_factory.mktemp("kernel") / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
-    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "").split(), "-O2", "-Wall", "-Wextra", "-Werror",
+    out = Path(directory) / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    cmd = [*link, *(sysconfig.get_config_var("CCSHARED") or "").split(), *flags, "-Wall", "-Wextra", "-Werror",
            f"-I{include}", str(source), "-o", str(out)]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
     if done.returncode != 0:
         pytest.fail(f"building the compiled kernel failed: {' '.join(cmd)}\n{done.stderr}")
+    return out
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The kernel of build_kernel at -O2, loaded under a private module
+    name: never as raag._speedups, so the kernel raag._kernel selects for
+    the rest of the suite stays the one it imported."""
+    out = build_kernel(tmp_path_factory.mktemp("kernel"), "-O2")
     spec = importlib.util.spec_from_file_location("_raag_kernel_under_test._speedups", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

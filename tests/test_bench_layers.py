@@ -3,6 +3,7 @@ import importlib.util
 import json
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,13 @@ SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_layers.p
 
 @pytest.fixture
 def bench():
-    """The benchmark script as a module; the raag_against modules it loads
-    are dropped afterwards."""
+    """The benchmark script as a module; the raag_against and raag_self
+    modules it loads are dropped afterwards."""
     spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     yield module
-    for k in [k for k in sys.modules if k.split(".")[0] == "raag_against"]:
+    for k in [k for k in sys.modules if k.split(".")[0] in ("raag_against", "raag_self")]:
         del sys.modules[k]
 
 
@@ -59,11 +60,19 @@ def test_another_checkout_loads_beside_this_one(bench, tmp_path):
 
 
 def test_interleaved_rows_alternate_the_two_checkouts(bench, tmp_path, monkeypatch):
+    # each row: this checkout against the other, then against a copy of
+    # itself, the two sides alternating; the copy lives in a temporary
+    # directory that is gone after the run, and no bytecode is written
     other_src = _copy_of_raag(tmp_path)
+    temp_root = tmp_path / "temp_root"
+    temp_root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
     calls = []
 
     def tiny_rows(r, *pool):
-        side = "this" if r.extension is bench.THIS.extension else "against"
+        where = Path(r.extension.__file__)
+        side = "this" if r is bench.THIS else "against" if where.is_relative_to(other_src) else "self"
+        assert side != "self" or where.is_relative_to(temp_root)
         return [("ext_ball", "one call", lambda: calls.append(side))]
 
     monkeypatch.setattr(bench, "kernel_rows", lambda r: [])
@@ -75,14 +84,18 @@ def test_interleaved_rows_alternate_the_two_checkouts(bench, tmp_path, monkeypat
                                       "--against", str(other_src)])
     bench.main()
     n = bench.INTERLEAVED_REPEATS
-    assert calls == [side for k in range(n) for side in (("this", "against") if k % 2 == 0 else ("against", "this"))]
+    assert calls == [side for other in ("against", "self") for k in range(n)
+                     for side in (("this", other) if k % 2 == 0 else (other, "this"))]
+    assert list(temp_root.iterdir()) == [] and list(other_src.rglob("__pycache__")) == []
     run = json.loads(out.read_text())["runs"]["interleaved-1"]
     assert run["against"] == str(other_src) and run["repeats"] == n
     [row] = run["rows"]
-    assert row["layer"] == "ext_ball" and row["case"] == "one call" and 0 <= row["this_faster"] <= n
-    for side in ("this", "against"):
-        low, high = row[f"{side}_quartiles_s"]
-        assert row[f"{side}_min_s"] <= low <= row[f"{side}_s"] <= high
+    assert row["layer"] == "ext_ball" and row["case"] == "one call"
+    for comparison in (row, row["self"]):
+        assert 0 <= comparison["this_faster"] <= n
+        for side in ("this", "against"):
+            low, high = comparison[f"{side}_quartiles_s"]
+            assert comparison[f"{side}_min_s"] <= low <= comparison[f"{side}_s"] <= high
 
 
 def test_interleaved_kernel_rows_call_each_checkouts_own_kernel(bench, tmp_path, monkeypatch):
@@ -117,7 +130,7 @@ def test_interleaved_rows_start_with_the_kernel_rows(bench, tmp_path, monkeypatc
     monkeypatch.setattr(bench, "ball_rows", lambda r: [("ext_ball", "one ball", lambda: None)])
     monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
-    rows = bench.interleaved_rows(bench.load_checkout(other_src))
+    rows = bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
     assert [(row["layer"], row["case"]) for row in rows] == [("kernel", "one kernel call"), ("ext_ball", "one ball")]
 
 
@@ -146,6 +159,6 @@ def test_interleaved_repetitions_run_with_the_collector_collected_and_off(bench,
     monkeypatch.setattr(bench, "ball_rows", tiny_rows)
     monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
-    bench.interleaved_rows(bench.load_checkout(other_src))
-    assert events == ["collect", "disable", ("run", False), "enable"] * (2 * bench.INTERLEAVED_REPEATS)
+    bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
+    assert events == ["collect", "disable", ("run", False), "enable"] * (4 * bench.INTERLEAVED_REPEATS)
     assert gc.isenabled()

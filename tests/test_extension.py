@@ -161,10 +161,11 @@ def _shortened_by(g, word, sign, left):
 
 
 def test_conjugators_are_the_elements_with_their_first_letters(monkeypatch):
-    # one canonical word per element, in shortlex order; the first-letter
-    # mask holds the generators a for which a h or a^-1 h is shorter than h,
-    # the last-letter masks those for which h a^-1, respectively h a, is;
-    # and ext_ball builds every vertex without normalizing anything
+    # one canonical word per element, in shortlex order; the support mask
+    # holds its generators, the first-letter mask the generators a for which
+    # a h or a^-1 h is shorter than h, and the last-letter masks those for
+    # which h a^-1, respectively h a, is; and ext_ball builds every vertex
+    # without normalizing anything
     normalize = _kernel.normalize
     calls = []
 
@@ -179,8 +180,9 @@ def test_conjugators_are_the_elements_with_their_first_letters(monkeypatch):
                 elements = {canonical_form(w).word.codes() for w in enumerate_reduced_words(g, radius)}
                 got = list(_conjugators(g, radius))
                 assert [h for h, *_ in got] == sorted(elements, key=_shortlex), (g.edges(), radius)
-                for h, first, pos, neg in got:
+                for h, supp, first, pos, neg in got:
                     word = Word._from_codes(g, h)
+                    assert supp == sum(1 << g.index(v) for v in support(word)), (g.edges(), h)
                     first_ref = _shortened_by(g, word, 1, True) | _shortened_by(g, word, -1, True)
                     assert first == first_ref, (g.edges(), h)
                     assert pos == _shortened_by(g, word, -1, False), (g.edges(), h)
@@ -754,9 +756,10 @@ def test_search_domains_on_the_ext_query_queries_are_the_degree_prefilter(monkey
     monkeypatch.setattr(graphs, "_forward_check", lambda d, *rest: domains.append(d) or engine(d, *rest))
     for target, radius, source in EXT_QUERIES:
         bg, lam = _ball_graph(target, radius), _named_graph(source, "x")
-        # the orderings read Aut(lam), whose generators come from the same
-        # engine; build them first so only the search's domains are recorded
-        lam._automorphism_gens()
+        # the orderings read lam's stabilizer chain, whose generators come
+        # from the same engine; build it first so only the search's domains
+        # are recorded
+        lam._stabilizer_chain()
         domains.clear()
         full_embedding_search(lam, bg)
         assert domains == [degree_prefilter(lam, bg)], (target, radius, source)
@@ -799,7 +802,7 @@ def test_ordered_engine_keeps_the_lex_leader_of_every_orbit_of_assignments(targe
         aut, orbits = automorphisms_by_brute_force(lam), stabilizer_orbits_by_brute_force(lam)
         domains = [(1 << len(bg)) - 1] * n
         everything = list(_forward_check(domains, _embedding_links(lam, bg)))
-        ordered = list(_forward_check(domains, _embedding_links(lam, bg, graphs._stabilizer_orbits(lam))))
+        ordered = list(_forward_check(domains, _embedding_links(lam, bg, lam._stabilizer_chain().orbits)))
         meets = [f for f in everything
                  if all(f[i] < f[s] for i in range(n) for s in range(i + 1, n) if orbits[i] >> s & 1)]
         assert ordered == meets, lam.name
@@ -832,8 +835,8 @@ def test_searches_into_targets_without_automorphisms_build_no_source_generators(
     # a 3-vertex embedding, found by the search
     identity = embedding.HomSpec(p3c, p3c, {v: Word(p3c, [(v, 1)]) for v in p3c.vertices})
     assert isinstance(embedding.extract_full(identity), embedding.FullEmbedding)
-    assert searched and all(g._autgens is None for g in searched)
-    assert p3c._autgens is None
+    assert searched and all(g._stabchain is None for g in searched)
+    assert p3c._stabchain is None
     searched.clear()
     c4 = cycle_graph(4, "x")
     lam_file, target_file = tmp_path / "lam.txt", tmp_path / "target.txt"
@@ -841,13 +844,23 @@ def test_searches_into_targets_without_automorphisms_build_no_source_generators(
     target_file.write_text(graphs.format_graph(cycle_graph(6)))
     assert cli.main(["embed-search", "--graph", str(lam_file), "--target", str(target_file)]) == 2
     assert "found: false" in capsys.readouterr().out
-    assert len(searched) == 1 and searched[0]._autgens is None
+    assert len(searched) == 1 and searched[0]._stabchain is None
     bg = _ball_graph("C5", 1)
     assert full_embedding_search(c4, bg, restrict=bg.vertices[:12]) is None
-    assert c4._autgens is None and built == []
-    # a search into the ball itself builds them once, for the source
+    assert c4._stabchain is None and built == []
+    # a search into the ball itself builds the chain once, for the source
     full_embedding_search(c4, bg)
-    assert built == [c4] and c4._autgens
+    chain = c4._stabchain
+    assert built == [c4] and chain.gens
+    # a second search reads the cached chain: no generator search, and every
+    # orbit it closes is one of a failed root value under the ball's
+    # automorphisms, none under the source's generators
+    closed = []
+    orbit = graphs._orbit
+    monkeypatch.setattr(graphs, "_orbit", lambda mask, perms: closed.append(perms) or orbit(mask, perms))
+    assert full_embedding_search(c4, bg) is None
+    assert built == [c4] and c4._stabchain is chain
+    assert closed and all(perms is bg._automorphisms for perms in closed)
 
 
 def test_search_engine_under_ball_symmetries_yields_every_assignment():
@@ -888,18 +901,18 @@ def test_graphs_derived_from_a_ball_carry_no_symmetries(monkeypatch):
 
 def test_automorphism_generators_are_cached_per_graph():
     g = cycle_graph(6)
-    assert g._autgens is None
-    gens = g._automorphism_gens()
-    assert gens == tuple(graphs._automorphism_generators(g)) and g._autgens is gens
-    assert g._automorphism_gens() is gens
+    assert g._stabchain is None
+    chain = g._stabilizer_chain()
+    assert chain == graphs._automorphism_generators(g) and g._stabchain is chain
+    assert g._stabilizer_chain() is chain
     ext_ball(g, 1)
-    assert g._autgens is gens
+    assert g._stabchain is chain
     bg = ball_as_graph(ext_ball(g, 1))
-    assert bg._autgens is None
-    bg._automorphism_gens()
+    assert bg._stabchain is None
+    bg._stabilizer_chain()
     for derived in (complement(g), induced_subgraph(g, g.vertices), complement(bg),
                     induced_subgraph(bg, bg.vertices), Graph(g.name, g.vertices, g.edges())):
-        assert derived._autgens is None
+        assert derived._stabchain is None
     assert bg == _without_symmetries(bg) and hash(bg) == hash(_without_symmetries(bg))
 
 
