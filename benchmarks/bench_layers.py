@@ -14,7 +14,10 @@ Rows:
   r1/r2, C6 r1, P4 r2, P5c r1/r2), one pass, where building the vertices is
   a larger share than on the big balls; then ball_as_graph on the four path
   balls, each built once outside the timing and converted BALL_GRAPH_CALLS
-  times per run;
+  times per run; then ExtBall.edges on the seven ext_query balls, built
+  once outside the timing and read BALL_GRAPH_CALLS times per run (the
+  pairs are derived from the masks on each read, as perfbench's ext_query
+  check reads them);
 - harness: run_harness with 500 trials and seed 42, end to end, and its
   instance generation alone (the _random_graph, _random_source and
   _random_hom draws of those 500 trials);
@@ -369,6 +372,9 @@ def ball_rows(r):
         ball = ext_ball(g, radius)
         out.append(("ext_ball", f"ball_as_graph x{BALL_GRAPH_CALLS} on the P{n} radius {radius} ball",
                     lambda ball=ball: [ball_as_graph(ball) for _ in range(BALL_GRAPH_CALLS)]))
+    built = [ext_ball(g, radius) for g, radius in queried]
+    out.append(("ext_ball", f"edges x{BALL_GRAPH_CALLS} on the {len(built)} ext_query balls",
+                lambda: [ball.edges for _ in range(BALL_GRAPH_CALLS) for ball in built]))
     return out
 
 

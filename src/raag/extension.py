@@ -22,19 +22,51 @@ from raag.words import GroupElement, Word
 from raag.words import commutes  # noqa: F401  (unused here; perfbench's tests expect it bound in this module)
 
 
-@dataclass(frozen=True)
 class ExtVertex:
     """A conjugate of a generator: the conjugated generator (base) plus the
-    canonical form of the conjugated element (its identity)."""
+    canonical form of the conjugated element (its identity).
 
-    base: str
-    element: GroupElement
+    A vertex holds its base, the graph and the codes of the canonical word;
+    element builds the GroupElement from them on each read. Immutable by
+    convention, like Word; equality and hashing read the base and the
+    canonical word. ExtVertex(base, element) takes an element in canonical
+    form, as ext_vertex builds it.
+    """
+
+    __slots__ = ("base", "graph", "_codes")
+
+    def __init__(self, base: str, element: GroupElement):
+        self.base = base
+        self.graph = element.word.graph
+        self._codes = element.word.codes()
+
+    @classmethod
+    def _from_codes(cls, base: str, graph: Graph, codes: tuple[int, ...]) -> "ExtVertex":
+        x = object.__new__(cls)
+        x.base = base
+        x.graph = graph
+        x._codes = codes
+        return x
+
+    @property
+    def element(self) -> GroupElement:
+        return GroupElement(Word._from_codes(self.graph, self._codes))
 
     @property
     def name(self) -> str:
         """Stable printable name: <base>@<canonical letters joined by '.'>."""
-        w = self.element.word
-        return _vertex_name(self.base, w.codes(), _letter_names(w.graph))
+        return _vertex_name(self.base, self._codes, _letter_names(self.graph))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ExtVertex):
+            return NotImplemented
+        return self.base == other.base and self._codes == other._codes and self.graph == other.graph
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.graph, self._codes))
+
+    def __repr__(self) -> str:
+        return f"ExtVertex(base={self.base!r}, element={self.element!r})"
 
 
 def _letter_names(g: Graph) -> dict[int, str]:
@@ -49,7 +81,7 @@ def _letter_names(g: Graph) -> dict[int, str]:
 def _vertex_name(base: str, codes: tuple[int, ...], letters: dict[int, str]) -> str:
     """The name <base>@<letters of codes joined by '.'>, given the letter
     names of _letter_names."""
-    return f"{base}@{'.'.join(letters[c] for c in codes)}"
+    return f"{base}@{'.'.join(map(letters.__getitem__, codes))}"
 
 
 def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
@@ -58,7 +90,7 @@ def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
     if v not in g:
         raise ValueError(f"foreign vertex {v!r} for graph {g.name!r}")
     codes = conjugator.inverse().codes() + (g._index[v] + 1,) + conjugator.codes()
-    return ExtVertex(v, GroupElement(Word._from_codes(g, tuple(_kernel.normalize(codes, g.nonneighbor_table())))))
+    return ExtVertex._from_codes(v, g, tuple(_kernel.normalize(codes, g.nonneighbor_table())))
 
 
 def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
@@ -111,7 +143,9 @@ class ExtBall:
     self-loops. automorphisms holds permutations of the vertex indices that
     are automorphisms of the ball and keep conjugator length (word reversal
     and the lifts of generators of Aut(source), see ext_ball), the identity
-    left out; they generate a group, which they do not list."""
+    left out; they generate a group, which they do not list. Each vertex
+    holds its base and canonical codes (ExtVertex); edges derives the index
+    pairs from nbr on each read."""
 
     source: Graph
     radius: int
@@ -122,7 +156,16 @@ class ExtBall:
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The adjacent index pairs (i, j) with i < j."""
-        return frozenset((i, j) for i, m in enumerate(self.nbr) for j in _bits(m >> i + 1 << i + 1))
+        pairs = []
+        for i, m in enumerate(self.nbr):
+            # rest: the bits of m above j, shifted down so that bit 0 is j + 1
+            rest, j = m >> i + 1, i
+            while rest:
+                step = (rest & -rest).bit_length()
+                j += step
+                pairs.append((i, j))
+                rest >>= step
+        return frozenset(pairs)
 
     def adjacent(self, i: int, j: int) -> bool:
         """Whether vertices i and j are adjacent; both indices must lie in
@@ -306,7 +349,7 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
                 continue
             vid[n * num + gen] = i = len(vertices)
             with_base[gen].append(i)
-            vertices.append(ExtVertex(v, GroupElement(Word._from_codes(g, hinv + (gen + 1,) + h))))
+            vertices.append(ExtVertex._from_codes(v, g, hinv + (gen + 1,) + h))
             cnum.append(num)
             bases.append(gen)
             lasts.append(last)
@@ -378,5 +421,5 @@ def ball_as_graph(ball: ExtBall) -> Graph:
     table. Two vertices get one name when the source's vertex names
     contain the name separators ('@', '.', '^-1'), which is a ValueError."""
     letters = _letter_names(ball.source)
-    names = [_vertex_name(x.base, x.element.word.codes(), letters) for x in ball.vertices]
+    names = [_vertex_name(x.base, x._codes, letters) for x in ball.vertices]
     return Graph._from_masks(f"{ball.source.name}_ball{ball.radius}", names, ball.nbr, ball.automorphisms)

@@ -464,16 +464,27 @@ def _embedding_links(
     later source vertex the distinct non-neighbours of t. With orbits, one
     mask of source positions per position s, a later position in
     orbits[s] keeps only the targets above t as well (the ordering
-    f(s) < f(s2)); a table never holds t itself."""
+    f(s) < f(s2)); a table never holds t itself. A masked table is built
+    only when some orbit pair reads it: the neighbour one for a pair
+    adjacent in lam, the non-neighbour one for a pair that is not."""
     nbr, non = gamma._nbr, _nonneighbor_masks(gamma)
     n = len(lam)
     links = [[(s2, nbr if lam._nbr[s] >> s2 & 1 else non) for s2 in range(s + 1, n)] for s in range(n)]
-    if orbits:
-        up_nbr, up_non = ([row & -(2 << t) for t, row in enumerate(table)] for table in (nbr, non))
-        for s, orbit in enumerate(orbits):
-            links[s] = [(s2, (up_nbr if table is nbr else up_non) if orbit >> s2 & 1 else table)
-                        for s2, table in links[s]]
+    masked: dict[bool, list[int]] = {}
+    for s, orbit in enumerate(orbits):
+        row = links[s]
+        for k, (s2, table) in enumerate(row):
+            if orbit >> s2 & 1:
+                kind = table is nbr
+                if kind not in masked:
+                    masked[kind] = _above(table)
+                row[k] = (s2, masked[kind])
     return links
+
+
+def _above(table: Sequence[int]) -> list[int]:
+    """Each row t of table masked to the indices above t."""
+    return [row & -(2 << t) for t, row in enumerate(table)]
 
 
 class _StabilizerChain(NamedTuple):

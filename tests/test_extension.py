@@ -26,6 +26,7 @@ from raag.graphs import (
     verify_full_embedding,
 )
 from raag.words import (
+    GroupElement,
     Word,
     canonical_form,
     commutator,
@@ -112,6 +113,32 @@ def test_ext_adjacent_is_irreflexive():
 def test_ext_adjacent_rejects_source_mismatch():
     with pytest.raises(ValueError, match="different source"):
         ext_adjacent(ext_vertex("a", Word(EDGE, [])), ext_vertex("a", Word(FREE2, [])))
+
+
+def _letters_name(base, word):
+    """The name <base>@<letters joined by '.'>, spelled from word.letters."""
+    return base + "@" + ".".join(v if e > 0 else v + "^-1" for v, e in word.letters)
+
+
+def test_ball_vertices_keep_the_ext_vertex_api():
+    # a ball vertex holds its base and canonical codes; it equals and
+    # hashes like ext_vertex of its conjugator, and builds the same element,
+    # name and repr
+    for g in (path_graph(4), cycle_graph(5)):
+        ball = ext_ball(g, 2)
+        for x, (h, _) in zip(ball.vertices, _kept_pairs(ball)):
+            y = ext_vertex(x.base, Word._from_codes(g, h))
+            assert x == y and hash(x) == hash(y) and x.base == y.base, (g.name, x)
+            element = x.element
+            assert element == x.element == y.element
+            assert element == canonical_form(element.word)
+            assert element.word.graph is g
+            assert x.name == y.name == _letters_name(x.base, element.word)
+            assert repr(x) == f"ExtVertex(base={x.base!r}, element=GroupElement({str(element.word)!r} over {g.name!r}))"
+        assert len(set(ball.vertices)) == len(ball.vertices)
+    assert repr(ext_vertex("a", parse_word(FREE2, "b"))) == "ExtVertex(base='a', element=GroupElement('b^-1 a b' over 'free2'))"
+    x = ext_vertex("a", Word(EDGE, []))
+    assert x != ext_vertex("a", Word(FREE2, [])) and x != ext_vertex("b", Word(EDGE, [])) and x != "a@a"
 
 
 # -- reduced-word enumeration ------------------------------------------------------
@@ -472,6 +499,31 @@ def test_ball_makes_no_kernel_call(monkeypatch):
     assert [ext_ball(g, radius) for g, radius in balls] == expected
 
 
+def test_ball_and_its_graph_build_no_words_elements_or_kernel_calls(monkeypatch):
+    # a ball vertex holds its canonical codes: neither ext_ball nor
+    # ball_as_graph builds a Word or a GroupElement per vertex
+    targets = [(_named_graph(target, "a"), radius) for target, radius in sorted({q[:2] for q in EXT_QUERIES})]
+    assert len(targets) == 7
+    calls = {"Word._from_codes": 0, "GroupElement.__init__": 0, "kernel": 0}
+
+    def counted(key, function):
+        def run(*args):
+            calls[key] += 1
+            return function(*args)
+        return run
+
+    monkeypatch.setattr(Word, "_from_codes", classmethod(counted("Word._from_codes", Word._from_codes.__func__)))
+    monkeypatch.setattr(GroupElement, "__init__", counted("GroupElement.__init__", GroupElement.__init__))
+    monkeypatch.setattr(_kernel, "normalize", counted("kernel", _kernel.normalize))
+    monkeypatch.setattr(_kernel, "survivors", counted("kernel", _kernel.survivors))
+    sizes = [len(ball_as_graph(ext_ball(g, radius))) for g, radius in targets]
+    assert calls == {"Word._from_codes": 0, "GroupElement.__init__": 0, "kernel": 0}
+    assert sum(sizes) == 25 + 145 + 76 + 21 + 105 + 36 + 42
+    # the counters see the calls that reading an element makes
+    ext_ball(*targets[0]).vertices[-1].element
+    assert calls["Word._from_codes"] == calls["GroupElement.__init__"] == 1
+
+
 def test_ball_vertices_monotone_in_radius():
     rng = random.Random(9)
     for _ in range(10):
@@ -810,6 +862,29 @@ def test_ordered_engine_keeps_the_lex_leader_of_every_orbit_of_assignments(targe
         assert leaders == set(map(tuple, ordered)), lam.name
         kept += len(ordered)
     assert kept
+
+
+def test_masked_link_tables_are_built_only_for_the_kinds_the_orderings_read(monkeypatch):
+    # every orbit pair of K4 is adjacent and the one of P8 (its two ends)
+    # is not, so K4 builds only the masked neighbour table and P8 only the
+    # masked non-neighbour one; trivial orbits build neither
+    bg = _ball_graph("C5", 1)
+    built = []
+    above = graphs._above
+    monkeypatch.setattr(graphs, "_above", lambda table: built.append(table is bg._nbr) or above(table))
+    for source, kinds in (("K4", [True]), ("P8", [False]), ("C5", [True, False])):
+        lam = _named_graph(source, "x")
+        built.clear()
+        links = _embedding_links(lam, bg, lam._stabilizer_chain().orbits)
+        assert built == kinds, source
+        assert links == _embedding_links(lam, bg, lam._stabilizer_chain().orbits)
+        built.clear()
+        assert full_embedding_search(lam, bg) == full_embedding_search(lam, _without_symmetries(bg)), source
+        assert built == kinds, source
+    built.clear()
+    lam = _named_graph("P8", "x")
+    assert _embedding_links(lam, bg, tuple(1 << s for s in range(len(lam)))) == _embedding_links(lam, bg)
+    assert built == []
 
 
 def test_searches_into_targets_without_automorphisms_build_no_source_generators(monkeypatch, capsys, tmp_path):
