@@ -40,7 +40,9 @@ Rows:
   searches), SEARCH_PASSES passes, with the chains built once outside the
   timing;
 - extract_full: one pass of extract_full over the 800 homomorphisms of that
-  pool.
+  pool, cold; and one pass of extract_full plus perfbench's check_extraction
+  over it, warm (the pool built once and passed over once before the
+  timing, as perfbench's extract_long workload cycles one pool).
 
 The pool and the ext_query targets come from perfbench/workloads.py,
 which is only read; the pool is drawn once. The words and extract_full rows
@@ -67,13 +69,16 @@ refused before anything is measured, and the file is left as it was:
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json --label change-1
 
 With --against <src dir of another checkout>, the run holds only the
-kernel time rows, the ext_ball rows and the graphs rows, timed on both
-checkouts in one process: the other checkout's raag is loaded beside this
-one under the package name raag_against, each row is built once per
-checkout from that checkout's own modules, and the two sides alternate on
-every one of INTERLEAVED_REPEATS repetitions (this checkout first on even
-repetitions, the other first on odd ones). So host drift, which moves
-separate runs by tens of percent, reaches both sides alike. Each side
+kernel time rows, the ext_ball rows, the graphs rows, the two extract_full
+rows and the run_harness row, timed on both checkouts in one process: the
+other checkout's raag is loaded beside this one under the package name
+raag_against, each row is built once per checkout from that checkout's
+own modules, and the two sides alternate on every one of
+INTERLEAVED_REPEATS repetitions (this checkout first on even repetitions,
+the other first on odd ones). The cold extract_full row rebuilds its
+pool with its side's modules before each repetition, outside the timing.
+So host drift, which moves separate runs by tens of percent, reaches both
+sides alike. Each side
 runs the kernel its own raag._kernel picked (the compiled one only where
 that checkout has it built): the kernel rows call that module's normalize
 and survivors, and the other rows reach it through their own modules.
@@ -120,7 +125,7 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
-from raag import _kernel, _purekernel, embedding, extension, graphs, words
+from raag import _kernel, _purekernel, embedding, extension, graphs, harness, words
 from raag.embedding import extract_full
 from raag.graphs import Graph
 from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
@@ -139,7 +144,8 @@ SEARCH_PASSES = 10
 COMMUTE_PAIRS = 3000
 # the raag modules the rows are built from: this checkout's, or another's
 # (load_checkout)
-THIS = SimpleNamespace(graphs=graphs, extension=extension, embedding=embedding, words=words, _kernel=_kernel)
+THIS = SimpleNamespace(graphs=graphs, extension=extension, embedding=embedding, words=words, harness=harness,
+                       _kernel=_kernel)
 
 
 def make_graph(rng, n, p):
@@ -335,7 +341,7 @@ def load_checkout(src, alias="raag_against"):
     While it imports, the raag entries of sys.modules are set aside, so its
     modules bind one another; afterwards they are registered under alias
     and this checkout's raag is restored."""
-    names = ("graphs", "words", "extension", "embedding", "_kernel")
+    names = ("graphs", "words", "extension", "embedding", "harness", "_kernel")
     mine = {k: m for k, m in sys.modules.items() if k == "raag" or k.startswith("raag.")}
     for k in mine:
         del sys.modules[k]
@@ -403,6 +409,35 @@ def graph_rows(r, pool):
     return out
 
 
+def warm_extract_pass(r, pool):
+    """A run of extract_full plus perfbench's check_extraction over the pool,
+    built by the raag modules r; it runs once here, so every timed run
+    reads warm images, as perfbench's extract_long operations do."""
+    check, extract_full = perfbench_workloads().check_extraction, r.embedding.extract_full
+
+    def run():
+        for h in pool:
+            problem, _ = check(r, h, extract_full(h))
+            assert problem is None, problem
+
+    run()
+    return run
+
+
+def extract_rows(r, pool):
+    """(layer, case, run) of the extract_full and harness rows of an
+    --against run, on the pool built by the raag modules r; the cold row's
+    run is a (setup, run) pair (see timed)."""
+    config = r.harness.HarnessConfig(trials=500, seed=42)
+    return [
+        ("extract", "extract_full + check_extraction on the extract_long pool (800 homs, seed 1, warm)",
+         warm_extract_pass(r, pool)),
+        ("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
+         (lambda: fresh_pool(pool, r), lambda specs: [r.embedding.extract_full(h) for h in specs])),
+        ("harness", "run_harness(500 trials, seed 42)", lambda: r.harness.run_harness(config)),
+    ]
+
+
 def spread(times):
     """Median, minimum and quartiles of times, rounded."""
     q1, median, q3 = statistics.quantiles(times, n=4)
@@ -411,12 +446,15 @@ def spread(times):
 
 def timed(run):
     """The time of one run(), collected before and with the garbage
-    collector disabled while it runs."""
+    collector disabled while it runs. A (setup, run) pair times run on a
+    new setup(), built before the collection."""
+    setup, run = run if isinstance(run, tuple) else (None, run)
+    args = (setup(),) if setup else ()
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
-        run()
+        run(*args)
         return time.perf_counter() - start
     finally:
         gc.enable()
@@ -437,13 +475,14 @@ def compared(run, other_run):
 
 
 def interleaved_rows(other, copy):
-    """The kernel, ext_ball and graphs rows of this checkout against the
-    raag modules other, and under "self" against copy, a copy of this
-    checkout, on the same rows."""
+    """The kernel, ext_ball, graphs, extract and harness rows of this
+    checkout against the raag modules other, and under "self" against
+    copy, a copy of this checkout, on the same rows."""
     pool = extract_long_pool()
 
     def rows_of(r):
-        return kernel_rows(r) + ball_rows(r) + graph_rows(r, pool if r is THIS else fresh_pool(pool, r))
+        own = pool if r is THIS else fresh_pool(pool, r)
+        return kernel_rows(r) + ball_rows(r) + graph_rows(r, own) + extract_rows(r, fresh_pool(pool, r))
 
     out = []
     for (layer, case, run), (_, other_case, other_run), (_, copy_case, copy_run) in zip(
@@ -509,6 +548,8 @@ def rows():
         row(layer, case, run)
     row("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
         lambda specs: [extract_full(h) for h in specs], lambda: fresh_pool(pool))
+    row("extract", "extract_full + check_extraction on the extract_long pool (800 homs, seed 1, warm)",
+        warm_extract_pass(THIS, fresh_pool(pool)))
     return out
 
 
@@ -517,8 +558,8 @@ def main():
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
     parser.add_argument("--label", default="current", help="name of this run in the output file")
     parser.add_argument("--against", type=Path, metavar="SRC",
-                        help="src directory of another checkout: time the kernel, ext_ball and graphs rows of "
-                             "both, interleaved, and of this checkout against a copy of itself")
+                        help="src directory of another checkout: time the kernel, ext_ball, graphs, extract and "
+                             "harness rows of both, interleaved, and of this checkout against a copy of itself")
     args = parser.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     if args.label in data["runs"]:

@@ -18,10 +18,17 @@ the functions here either
 Every output is re-checkable from its own data by its check(h) method;
 injectivity of the input map is never assumed.
 
-An image matters only as a group element, so it is read only through the
-reduced codes its Word caches (raag.words._reduced_codes), directly or by
-reduce, is_trivial and support: the word spelling an image never changes
-an outcome, and each image is piled once for all routes and checks.
+An image matters only as a group element. Each HomSpec reads its images
+through one image table, filled once per image from the reduced codes its
+Word caches (raag.words._reduced_codes) and shared by its restrictions:
+the support mask and the syllables, which for a clique-supported image are
+its exponent vector, since A(K) is free abelian for a clique K. Supports,
+clique chains, the relator and clique-support checks and the abelian
+exponent matrix read the table; HomSpec.apply spells an image from the
+cached codes and decides its triviality by piling syllables; peel_words
+decides each stage from supports by the centralizer theorem. So the word
+spelling an image never changes an outcome, and each image is piled once
+for all routes and checks.
 
 Vertex sets of the target (supports, chains, reach sets) are bitmasks
 over its vertex indices; names are built only for outcomes and messages.
@@ -73,10 +80,9 @@ from raag.words import (
     is_trivial,
     parse_word,
     product,
-    reduce,
     _centralizer_commutes,
+    _code_mask,
     _reduced_codes,
-    _support_mask,
 )
 
 
@@ -94,10 +100,21 @@ class HomSpec:
     The table must be total on the source vertices and every image must be
     a word over the target graph. Whether the table actually defines a
     homomorphism (all edge relators commute) is checked by validate_hom,
-    not at construction.
+    not at construction. Immutable by convention, like Word: images is
+    never changed after construction.
+
+    Each image is read as a group element through a private image table,
+    shared by the restricted() views and filled per vertex on first read
+    from the reduced codes its Word caches (no further kernel call). An
+    entry holds the support mask, then the syllables, (generator index,
+    exponent) pairs whose product is the element, flattened into the same
+    tuple, which takes half the memory of a tuple of pairs. A
+    clique-supported image lies in A(K) = Z^|K|, so its syllables are its
+    exponent vector in generator order; any other image keeps its reduced
+    codes, with each run of one generator merged into a power.
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_table")
 
     def __init__(self, source: Graph, target: Graph, images: dict[str, Word]):
         for v in source.vertices:
@@ -107,31 +124,129 @@ class HomSpec:
             if v not in source:
                 raise ValueError(f"image given for non-source vertex {v!r}")
         for v, w in images.items():
+            if not isinstance(w, Word):
+                raise ValueError(f"image of {v!r} is not a Word: {w!r}")
             if w.graph != target:
                 raise ValueError(f"image of {v!r} is not a word over the target graph")
         self.source = source
         self.target = target
         self.images = dict(images)
+        self._table: dict[str, tuple[int, ...]] = {}
+
+    def _image(self, v: str) -> tuple[int, ...]:
+        """The table entry of the image of v: its support mask, then its
+        syllables i_1, e_1, i_2, e_2, ... (see the class docstring)."""
+        entry = self._table.get(v)
+        if entry is None:
+            entry = self._table[v] = _image_entry(self.images[v])
+        return entry
 
     def apply(self, w: Word) -> Word:
         """Image of a source word, the same element as letterwise
         substitution: each letter becomes its image's reduced codes,
-        negated and reversed for an inverse letter."""
+        negated and reversed for an inverse letter.
+
+        The images' syllables, inverted likewise, are piled as well (see
+        _piled_syllables); when none is left the element is the identity,
+        and the result's cached reduced codes are set to (), which is what
+        the kernel would give. So is_trivial of an image in the kernel
+        piles a few syllables per letter instead of every letter it
+        spells; a nontrivial image leaves the cache empty.
+        """
         if w.graph != self.source:
             raise ValueError("word is not over the source graph")
         verts = self.source.vertices
+        pieces: dict = {}  # per letter code: its image's codes and syllables
         codes: list = []
+        syllables: list = []
         for c in w.codes():
-            img = _reduced_codes(self.images[verts[abs(c) - 1]])
-            codes.extend(img if c > 0 else (-x for x in reversed(img)))
-        return Word._from_codes(self.target, tuple(codes))
+            piece = pieces.get(c)
+            if piece is None:
+                v = verts[abs(c) - 1]
+                img, syl = _reduced_codes(self.images[v]), self._image(v)[1:]
+                if c < 0:
+                    img = tuple(-x for x in reversed(img))
+                    syl = tuple(x for k in range(len(syl) - 2, -1, -2) for x in (syl[k], -syl[k + 1]))
+                piece = pieces[c] = img, syl
+            codes += piece[0]
+            syllables += piece[1]
+        out = Word._from_codes(self.target, tuple(codes))
+        if not _piled_syllables(syllables, self.target.nonneighbor_table()):
+            out._reduced = ()
+        return out
 
     def restricted(self, component: Graph) -> "HomSpec":
-        """Restriction to an induced subgraph of the source."""
-        return HomSpec(component, self.target, {v: self.images[v] for v in component.vertices})
+        """Restriction to an induced subgraph of the source; it shares this
+        homomorphism's image words and image table."""
+        out = HomSpec(component, self.target, {v: self.images[v] for v in component.vertices})
+        out._table = self._table
+        return out
 
     def __repr__(self) -> str:
         return f"HomSpec({self.source.name!r} -> {self.target.name!r}, {len(self.images)} images)"
+
+
+def _image_entry(w: Word) -> tuple[int, ...]:
+    """The image table entry of w: its support mask and its flattened
+    syllables, read from its cached reduced codes. In a clique-supported
+    reduced word every letter of one generator has the same sign (a pair
+    of opposite signs would cancel across the commuting letters between
+    them), so a generator's exponent is its count of one sign."""
+    codes = _reduced_codes(w)
+    mask = _code_mask(codes)
+    entry = [mask]
+    if not mask & ~w.graph._star_meet(mask):
+        for i in _bits(mask):
+            entry += (i, codes.count(i + 1) or -codes.count(-i - 1))
+        return tuple(entry)
+    for c in codes:
+        i, e = (c - 1, 1) if c > 0 else (-c - 1, -1)
+        if len(entry) > 1 and entry[-2] == i:
+            entry[-1] += e
+        else:
+            entry += (i, e)
+    return tuple(entry)
+
+
+def _piled_syllables(syllables: list[int], noncomm) -> int:
+    """The push pass of the kernel (raag._purekernel._pile) over powers: per
+    generator a pile of syllables, each with its position and exponent. A
+    syllable joins the top of its generator's pile unless the pile of a
+    generator in its noncomm row has a later top; the exponents add, and a
+    top that reaches 0 is popped. Otherwise it is pushed. Joining moves a
+    power only past commuting syllables, and a run of letters piles as
+    the kernel piles it letter by letter, so the piles empty exactly when
+    the kernel's do (trace reduction: Cartier & Foata 1969). Returns the
+    number of syllables left, 0 iff the product is the identity;
+    syllables is flattened, as in the image table."""
+    tops = [-1] * len(noncomm)
+    positions: list = [[] for _ in noncomm]
+    exponents: list = [[] for _ in noncomm]
+    left = 0
+    pairs = iter(syllables)
+    for pos, (i, e) in enumerate(zip(pairs, pairs)):
+        top = tops[i]
+        if top >= 0:
+            for j in noncomm[i]:
+                if tops[j] > top:
+                    break
+            else:
+                exps = exponents[i]
+                e += exps[-1]
+                if e:
+                    exps[-1] = e
+                else:
+                    exps.pop()
+                    p = positions[i]
+                    p.pop()
+                    tops[i] = p[-1] if p else -1
+                    left -= 1
+                continue
+        positions[i].append(pos)
+        exponents[i].append(e)
+        tops[i] = pos
+        left += 1
+    return left
 
 
 @dataclass(frozen=True)
@@ -153,7 +268,7 @@ def validate_hom(h: HomSpec) -> HomReport:
     clique-spanning support is decided from the supports alone (centralizer
     theorem); only the others go to commutes."""
     g = h.target
-    supports = {v: _support_mask(h.images[v]) for v in h.source.vertices}
+    supports = {v: h._image(v)[0] for v in h.source.vertices}
     failures = []
     for u, v in h.source.edges():
         decided = _centralizer_commutes(g, supports[u], supports[v])
@@ -206,7 +321,7 @@ class FullEmbedding:
                         return f"vertex {v!r} mapped outside its component support"
             elif len(names) > 1:
                 for v in names:
-                    if not _support_mask(h.images[v]) >> image[v] & 1:
+                    if not h._image(v)[0] >> image[v] & 1:
                         return f"anti-path vertex {v!r} mapped outside the support of its image"
         return None
 
@@ -289,7 +404,7 @@ def _support_union(h: HomSpec, vertices) -> int:
     vertices, as a mask over the target."""
     union = 0
     for v in vertices:
-        union |= _support_mask(h.images[v])
+        union |= h._image(v)[0]
     return union
 
 
@@ -310,17 +425,15 @@ ExtractionOutcome = Union[FullEmbedding, KernelWitness, StructuralCertificate]
 
 
 def _exponent_matrix(h: HomSpec, columns: int) -> list[list[int]]:
-    # one row per source vertex: the exponent sums of the target vertices of
-    # the mask columns in its image, counted by vertex index over the
-    # reduced codes, which have the image's exponent sums since reduction
-    # cancels inverse pairs
-    index = [i + 1 for i in _bits(columns)]
+    # one row per source vertex: the exponents of the target vertices of the
+    # mask columns in its image, read from its syllables, which are its
+    # exponent vector since every image lies in the clique of the columns
+    index = list(_bits(columns))
     rows = []
     for v in h.source.vertices:
-        counts: dict[int, int] = {}
-        for c in _reduced_codes(h.images[v]):
-            counts[abs(c)] = counts.get(abs(c), 0) + (1 if c > 0 else -1)
-        rows.append([counts.get(i, 0) for i in index])
+        entry = h._image(v)
+        exponents = dict(zip(entry[1::2], entry[2::2]))
+        rows.append([exponents.get(i, 0) for i in index])
     return rows
 
 
@@ -415,7 +528,7 @@ def build_clique_chain(h: HomSpec) -> CliqueChain:
     if order is None:
         raise ValueError("source is not the complement of a path")
     gamma = h.target
-    supports = [_support_mask(h.images[v]) for v in order]
+    supports = [h._image(v)[0] for v in order]
     for v, supp_v in zip(order, supports):
         if supp_v & ~gamma._star_meet(supp_v):
             raise ValueError(f"clique-support condition violated at {v!r}")
@@ -492,22 +605,33 @@ def peel_words(h: HomSpec, chain: CliqueChain, reach: tuple[int, ...]) -> tuple[
     letters whose vertex lies in Y_i: each discarded letter commutes with
     everything it has to pass, so conjugating by the peeled words agrees
     with conjugating by the originals. That invariant is verified here
-    stage by stage: stage i conjugates the canonical tower of stage i - 1
-    once more, by P_i on one side and by W_i on the other, and compares the
-    canonical forms. A failure is an internal error, since it cannot happen
-    once no distinct non-adjacent sequence exists in the chain.
+    stage by stage, on one canonical tower T_i = P_i^-1 T_{i-1} P_i, T_1 =
+    P_1, against the image tower, which conjugates by W_i instead:
+    * W_i spans a clique, so W_i = P_i D_i, where D_i holds its letters
+      outside Y_i and supp(D_i) = supp(W_i) minus Y_i. Once T_{i-1} equals
+      the image tower, T_i does iff D_i commutes with T_i, which the
+      centralizer theorem decides from the two supports, D_i's being a
+      clique.
+    * Stage 2 also requires the base case T_1 = W_1, that is supp(W_1)
+      inside Y_1. Otherwise the towers part at stage 2: conjugation keeps
+      exponent sums, and P_1 and W_1 differ in those of D_1.
+    So the check fails at the first stage at which the two towers part, as
+    comparing their canonical forms would. A failure is an internal error,
+    since it cannot happen once no distinct non-adjacent sequence exists
+    in the chain.
     """
+    g = h.target
     peeled: list[Word] = []
     for i, v in enumerate(chain.order[:-1]):
-        w = reduce(h.images[v])
-        p = Word._from_codes(h.target, tuple(c for c in w.codes() if reach[i] >> abs(c) - 1 & 1))
+        codes = _reduced_codes(h.images[v])
+        p = Word._from_codes(g, tuple(c for c in codes if reach[i] >> abs(c) - 1 & 1))
         peeled.append(p)
+        outside = h._image(v)[0] & ~reach[i]
         if i == 0:
-            lhs, rhs = p, w
+            tower, first_outside = p, outside
             continue
-        lhs = canonical_form(conjugate(lhs, p)).word
-        rhs = canonical_form(conjugate(rhs, w)).word
-        if lhs != rhs:
+        tower = canonical_form(conjugate(tower, p)).word
+        if (i == 1 and first_outside) or not _centralizer_commutes(g, outside, _code_mask(tower.codes())):
             raise MechanismError(f"peeled conjugation tower diverged at stage {i + 1}")
     return tuple(peeled)
 

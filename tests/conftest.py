@@ -5,7 +5,9 @@ import itertools
 import os
 import random
 import shutil
+import signal
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -137,12 +139,81 @@ def build_kernel(directory, *flags):
     return out
 
 
+# The parity cases a child interpreter runs on the compiled kernel built at
+# sys.argv[1] (run_parity_cases): asymmetric tables, empty words and rows,
+# rejected codes and entries, 1,000-generator alphabets and the shapes of
+# the memory test, cut short.
+PARITY_CASES = """
+import importlib.util, random, sys
+from raag import _purekernel as pure
+spec = importlib.util.spec_from_file_location("_raag_kernel_under_test._speedups", sys.argv[1])
+compiled = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compiled)
+
+def same(codes, noncomm):
+    for f in ("normalize", "survivors"):
+        assert getattr(pure, f)(codes, noncomm) == getattr(compiled, f)(codes, noncomm), (f, codes, noncomm)
+
+def table(rnd, n, p):
+    return tuple(tuple(j for j in range(n) if j != i and rnd.random() < p) for i in range(n))
+
+def word(rnd, alphabet, length):
+    return [rnd.choice((1, -1)) * rnd.choice(alphabet) for _ in range(length)]
+
+rnd = random.Random(2017)
+for _ in range(400):
+    n = rnd.randint(1, 40)
+    noncomm = table(rnd, n, rnd.random())
+    size = rnd.randint(1, min(3, n)) if rnd.random() < 0.5 else rnd.randint(1, n)
+    same(word(rnd, rnd.sample(range(1, n + 1), size), rnd.randint(0, 300)), noncomm)
+for n in (0, 1, 2, 7):
+    same([], ((),) * n)
+same([1, -1, -1, 2, 1], ((), ()))
+same([2, -3, 3, 2, -2, 1], ((2,), (), ()))
+for codes, noncomm in (([0], ((),)), ([2], ((),)), ([-2], ((),)), ([1], ((0,),)), ([1], ((1,),)),
+                       ([1], ((-1,),)), ([1, 0, -1], ((), ()))):
+    for f in (compiled.normalize, compiled.survivors):
+        try:
+            f(codes, noncomm)
+        except ValueError:
+            continue
+        raise AssertionError(("accepted", f.__name__, codes, noncomm))
+for p in (0.0, 0.01, 0.5):
+    noncomm = table(rnd, 1000, p)
+    same(word(rnd, range(1, 1001), 3000), noncomm)
+    same(word(rnd, range(1, 4), 3000), noncomm)
+for n, length in ((1000, 4000), (200, 10000)):
+    same(word(rnd, range(1, n + 1), length), table(rnd, n, 0.5))
+print("ok")
+"""
+
+
+def run_parity_cases(module, **env):
+    """Runs PARITY_CASES on the compiled kernel at module in a child
+    interpreter, with env added to its environment, and returns the
+    finished process; it prints "ok" when every case agrees with the pure
+    kernel."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+    return subprocess.run([sys.executable, "-c", PARITY_CASES, str(module)],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The kernel of build_kernel at -O2, loaded under a private module
     name: never as raag._speedups, so the kernel raag._kernel selects for
-    the rest of the suite stays the one it imported."""
+    the rest of the suite stays the one it imported. A child interpreter
+    runs the parity cases on the build first, so a kernel that crashes
+    fails the tests that use it, naming the signal, instead of killing
+    the test run."""
     out = build_kernel(tmp_path_factory.mktemp("kernel"), "-O2")
+    done = run_parity_cases(out)
+    if done.returncode < 0:
+        pytest.fail(f"the compiled kernel killed the child running its parity cases with "
+                    f"{signal.Signals(-done.returncode).name}\n{done.stderr[-4000:]}")
+    if done.returncode != 0 or done.stdout != "ok\n":
+        pytest.fail(f"the compiled kernel failed its parity cases in a child interpreter\n{done.stderr[-4000:]}")
     spec = importlib.util.spec_from_file_location("_raag_kernel_under_test._speedups", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

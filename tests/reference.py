@@ -14,7 +14,10 @@ reach_sets_by_name and full_embedding_problem spell the reach sets of a
 clique chain and the check of a full-embedding outcome with vertex names,
 support name sets and join_decompose, where raag.embedding keeps vertex
 sets as bitmasks. degree_prefilter is full_embedding_search's candidate
-rule, target by target for each source vertex.
+rule, target by target for each source vertex. peel_divergence_stage is
+peel_words' stage check as first written: it builds both conjugation
+towers and compares their canonical forms, where peel_words builds one and
+decides each stage by the centralizer theorem.
 """
 
 import itertools
@@ -23,7 +26,7 @@ from typing import Iterator, Optional
 
 from raag.extension import ExtVertex
 from raag.graphs import Graph, join_decompose, verify_full_embedding
-from raag.words import Word, commutes, is_reduced, support
+from raag.words import Word, canonical_form, commutes, conjugate, is_reduced, reduce, support
 
 _DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -247,4 +250,23 @@ def full_embedding_problem(h, mapping) -> Optional[str]:
             for v in verts:
                 if mapping[v] not in support(h.images[v]):
                     return f"anti-path vertex {v!r} mapped outside the support of its image"
+    return None
+
+
+def peel_divergence_stage(h, chain, reach) -> Optional[int]:
+    """The first stage at which the peeled tower of the reach sets parts
+    from the image tower, or None: with W_i = reduce(image of v_i) and P_i
+    its letters inside Y_i, stage i >= 2 conjugates the canonical tower of
+    stage i - 1 by P_i on one side and by W_i on the other, starting from
+    P_1 and W_1, and compares the canonical forms."""
+    for i, v in enumerate(chain.order[:-1]):
+        w = reduce(h.images[v])
+        p = Word._from_codes(h.target, tuple(c for c in w.codes() if reach[i] >> abs(c) - 1 & 1))
+        if i == 0:
+            lhs, rhs = p, w
+            continue
+        lhs = canonical_form(conjugate(lhs, p)).word
+        rhs = canonical_form(conjugate(rhs, w)).word
+        if lhs != rhs:
+            return i + 1
     return None

@@ -78,6 +78,7 @@ def test_interleaved_rows_alternate_the_two_checkouts(bench, tmp_path, monkeypat
     monkeypatch.setattr(bench, "kernel_rows", lambda r: [])
     monkeypatch.setattr(bench, "ball_rows", tiny_rows)
     monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
+    monkeypatch.setattr(bench, "extract_rows", lambda r, pool: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
     out = tmp_path / "bench.json"
     monkeypatch.setattr(sys, "argv", ["bench_layers.py", "--out", str(out), "--label", "interleaved-1",
@@ -129,6 +130,7 @@ def test_interleaved_rows_start_with_the_kernel_rows(bench, tmp_path, monkeypatc
     monkeypatch.setattr(bench, "kernel_rows", lambda r: [("kernel", "one kernel call", lambda: None)])
     monkeypatch.setattr(bench, "ball_rows", lambda r: [("ext_ball", "one ball", lambda: None)])
     monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
+    monkeypatch.setattr(bench, "extract_rows", lambda r, pool: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
     rows = bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
     assert [(row["layer"], row["case"]) for row in rows] == [("kernel", "one kernel call"), ("ext_ball", "one ball")]
@@ -158,7 +160,43 @@ def test_interleaved_repetitions_run_with_the_collector_collected_and_off(bench,
     monkeypatch.setattr(bench, "kernel_rows", lambda r: [])
     monkeypatch.setattr(bench, "ball_rows", tiny_rows)
     monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
+    monkeypatch.setattr(bench, "extract_rows", lambda r, pool: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
     bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
     assert events == ["collect", "disable", ("run", False), "enable"] * (4 * bench.INTERLEAVED_REPEATS)
     assert gc.isenabled()
+
+
+def test_interleaved_extract_rows_run_on_each_checkouts_own_pool(bench, tmp_path):
+    other = bench.load_checkout(_copy_of_raag(tmp_path))
+    pool = bench.extract_long_pool()[:8]
+    sides = (bench.THIS, other)
+    rows = [bench.extract_rows(r, bench.fresh_pool(pool, r)) for r in sides]
+    assert [(layer, case) for layer, case, _ in rows[0]] == [(layer, case) for layer, case, _ in rows[1]]
+    assert [layer for layer, _, _ in rows[0]] == ["extract", "extract", "harness"]
+    for r, (warm, cold, _) in zip(sides, rows):
+        warm[2]()
+        setup, run = cold[2]
+        first, second = setup(), setup()
+        assert len(first) == 8 and all(type(h) is r.embedding.HomSpec for h in first + second)
+        # every repetition of the cold row reads new image words
+        assert all(a.images[v] is not b.images[v] for a, b in zip(first, second) for v in a.images)
+        assert [repr(out) for out in run(first)] == [repr(bench.extract_full(h)) for h in pool]
+
+
+def test_a_timed_pair_builds_its_input_before_the_collection(bench, monkeypatch):
+    events = []
+
+    class RecordingGC:
+        def collect(self):
+            events.append("collect")
+
+        def disable(self):
+            events.append("disable")
+
+        def enable(self):
+            events.append("enable")
+
+    monkeypatch.setattr(bench, "gc", RecordingGC())
+    bench.timed((lambda: events.append("setup") or "input", lambda arg: events.append(("run", arg))))
+    assert events == ["setup", "collect", "disable", ("run", "input"), "enable"]

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from raag.embedding import (
     _complete_complement_components,
     _lift_witness,
 )
+from raag import _kernel
 from raag.graphs import (
     Graph,
     complement,
@@ -44,16 +47,18 @@ from raag.graphs import (
 from raag.words import (
     Word,
     canonical_form,
+    commutator,
     is_reduced,
     is_trivial,
     parse_word,
     product,
     reduce,
     support,
+    _support_mask,
 )
 
-from conftest import SEEDS, all_labeled_graphs, cycle_graph, drawn_graphs, random_graph
-from reference import full_embedding_problem, reach_sets_by_name
+from conftest import SEEDS, all_labeled_graphs, cycle_graph, drawn_graphs, random_graph, random_word_letters
+from reference import full_embedding_problem, peel_divergence_stage, reach_sets_by_name
 
 
 def identity_spec(g):
@@ -90,6 +95,13 @@ def test_homspec_rejects_extra_images():
     images["zz"] = Word(g, [("v1", 1)])
     with pytest.raises(ValueError, match="non-source"):
         HomSpec(g, g, images)
+
+
+def test_homspec_names_the_image_that_is_not_a_word():
+    src = Graph("s", ["u", "v"])
+    tgt = Graph("t", ["a"])
+    with pytest.raises(ValueError, match="image of 'u' is not a Word"):
+        HomSpec(src, tgt, {"u": "a", "v": parse_word(tgt, "a")})
 
 
 def test_homspec_rejects_wrong_ambient():
@@ -164,6 +176,95 @@ def test_apply_substitutes_letterwise():
         assert str(image) == spelled
         raw = product(*(h.images[v] if s > 0 else h.images[v].inverse() for v, s in w.letters))
         assert canonical_form(image) == canonical_form(raw)
+
+
+def _random_clique_word(rnd, g, max_len):
+    """A random word over a random clique of g: a random vertex, then each
+    other vertex adjacent to all chosen so far with probability 0.7."""
+    order = rnd.sample(g.vertices, len(g))
+    clique = [order[0]]
+    for v in order[1:]:
+        if all(g.adjacent(v, u) for u in clique) and rnd.random() < 0.7:
+            clique.append(v)
+    return Word(g, [(rnd.choice(clique), rnd.choice((1, -1))) for _ in range(rnd.randint(0, max_len))])
+
+
+def _random_image_table(rnd):
+    """A random target of 1-7 vertices, a random source of 1-4, and images
+    mixing words over a clique, random words (seldom over a clique) and
+    powers of an earlier image, whose commutators with it are trivial."""
+    t = random_graph(rnd, rnd.randint(1, 7), rnd.random(), prefix="t")
+    src = random_graph(rnd, rnd.randint(1, 4), rnd.random(), prefix="s")
+    images = {}
+    for v in src.vertices:
+        kind = rnd.random()
+        if kind < 0.4:
+            images[v] = _random_clique_word(rnd, t, 12)
+        elif kind < 0.8 or not images:
+            images[v] = Word(t, random_word_letters(rnd, t, 12))
+        else:
+            base = images[rnd.choice(list(images))]
+            images[v] = product(*[base] * rnd.randint(1, 3))
+            if rnd.random() < 0.5:
+                images[v] = images[v].inverse()
+    return HomSpec(src, t, images)
+
+
+def test_image_table_holds_the_kernels_support_and_element():
+    kinds = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(SEEDS)
+    def check(seed):
+        h = _random_image_table(random.Random(seed))
+        t = h.target
+        for v, w in h.images.items():
+            mask, *flat = h._image(v)
+            syllables = list(zip(flat[::2], flat[1::2]))
+            assert len(flat) == 2 * len(syllables)
+            assert mask == _support_mask(Word._from_codes(t, w.codes()))
+            assert all(e for _, e in syllables)
+            clique = t.spans_clique(t._names(mask))
+            kinds.add(clique)
+            if clique:
+                # the exponent vector, in generator order
+                assert [i for i, _ in syllables] == sorted({abs(c) - 1 for c in reduce(w).codes()})
+            else:
+                assert all(a[0] != b[0] for a, b in zip(syllables, syllables[1:]))
+            spelled = [(t.vertices[i], 1 if e > 0 else -1) for i, e in syllables for _ in range(abs(e))]
+            assert canonical_form(Word(t, spelled)) == canonical_form(w)
+            # restrictions share the table
+            assert h.restricted(induced_subgraph(h.source, [v]))._image(v) is h._image(v)
+
+    check()
+    assert kinds == {True, False}
+
+
+def test_apply_piles_syllables_as_the_kernel_piles_letters():
+    trivial = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(SEEDS)
+    def check(seed):
+        rnd = random.Random(seed)
+        h = _random_image_table(rnd)
+        src, noncomm = h.source, h.target.nonneighbor_table()
+        x, y = (Word(src, random_word_letters(rnd, src, 6)) for _ in range(2))
+        gens = [Word(src, [(v, 1)]) for v in src.vertices]
+        words = [x, x * x.inverse(), commutator(x, y), commutator(rnd.choice(gens), rnd.choice(gens))]
+        for w in words:
+            image = h.apply(w)
+            want = []
+            for v, s in w.letters:
+                img = reduce(h.images[v]).codes()
+                want += img if s > 0 else [-c for c in reversed(img)]
+            assert image.codes() == tuple(want)
+            empty = not _kernel.survivors(image.codes(), noncomm)
+            trivial.add(empty)
+            assert image._reduced == (() if empty else None)
+
+    check()
+    assert trivial == {True, False}
 
 
 # -- abelian factors ------------------------------------------------------------------------
@@ -575,6 +676,63 @@ def test_peel_rejects_forged_reach_sets():
     forged = masks(t, ("a",), ())
     with pytest.raises(MechanismError, match="diverged at stage 2"):
         peel_words(h, build_clique_chain(h), forged)
+
+
+def _peel_stage(h, chain, reach):
+    """The stage at which peel_words finds the towers parted, or None."""
+    try:
+        peel_words(h, chain, reach)
+    except MechanismError as exc:
+        return int(str(exc).rsplit(" ", 1)[1])
+    return None
+
+
+def _extract_long_pool(seed):
+    """The homomorphisms of the benchmark's extract_long workload for seed."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.ExtractLong(seed).specs
+
+
+def test_peel_stops_where_the_two_tower_reference_does():
+    # every anti-path chain of 3 or more vertices in the pools of seeds 1
+    # and 2, with its genuine reach sets and three forgeries: random
+    # subsets of the cliques, the genuine sets with one later Y_i
+    # replaced, and the genuine sets with one vertex dropped
+    stages = set()
+    rnd = random.Random(33)
+    for seed in (1, 2):
+        for h in _extract_long_pool(seed):
+            for c in join_decompose(h.source).components:
+                if c.kind == "singleton" or len(c.graph) < 3:
+                    continue
+                r = h.restricted(c.graph)
+                chain = build_clique_chain(r)
+                genuine = reach_sets(chain)
+                k = rnd.randrange(1, len(genuine))
+                for reach in (genuine,
+                              tuple(rnd.getrandbits(len(r.target)) & c for c in chain.cliques[:-1]),
+                              genuine[:k] + (rnd.getrandbits(len(r.target)) & chain.cliques[k],) + genuine[k + 1:],
+                              tuple(y & ~(1 << rnd.randrange(len(r.target))) for y in genuine)):
+                    want = peel_divergence_stage(r, chain, reach)
+                    assert _peel_stage(r, chain, reach) == want
+                    stages.add(want)
+    assert {None, 2, 3, 4, 5} <= stages
+
+
+def test_peel_rejects_reach_sets_forged_only_at_the_first_stage():
+    # Y_1 forged empty, the later sets genuine: every later image lies in
+    # its reach set, so no D_i is left to fail the one-tower test, and only
+    # the base case T_1 = W_1 catches it, at stage 2 as the reference does
+    h = identity_spec(path_complement(4))
+    chain = build_clique_chain(h)
+    forged = (0,) + reach_sets(chain)[1:]
+    assert peel_divergence_stage(h, chain, forged) == 2
+    with pytest.raises(MechanismError, match="diverged at stage 2"):
+        peel_words(h, chain, forged)
 
 
 # -- obstruction commutators -------------------------------------------------------------------

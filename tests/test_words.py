@@ -28,7 +28,7 @@ from raag.words import (
     support,
 )
 
-from conftest import SEEDS, build_kernel, drawn_graphs, random_graph, random_word_letters
+from conftest import SEEDS, build_kernel, drawn_graphs, random_graph, random_word_letters, run_parity_cases
 from reference import marker_normalize, marker_survivors, oracle_is_trivial
 
 
@@ -686,55 +686,6 @@ def test_compiled_kernel_rejects_out_of_range_input(compiled_kernel):
     assert _kernel_outcomes(compiled_kernel, calls) == ["ValueError"] * len(calls)
 
 
-# The parity cases the sanitized kernel runs, in a child interpreter that
-# loads the module built at sys.argv[1]: asymmetric tables, empty words and
-# rows, rejected codes and entries, 1,000-generator alphabets and the shapes
-# of the memory test, cut short.
-_SANITIZED_PARITY = """
-import importlib.util, random, sys
-from raag import _purekernel as pure
-spec = importlib.util.spec_from_file_location("_raag_kernel_under_test._speedups", sys.argv[1])
-compiled = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compiled)
-
-def same(codes, noncomm):
-    for f in ("normalize", "survivors"):
-        assert getattr(pure, f)(codes, noncomm) == getattr(compiled, f)(codes, noncomm), (f, codes, noncomm)
-
-def table(rnd, n, p):
-    return tuple(tuple(j for j in range(n) if j != i and rnd.random() < p) for i in range(n))
-
-def word(rnd, alphabet, length):
-    return [rnd.choice((1, -1)) * rnd.choice(alphabet) for _ in range(length)]
-
-rnd = random.Random(2017)
-for _ in range(400):
-    n = rnd.randint(1, 40)
-    noncomm = table(rnd, n, rnd.random())
-    size = rnd.randint(1, min(3, n)) if rnd.random() < 0.5 else rnd.randint(1, n)
-    same(word(rnd, rnd.sample(range(1, n + 1), size), rnd.randint(0, 300)), noncomm)
-for n in (0, 1, 2, 7):
-    same([], ((),) * n)
-same([1, -1, -1, 2, 1], ((), ()))
-same([2, -3, 3, 2, -2, 1], ((2,), (), ()))
-for codes, noncomm in (([0], ((),)), ([2], ((),)), ([-2], ((),)), ([1], ((0,),)), ([1], ((1,),)),
-                       ([1], ((-1,),)), ([1, 0, -1], ((), ()))):
-    for f in (compiled.normalize, compiled.survivors):
-        try:
-            f(codes, noncomm)
-        except ValueError:
-            continue
-        raise AssertionError(("accepted", f.__name__, codes, noncomm))
-for p in (0.0, 0.01, 0.5):
-    noncomm = table(rnd, 1000, p)
-    same(word(rnd, range(1, 1001), 3000), noncomm)
-    same(word(rnd, range(1, 4), 3000), noncomm)
-for n, length in ((1000, 4000), (200, 10000)):
-    same(word(rnd, range(1, n + 1), length), table(rnd, n, 0.5))
-print("ok")
-"""
-
-
 def _sanitizer_runtime(name):
     """The path of the sanitizer runtime library name that the compiler
     building extensions links against, or None when it has none."""
@@ -761,13 +712,9 @@ def test_compiled_kernel_runs_clean_under_address_and_undefined_behaviour_saniti
         pytest.skip("no AddressSanitizer or UBSan runtime for the extension compiler")
     module = build_kernel(tmp_path, "-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
                           "-fno-sanitize-recover=undefined")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               LD_PRELOAD=" ".join(runtimes), PYTHONMALLOC="malloc",
-               ASAN_OPTIONS="detect_leaks=0:malloc_fill_byte=0:max_malloc_fill_size=1048576",
-               UBSAN_OPTIONS="print_stacktrace=1")
-    done = subprocess.run([sys.executable, "-c", _SANITIZED_PARITY, str(module)],
-                          capture_output=True, text=True, timeout=120, env=env)
+    done = run_parity_cases(module, LD_PRELOAD=" ".join(runtimes), PYTHONMALLOC="malloc",
+                            ASAN_OPTIONS="detect_leaks=0:malloc_fill_byte=0:max_malloc_fill_size=1048576",
+                            UBSAN_OPTIONS="print_stacktrace=1")
     report = done.stderr[-4000:]
     assert "Sanitizer" not in done.stderr and "runtime error" not in done.stderr, report
     assert done.returncode == 0 and done.stdout == "ok\n", report
