@@ -1,113 +1,88 @@
-"""Time each layer of raag under the pure kernel and, when raag._speedups
-was built, under the compiled one, and write the rows to a JSON file.
+"""Time each layer of raag on two sides, interleaved, and write the rows to
+a JSON file.
 
-Rows:
-- kernel: normalize and survivors on long single words, on large batches of
-  short commutator-shaped words, and on long words over a wide alphabet,
-  where normalize's depile checks many fronts per letter;
-- kernel memory: the tracemalloc peak, in MB, of one call on one long
-  word (survivors and normalize on 50000 letters over 200 generators,
-  survivors on 20000 letters over 1000 generators), under each kernel;
-  tracemalloc sees the PyMem allocations of the compiled kernel too;
-- ext_ball: the path P5 at radius 2 and 3, the path P4 at radius 3 and 4;
-  the seven distinct balls of the perfbench ext_query queries (C4 r2, C5
-  r1/r2, C6 r1, P4 r2, P5c r1/r2), one pass, where building the vertices is
-  a larger share than on the big balls; then ball_as_graph on the four path
-  balls, each built once outside the timing and converted BALL_GRAPH_CALLS
-  times per run; then ExtBall.edges on the seven ext_query balls, built
-  once outside the timing and read BALL_GRAPH_CALLS times per run (the
-  pairs are derived from the masks on each read, as perfbench's ext_query
-  check reads them);
-- harness: run_harness with 500 trials and seed 42, end to end, and its
-  instance generation alone (the _random_graph, _random_source and
-  _random_hom draws of those 500 trials);
-- words: reduce, support, is_trivial and canonical_form, one row each, on
-  the raw image words of the perfbench extract_long pool of seed 1, cold;
-  then commutes on every pair of images of each homomorphism of that pool,
-  cold, where every image lies over a clique, so the centralizer test
-  decides each pair from the two supports, and on COMMUTE_PAIRS pairs of
-  random 12-letter words over 8 generators, cold, whose supports seldom
-  span a clique, so almost every pair goes to the kernel through
-  is_trivial of the commutator;
-- graphs: join_decompose on the 800 sources of that pool, and complement
-  after induced_subgraph on each target's image support union (the
-  support graph of the structural certificate), one pass each; then
-  full_embedding_search on the 23 perfbench ext_query queries, and on its
-  slowest one alone (P6c into the P5c radius-2 ball), SEARCH_PASSES passes
-  each, with every ball and ball graph built once outside the timing;
-  then sequence_search on the clique chains of every anti-path factor of
-  2 or at least 4 vertices of that pool (the chains extract_anti_path
-  searches), SEARCH_PASSES passes, with the chains built once outside the
-  timing;
-- extract_full: one pass of extract_full over the 800 homomorphisms of that
-  pool, cold; and one pass of extract_full plus perfbench's check_extraction
-  over it, warm (the pool built once and passed over once before the
-  timing, as perfbench's extract_long workload cycles one pool).
+Every run times one row list, layer_rows, on each of its sides. In the
+plain run the sides are this checkout's kernels: pure, and compiled when
+raag._speedups was built (`python setup.py build_ext --inplace`; without it
+the run has the pure side alone). Before each repetition, outside the
+timing, a side binds its kernel's normalize and survivors into
+raag._kernel, where every caller looks them up:
 
-The pool and the ext_query targets come from perfbench/workloads.py,
-which is only read; the pool is drawn once. The words and extract_full rows
-rebuild it from its names and codes before every timed run, outside the
-timing: new image words, and for extract_full new graphs too. So no run,
-under either kernel, reads a cached reduced form that an earlier run
-filled.
+    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json --label kernels-1
 
-Each row runs under each kernel by rebinding raag._kernel.normalize and
-raag._kernel.survivors, which every caller looks up there. Each row runs
-7 times per kernel; pure_s and compiled_s are the median, in seconds, and
-pure_min_s and compiled_min_s the minimum. The median is steadier than a
-minimum of few runs, but on a shared host the host's speed can still move
-a row by tens of percent between runs minutes apart, so compare labels
-run close together.
-
-Runs of different checkouts go into one file, each under its own --label,
-so a change and its parent can be read side by side (run this script with
-PYTHONPATH pointing at the other checkout's src). Every run needs a label
-the file does not hold yet: alternate the two checkouts and number the
-runs (parent-1, change-1, parent-2, ...). A label already in the file is
-refused before anything is measured, and the file is left as it was:
-
-    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json --label change-1
-
-With --against <src dir of another checkout>, the run holds only the
-kernel time rows, the ext_ball rows, the graphs rows, the two extract_full
-rows and the run_harness row, timed on both checkouts in one process: the
-other checkout's raag is loaded beside this one under the package name
-raag_against, each row is built once per checkout from that checkout's
-own modules, and the two sides alternate on every one of
-INTERLEAVED_REPEATS repetitions (this checkout first on even repetitions,
-the other first on odd ones). The cold extract_full row rebuilds its
-pool with its side's modules before each repetition, outside the timing.
-So host drift, which moves separate runs by tens of percent, reaches both
-sides alike. Each side
-runs the kernel its own raag._kernel picked (the compiled one only where
-that checkout has it built): the kernel rows call that module's normalize
-and survivors, and the other rows reach it through their own modules.
-Before each timed repetition the garbage collector runs, and it stays
-disabled while the repetition is timed, so a collection that the other
-side's garbage triggers is not charged to this one. A row carries, per
-side, the median, the minimum and the quartiles (this_* and against_*),
-and this_faster, the number of repetitions in which this checkout was
-faster.
-
-Two sides that run the same code need not read 50/50: which side runs
-first, or where each side's objects sit in memory, can favour one. So each
---against run also times this checkout against a copy of itself, loaded
-from a temporary directory as the package raag_self, on the same rows, each
-right after the comparison with the other checkout. A row's "self" entry
-holds that control, with the copy as the against side; a this_faster that
-the control also reads is bias, not a change. The temporary copy is
+With --against <src dir of another checkout>, the sides are the two
+checkouts. The other checkout's raag is loaded beside this one under the
+package name raag_against, the rows are built once per checkout from that
+checkout's own modules, and each side runs the kernel its own raag._kernel
+picked. Two sides that run the same code need not read 50/50: which side
+runs first, or where each side's objects sit in memory, can favour one. So
+every row is also timed against a copy of this checkout, loaded from a
+temporary directory as raag_self, right after the comparison with the
+other checkout; the row's "self" entry holds that control, and a
+this_faster that the control also reads is bias, not a change. The copy is
 removed when the run ends, and neither loaded checkout gets bytecode
 written:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json \
         --label interleaved-1 --against ../parent/src
 
-A kernel memory row carries pure_peak_mb and compiled_peak_mb instead of
-times; a peak moves by at most a few kB between runs, so each is measured
-once.
+Rows, in order:
+- kernel: normalize and survivors on long single words, on large batches of
+  short commutator-shaped words, and on long words over a wide alphabet,
+  where normalize's depile checks many fronts per letter;
+- kernel memory: the tracemalloc peak, in MB, of one call on one long word
+  (survivors and normalize on 50000 letters over 200 generators, survivors
+  on 20000 letters over 1000 generators); tracemalloc sees the PyMem
+  allocations of the compiled kernel too;
+- ext_ball: the path P5 at radius 2 and 3, the path P4 at radius 3 and 4;
+  the seven distinct balls of the perfbench ext_query queries, one pass;
+  ball_as_graph on the four path balls, BALL_GRAPH_CALLS times per run;
+  ExtBall.edges on the seven ext_query balls, BALL_GRAPH_CALLS reads per
+  run (the balls of the last two built once outside the timing);
+- harness: run_harness with 500 trials and seed 42, end to end, and its
+  instance generation alone (the draws of those 500 trials);
+- words: reduce, support, is_trivial and canonical_form on the raw image
+  words of the perfbench extract_long pool of seed 1; commutes on every
+  pair of images of each homomorphism of that pool, where every image lies
+  over a clique, so the centralizer test decides each pair from the two
+  supports; and commutes on COMMUTE_PAIRS pairs of random 12-letter words
+  over 8 generators, whose supports seldom span a clique, so almost every
+  pair goes to the kernel; all cold;
+- graphs: join_decompose on the 800 sources of that pool, and complement
+  after induced_subgraph on each target's image support union, one pass
+  each; full_embedding_search on the 23 perfbench ext_query queries, and
+  on its slowest one alone (P6c into the P5c radius-2 ball); and
+  sequence_search on the clique chains of every anti-path factor of 2 or
+  at least 4 vertices of that pool; SEARCH_PASSES passes each, with every
+  ball, ball graph and chain built once outside the timing;
+- extract: one pass of extract_full over the 800 homomorphisms of that
+  pool, cold; and one pass of extract_full plus perfbench's
+  check_extraction over it, warm (passed over once before the timing, as
+  perfbench's extract_long workload cycles one pool).
 
-Build the compiled kernel first (`python setup.py build_ext --inplace`) to
-fill the compiled column; without it that column is null.
+The pool and the ext_query targets come from perfbench/workloads.py, which
+is only read; the pool is drawn once, and each side rebuilds it from names
+and codes with its own classes. The cold words and extract rows rebuild
+their words, and the cold extract row its graphs too, before every timed
+repetition, outside the timing, so no repetition reads a cached reduced
+form that an earlier one filled.
+
+The sides alternate on every one of INTERLEAVED_REPEATS repetitions of a
+row (in order on even repetitions, reversed on odd ones), so host drift,
+which moves separate runs by tens of percent, reaches both sides alike.
+Before each timed repetition the garbage collector runs, and it stays
+disabled while the repetition is timed, so a collection that the other
+side's garbage triggers is not charged to this one. A row carries, per
+side (pure and compiled, or this and against), the median <side>_s, the
+minimum <side>_min_s and the quartiles <side>_quartiles_s, in seconds, and
+<first side>_faster, the number of repetitions in which the first side was
+faster. A kernel memory row carries <side>_peak_mb instead, per kernel or
+per checkout's raag._kernel (with the self copy's); a peak moves by at
+most a few kB between runs, so each is measured once.
+
+Runs go into one file, each under its own --label, so a change and its
+parent can be read side by side. A label already in the file is refused
+before anything is measured, and the file is left as it was.
 """
 
 import argparse
@@ -126,10 +101,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from raag import _kernel, _purekernel, embedding, extension, graphs, harness, words
-from raag.embedding import extract_full
-from raag.graphs import Graph
-from raag.harness import HarnessConfig, _random_graph, _random_hom, _random_source, run_harness
-from raag.words import Word, canonical_form, commutes, is_trivial, reduce, support
 
 try:
     from raag import _speedups
@@ -137,7 +108,6 @@ except ImportError:
     _speedups = None
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS = 7
 INTERLEAVED_REPEATS = 11
 BALL_GRAPH_CALLS = 20
 SEARCH_PASSES = 10
@@ -148,15 +118,12 @@ THIS = SimpleNamespace(graphs=graphs, extension=extension, embedding=embedding, 
                        _kernel=_kernel)
 
 
-def make_graph(rng, n, p):
+def make_graph(r, rng, n, p):
+    """A random graph on g0..g{n-1} of the raag modules r, each edge drawn
+    with probability p."""
     verts = [f"g{i}" for i in range(n)]
-    edges = [
-        (verts[i], verts[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
-    return Graph("bench", verts, edges)
+    edges = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return r.graphs.Graph("bench", verts, edges)
 
 
 def make_codes(rng, n, length):
@@ -172,7 +139,7 @@ def kernel_jobs():
         ("short batch (30000 x len 12, 7 generators)", 7, 0.5, 30000, 12),
         ("wide alphabet (20 x len 5000, 200 generators)", 200, 0.5, 20, 5000),
     ):
-        nn = make_graph(rng, n, p).nonneighbor_table()
+        nn = make_graph(THIS, rng, n, p).nonneighbor_table()
         out.append((name, [(make_codes(rng, n, length), nn) for _ in range(count)]))
     return out
 
@@ -198,7 +165,7 @@ def memory_jobs():
     rng = random.Random(20242)
     out = []
     for function, n, length in (("survivors", 200, 50_000), ("normalize", 200, 50_000), ("survivors", 1000, 20_000)):
-        nn = make_graph(rng, n, 0.5).nonneighbor_table()
+        nn = make_graph(THIS, rng, n, 0.5).nonneighbor_table()
         out.append((function, f"{function} peak: 1 x len {length}, {n} generators", (make_codes(rng, n, length), nn)))
     return out
 
@@ -213,28 +180,28 @@ def peak_mb(call, job):
         tracemalloc.stop()
 
 
-def median_and_min(run, setup=None):
-    """The median and the minimum of REPEATS runs; with a setup, each run
-    gets a new setup() as its argument, built outside the timing."""
-    times = []
-    for _ in range(REPEATS):
-        args = (setup(),) if setup else ()
-        start = time.perf_counter()
-        run(*args)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), min(times)
+def memory_rows(kernels):
+    """The kernel memory rows: the peak of each memory job under each
+    kernel of kernels, {side: module with normalize and survivors}."""
+    out = []
+    for function, case, job in memory_jobs():
+        out.append({"layer": "kernel memory", "case": case,
+                    **{f"{side}_peak_mb": peak_mb(getattr(k, function), job) for side, k in kernels.items()}})
+        print(f"{'memory':<8} {case:<58}" + "".join(f" {side} {out[-1][side + '_peak_mb']}MB" for side in kernels),
+              flush=True)
+    return out
 
 
-def draw_instances(cfg):
-    """The instances run_harness(cfg) draws, without extracting from them;
-    built from the draw helpers alone, so the row also runs against older
-    checkouts."""
+def draw_instances(r, cfg):
+    """The instances run_harness(cfg) of the raag modules r draws, without
+    extracting from them; built from the draw helpers alone, so the row
+    also runs against older checkouts."""
     master = random.Random(cfg.seed)
     for _ in range(cfg.trials):
         rng = random.Random(master.getrandbits(64))
-        gamma = _random_graph(rng, cfg.max_target_vertices, cfg.edge_density)
-        lam = _random_source(rng, cfg.component_sizes)
-        _random_hom(rng, lam, gamma)
+        gamma = r.harness._random_graph(rng, cfg.max_target_vertices, cfg.edge_density)
+        lam = r.harness._random_source(rng, cfg.component_sizes)
+        r.harness._random_hom(rng, lam, gamma)
 
 
 def perfbench_workloads():
@@ -275,31 +242,33 @@ def ext_query_searches(r):
     return out
 
 
-def fresh_images(pool):
-    """The raw image words of the pool, as new words over the same graphs."""
-    return [Word._from_codes(w.graph, w.codes()) for h in pool for w in h.images.values()]
+def fresh_images(r, pool):
+    """The raw image words of the pool, as new words of the raag modules r
+    over the same graphs."""
+    return [r.words.Word._from_codes(w.graph, w.codes()) for h in pool for w in h.images.values()]
 
 
-def fresh_image_pairs(pool):
-    """Every pair of images of each hom of the pool, as new words."""
+def fresh_image_pairs(r, pool):
+    """Every pair of images of each hom of the pool, as new words of the
+    raag modules r."""
     out = []
     for h in pool:
-        images = [Word._from_codes(w.graph, w.codes()) for w in h.images.values()]
+        images = [r.words.Word._from_codes(w.graph, w.codes()) for w in h.images.values()]
         out += [(a, b) for i, a in enumerate(images) for b in images[i + 1:]]
     return out
 
 
-def random_word_pairs():
-    """One 8-generator graph of density 0.5 and the codes of COMMUTE_PAIRS
-    pairs of random 12-letter words over it."""
+def random_word_pairs(r):
+    """One 8-generator graph of density 0.5 of the raag modules r and the
+    codes of COMMUTE_PAIRS pairs of random 12-letter words over it."""
     rng = random.Random(20241)
-    g = make_graph(rng, 8, 0.5)
+    g = make_graph(r, rng, 8, 0.5)
     return g, [(make_codes(rng, 8, 12), make_codes(rng, 8, 12)) for _ in range(COMMUTE_PAIRS)]
 
 
-def fresh_word_pairs(g, pairs):
-    """The pairs of codes as new words over g."""
-    return [(Word._from_codes(g, tuple(a)), Word._from_codes(g, tuple(b))) for a, b in pairs]
+def fresh_word_pairs(r, g, pairs):
+    """The pairs of codes as new words of the raag modules r over g."""
+    return [(r.words.Word._from_codes(g, tuple(a)), r.words.Word._from_codes(g, tuple(b))) for a, b in pairs]
 
 
 def pool_chains(pool, r):
@@ -323,7 +292,7 @@ def support_unions(pool, r):
     return out
 
 
-def fresh_pool(pool, r=THIS):
+def fresh_pool(pool, r):
     """The pool rebuilt from names and codes, with new graphs and words, of
     the raag modules r."""
     out = []
@@ -384,6 +353,21 @@ def ball_rows(r):
     return out
 
 
+def word_rows(r, pool):
+    """(layer, case, (setup, run)) of the words rows, on the pool built by
+    the raag modules r; each setup builds new words (see timed)."""
+    commutes, (g, pairs) = r.words.commutes, random_word_pairs(r)
+    out = [("words", f"{name} on the extract_long pool images (seed 1, cold)",
+            (lambda: fresh_images(r, pool), lambda ws, f=getattr(r.words, name): [f(w) for w in ws]))
+           for name in ("reduce", "support", "is_trivial", "canonical_form")]
+    for case, setup in (("every image pair of each extract_long pool hom (seed 1, cold)",
+                         lambda: fresh_image_pairs(r, pool)),
+                        (f"{COMMUTE_PAIRS} pairs of random 12-letter words, 8 generators (cold)",
+                         lambda: fresh_word_pairs(r, g, pairs))):
+        out.append(("words", f"commutes on {case}", (setup, lambda ps: [commutes(a, b) for a, b in ps])))
+    return out
+
+
 def graph_rows(r, pool):
     """(layer, case, run) of the graphs rows, on inputs built by the raag
     modules r from the pool, which r's classes built."""
@@ -425,17 +409,28 @@ def warm_extract_pass(r, pool):
 
 
 def extract_rows(r, pool):
-    """(layer, case, run) of the extract_full and harness rows of an
-    --against run, on the pool built by the raag modules r; the cold row's
-    run is a (setup, run) pair (see timed)."""
-    config = r.harness.HarnessConfig(trials=500, seed=42)
+    """(layer, case, run) of the extract rows, on the pool built by the
+    raag modules r: the cold row's run is a (setup, run) pair that rebuilds
+    the pool (see timed), and the warm row's passes over it."""
     return [
-        ("extract", "extract_full + check_extraction on the extract_long pool (800 homs, seed 1, warm)",
-         warm_extract_pass(r, pool)),
         ("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
          (lambda: fresh_pool(pool, r), lambda specs: [r.embedding.extract_full(h) for h in specs])),
-        ("harness", "run_harness(500 trials, seed 42)", lambda: r.harness.run_harness(config)),
+        ("extract", "extract_full + check_extraction on the extract_long pool (800 homs, seed 1, warm)",
+         warm_extract_pass(r, pool)),
     ]
+
+
+def layer_rows(r, pool):
+    """(layer, case, run) of every timed row, in order, built by the raag
+    modules r; pool is the extract_long pool, which the words, graphs and
+    extract rows rebuild with r's classes. A run is a callable or a
+    (setup, run) pair (see timed)."""
+    config = r.harness.HarnessConfig(trials=500, seed=42)
+    own = fresh_pool(pool, r)
+    return kernel_rows(r) + ball_rows(r) + [
+        ("harness", "run_harness(500 trials, seed 42)", lambda: r.harness.run_harness(config)),
+        ("harness", "instance generation of run_harness(500 trials, seed 42)", lambda: draw_instances(r, config)),
+    ] + word_rows(r, own) + graph_rows(r, own) + extract_rows(r, fresh_pool(pool, r))
 
 
 def spread(times):
@@ -460,97 +455,79 @@ def timed(run):
         gc.enable()
 
 
-def compared(run, other_run):
-    """this_*, against_* and this_faster of run against other_run, the two
-    alternating on every one of INTERLEAVED_REPEATS repetitions."""
-    times = ([], [])
+def compared(sides):
+    """The spread of each run of sides, {side: run}, under <side>_s,
+    <side>_min_s and <side>_quartiles_s, the sides alternating on every one
+    of INTERLEAVED_REPEATS repetitions; of two sides, also <first
+    side>_faster, the repetitions in which the first was faster."""
+    names = list(sides)
+    times = {name: [] for name in names}
     for k in range(INTERLEAVED_REPEATS):
-        for side in (0, 1) if k % 2 == 0 else (1, 0):
-            times[side].append(timed((run, other_run)[side]))
-    out = {}
-    for prefix, side in (("this", 0), ("against", 1)):
-        out.update({f"{prefix}_{k}": v for k, v in spread(times[side]).items()})
-    out["this_faster"] = sum(a < b for a, b in zip(*times))
+        for name in names if k % 2 == 0 else names[::-1]:
+            times[name].append(timed(sides[name]))
+    out = {f"{name}_{key}": v for name in names for key, v in spread(times[name]).items()}
+    if len(names) == 2:
+        out[f"{names[0]}_faster"] = sum(a < b for a, b in zip(*times.values()))
     return out
 
 
-def interleaved_rows(other, copy):
-    """The kernel, ext_ball, graphs, extract and harness rows of this
-    checkout against the raag modules other, and under "self" against
-    copy, a copy of this checkout, on the same rows."""
-    pool = extract_long_pool()
-
-    def rows_of(r):
-        own = pool if r is THIS else fresh_pool(pool, r)
-        return kernel_rows(r) + ball_rows(r) + graph_rows(r, own) + extract_rows(r, fresh_pool(pool, r))
-
+def measured(rows, memory):
+    """The entries of rows, (layer, case, sides, control), each comparing
+    its sides and, unless control is None, under "self" its control; the
+    memory entries follow the kernel rows."""
     out = []
-    for (layer, case, run), (_, other_case, other_run), (_, copy_case, copy_run) in zip(
-            rows_of(THIS), rows_of(other), rows_of(copy), strict=True):
-        assert case == other_case == copy_case, (case, other_case, copy_case)
-        entry = {"layer": layer, "case": case, **compared(run, other_run), "self": compared(run, copy_run)}
+    for layer, case, sides, control in rows:
+        entry = {"layer": layer, "case": case, **compared(sides)}
+        first = next(iter(sides))
+        line = f"{layer:<8} {case:<58}" + "".join(f" {side} {entry[side + '_s']:>7}s" for side in sides)
+        if len(sides) == 2:
+            line += f"  faster {entry[first + '_faster']}/{INTERLEAVED_REPEATS}"
+        if control:
+            entry["self"] = compared(control)
+            line += f", against itself {entry['self']['this_faster']}/{INTERLEAVED_REPEATS}"
         out.append(entry)
-        print(f"{layer:<8} {case:<58} {entry['this_s']:>9}s against {entry['against_s']:>9}s"
-              f"  faster {entry['this_faster']}/{INTERLEAVED_REPEATS},"
-              f" against itself {entry['self']['this_faster']}/{INTERLEAVED_REPEATS}", flush=True)
-    return out
+        print(line, flush=True)
+    k = sum(entry["layer"] == "kernel" for entry in out)
+    return out[:k] + memory + out[k:]
 
 
-def use_kernel(module):
-    _kernel.normalize = module.normalize
-    _kernel.survivors = module.survivors
+def on_kernel(kernel, run):
+    """run as a (setup, run) pair whose setup first binds the kernel's
+    normalize and survivors into raag._kernel."""
+    setup, run = run if isinstance(run, tuple) else (None, run)
+
+    def bind():
+        _kernel.normalize, _kernel.survivors = kernel.normalize, kernel.survivors
+        return setup() if setup else None
+
+    return bind, run if setup else lambda _: run()
 
 
 def rows():
-    kernels = [("pure", _purekernel)] + ([("compiled", _speedups)] if _speedups else [])
-    out = []
-
-    def row(layer, case, run, setup=None):
-        entry = {"layer": layer, "case": case, "pure_s": None, "compiled_s": None,
-                 "pure_min_s": None, "compiled_min_s": None}
-        for label, module in kernels:
-            use_kernel(module)
-            median, least = median_and_min(run, setup)
-            entry[f"{label}_s"], entry[f"{label}_min_s"] = round(median, 4), round(least, 4)
-        out.append(entry)
-        print(f"{layer:<8} {case:<58} {entry['pure_s']:>9}s {entry['compiled_s'] or 'n/a':>9}"
-              + ("" if entry["compiled_s"] is None else "s"), flush=True)
-
+    """Every row of layer_rows on this checkout, with its kernels as the
+    sides."""
+    kernels = {"pure": _purekernel, **({"compiled": _speedups} if _speedups else {})}
     if _speedups:
-        for name, jobs in kernel_jobs():
+        for _, jobs in kernel_jobs():
             for function in ("normalize", "survivors"):
                 pure, compiled = getattr(_purekernel, function), getattr(_speedups, function)
                 assert all(pure(*job) == compiled(*job) for job in jobs[:50])
-    for layer, case, run in kernel_rows(THIS):
-        row(layer, case, run)
-    for function, case, job in memory_jobs():
-        entry = {"layer": "kernel memory", "case": case, "pure_peak_mb": None, "compiled_peak_mb": None}
-        for label, module in kernels:
-            entry[f"{label}_peak_mb"] = peak_mb(getattr(module, function), job)
-        out.append(entry)
-        print(f"{'memory':<8} {case:<58} {entry['pure_peak_mb']:>8}MB {entry['compiled_peak_mb'] or 'n/a':>8}"
-              + ("" if entry["compiled_peak_mb"] is None else "MB"), flush=True)
-    for layer, case, run in ball_rows(THIS):
-        row(layer, case, run)
-    config = HarnessConfig(trials=500, seed=42)
-    row("harness", "run_harness(500 trials, seed 42)", lambda: run_harness(config))
-    row("harness", "instance generation of run_harness(500 trials, seed 42)", lambda: draw_instances(config))
+    memory = memory_rows(kernels)
+    return measured([(layer, case, {side: on_kernel(k, run) for side, k in kernels.items()}, None)
+                     for layer, case, run in layer_rows(THIS, extract_long_pool())], memory)
+
+
+def interleaved_rows(other, copy):
+    """Every row of layer_rows on this checkout against the raag modules
+    other, and under "self" against copy, a copy of this checkout."""
     pool = extract_long_pool()
-    for function in (reduce, support, is_trivial, canonical_form):
-        row("words", f"{function.__name__} on the extract_long pool images (seed 1, cold)",
-            lambda words, function=function: [function(w) for w in words], lambda: fresh_images(pool))
-    row("words", "commutes on every image pair of each extract_long pool hom (seed 1, cold)",
-        lambda pairs: [commutes(a, b) for a, b in pairs], lambda: fresh_image_pairs(pool))
-    g, pairs = random_word_pairs()
-    row("words", f"commutes on {COMMUTE_PAIRS} pairs of random 12-letter words, 8 generators (cold)",
-        lambda fresh: [commutes(a, b) for a, b in fresh], lambda: fresh_word_pairs(g, pairs))
-    for layer, case, run in graph_rows(THIS, pool):
-        row(layer, case, run)
-    row("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
-        lambda specs: [extract_full(h) for h in specs], lambda: fresh_pool(pool))
-    row("extract", "extract_full + check_extraction on the extract_long pool (800 homs, seed 1, warm)",
-        warm_extract_pass(THIS, fresh_pool(pool)))
-    return out
+    memory = memory_rows({"this": _kernel, "against": other._kernel, "self": copy._kernel})
+    out = []
+    for (layer, case, run), (_, other_case, other_run), (_, copy_case, copy_run) in zip(
+            layer_rows(THIS, pool), layer_rows(other, pool), layer_rows(copy, pool), strict=True):
+        assert case == other_case == copy_case, (case, other_case, copy_case)
+        out.append((layer, case, {"this": run, "against": other_run}, {"this": run, "against": copy_run}))
+    return measured(out, memory)
 
 
 def main():
@@ -558,39 +535,28 @@ def main():
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
     parser.add_argument("--label", default="current", help="name of this run in the output file")
     parser.add_argument("--against", type=Path, metavar="SRC",
-                        help="src directory of another checkout: time the kernel, ext_ball, graphs, extract and "
-                             "harness rows of both, interleaved, and of this checkout against a copy of itself")
+                        help="src directory of another checkout: time every row on both, interleaved, and on this "
+                             "checkout against a copy of itself")
     args = parser.parse_args()
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     if args.label in data["runs"]:
         sys.exit(f"{args.out} already holds a run labelled {args.label!r} (labels: {', '.join(data['runs'])}); "
                  "give each run its own label")
+    run = {"python": platform.python_version(), "machine": platform.machine(), "repeats": INTERLEAVED_REPEATS}
     if args.against:
         other = load_checkout(args.against)
         with tempfile.TemporaryDirectory() as tmp:
             shutil.copytree(Path(graphs.__file__).parent, Path(tmp) / "raag",
                             ignore=shutil.ignore_patterns("__pycache__"))
             copy = load_checkout(tmp, "raag_self")
-            rows = interleaved_rows(other, copy)
-        run = {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "against": str(args.against),
-            "repeats": INTERLEAVED_REPEATS,
-            "kernels": {"this": _kernel.kernel_name(), "against": other._kernel.kernel_name(),
-                        "self": copy._kernel.kernel_name()},
-            "rows": rows,
-        }
+            run.update(against=str(args.against),
+                       kernels={"this": _kernel.kernel_name(), "against": other._kernel.kernel_name(),
+                                "self": copy._kernel.kernel_name()},
+                       rows=interleaved_rows(other, copy))
     else:
-        run = {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "repeats": REPEATS,
-            "compiled_kernel": _speedups is not None,
-            "rows": rows(),
-        }
         if _speedups is None:
             print("compiled kernel not built; build it with `python setup.py build_ext --inplace` to compare")
+        run.update(compiled_kernel=_speedups is not None, rows=rows())
     data["runs"][args.label] = run
     args.out.write_text(json.dumps(data, indent=1) + "\n")
 

@@ -343,7 +343,7 @@ class KernelWitness:
     def check(self, h: HomSpec) -> Optional[str]:
         """None when the word is nontrivial over the source and its image
         under h is trivial; otherwise the first problem found."""
-        if self.word.graph != h.source:
+        if not isinstance(self.word, Word) or self.word.graph != h.source:
             return "witness word is not over the source graph"
         if is_trivial(self.word):
             return "witness word is trivial over the source"
@@ -382,8 +382,8 @@ class StructuralCertificate:
         Complete complement components are exactly what leaves the
         3-vertex anti-path (an edge plus a vertex, whose complement is the
         path on three vertices) no full embedding, so no search is run."""
-        comp = tuple(self.component)
-        if len(comp) != 3 or len(set(comp)) != 3 or any(v not in h.source for v in comp):
+        comp = tuple(self.component) if isinstance(self.component, (tuple, list)) else ()
+        if len(comp) != 3 or any(not isinstance(v, str) or v not in h.source for v in comp) or len(set(comp)) != 3:
             return "certificate component does not name three distinct source vertices"
         comp_graph = induced_subgraph(h.source, comp)
         if _anti_path_order(comp_graph) is None:

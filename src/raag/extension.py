@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from raag import _kernel
-from raag.graphs import Graph, _bits, _nonneighbor_masks
+from raag.graphs import Graph, _bits, _check_count, _nonneighbor_masks
 from raag.words import GroupElement, Word
 from raag.words import commutes  # noqa: F401  (unused here; perfbench's tests expect it bound in this module)
 
@@ -318,8 +318,7 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
     open j > i complete it. A copy reads the row of (h', v), whose
     conjugator is shorter than h, so it comes before i and is closed.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    _check_count("radius", radius, 0)
     n = len(g)
     st_mask = [g._star_meet(1 << a) for a in range(n)]
     noncomm_mask = _nonneighbor_masks(g)

@@ -254,6 +254,15 @@ def graph_join(parts: Sequence[Graph], name: str = "join") -> Graph:
     return Graph._from_masks(name, verts, nbr)
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """Raise ValueError naming the argument unless value is an int, not a
+    bool, and at least least."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def path_graph(n: int, prefix: str = "v", name: Optional[str] = None) -> Graph:
     """The path on n >= 1 vertices prefix1 - prefix2 - ... - prefixn."""
     if n < 1:
@@ -270,6 +279,8 @@ def path_complement(n: int, prefix: str = "v", name: Optional[str] = None) -> Gr
 
 
 def complete_graph(n: int, prefix: str = "v", name: Optional[str] = None) -> Graph:
+    """The complete graph on n >= 0 vertices prefix1, ..., prefixn."""
+    _check_count("n", n, 0)
     verts = [f"{prefix}{i}" for i in range(1, n + 1)]
     edges = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
     return Graph(name if name is not None else f"K{n}", verts, edges)
@@ -638,9 +649,12 @@ def verify_full_embedding(lam: Graph, gamma: Graph, mapping: Mapping[str, str]) 
 
     True iff mapping is injective, adjacency-preserving and
     non-adjacency-preserving; otherwise the report names the first
-    violating pair in insertion-order scan. The map must be total on lam's
-    vertices (anything else is a usage error, not a verification result).
+    violating pair in insertion-order scan. The map must be a mapping total
+    on lam's vertices (anything else is a usage error, not a verification
+    result).
     """
+    if not isinstance(mapping, Mapping):
+        raise ValueError(f"map is not a mapping: {mapping!r}")
     missing = [v for v in lam.vertices if v not in mapping]
     if missing:
         raise ValueError(f"map is not total on the source: missing {missing[0]!r}")
@@ -648,7 +662,7 @@ def verify_full_embedding(lam: Graph, gamma: Graph, mapping: Mapping[str, str]) 
     if extra:
         raise ValueError(f"map mentions non-source vertex {extra[0]!r}")
     for v in lam.vertices:
-        if mapping[v] not in gamma:
+        if not isinstance(mapping[v], str) or mapping[v] not in gamma:
             return EmbeddingCheck(f"image {mapping[v]!r} of {v!r} is not a target vertex")
     verts = lam.vertices
     for a in range(len(verts)):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from raag.embedding import FullEmbedding, HomSpec, KernelWitness, extract_full
-from raag.graphs import Graph, _bits, graph_join, path_complement
+from raag.graphs import Graph, _bits, _check_count, graph_join, path_complement
 from raag.words import Word, _centralizer_commutes
 
 _IMAGE_ATTEMPTS = 50
@@ -262,18 +262,17 @@ def run_harness(cfg: HarnessConfig) -> HarnessReport:
 
     Identical configurations produce byte-identical formatted reports.
     """
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if cfg.seed < 0:
-        # random.Random seeds an int by its absolute value, so -s would
-        # silently run the trials of s
-        raise ValueError("seed must be >= 0")
+    _check_count("trials", cfg.trials, 1)
+    # random.Random seeds an int by its absolute value, so -s would
+    # silently run the trials of s
+    _check_count("seed", cfg.seed, 0)
     if not 0.0 <= cfg.edge_density <= 1.0:
         raise ValueError("edge density must lie in [0, 1]")
-    if cfg.max_target_vertices < 1:
-        raise ValueError("max target vertices must be >= 1")
+    _check_count("max target vertices", cfg.max_target_vertices, 1)
     if not cfg.component_sizes or min(cfg.component_sizes) < 1:
         raise ValueError("component sizes must be a non-empty list of sizes >= 1")
+    for size in cfg.component_sizes:
+        _check_count("component sizes", size, 1)
     master = random.Random(cfg.seed)
     report = HarnessReport(cfg)
     for index in range(1, cfg.trials + 1):

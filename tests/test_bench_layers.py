@@ -5,11 +5,12 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import raag
-from raag import extension, graphs
+from raag import _kernel, extension, graphs
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_layers.py"
 
@@ -24,6 +25,17 @@ def bench():
     yield module
     for k in [k for k in sys.modules if k.split(".")[0] in ("raag_against", "raag_self")]:
         del sys.modules[k]
+
+
+@pytest.fixture
+def gc_events(bench, monkeypatch):
+    """The benchmark's calls to the collector, recorded in order and passed
+    on to gc."""
+    events = []
+    calls = {name: lambda name=name: events.append(name) or getattr(gc, name)()
+             for name in ("collect", "disable", "enable")}
+    monkeypatch.setattr(bench, "gc", SimpleNamespace(**calls))
+    return events
 
 
 def _copy_of_raag(tmp_path):
@@ -69,16 +81,14 @@ def test_interleaved_rows_alternate_the_two_checkouts(bench, tmp_path, monkeypat
     monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
     calls = []
 
-    def tiny_rows(r, *pool):
+    def tiny_rows(r, pool):
         where = Path(r.extension.__file__)
         side = "this" if r is bench.THIS else "against" if where.is_relative_to(other_src) else "self"
         assert side != "self" or where.is_relative_to(temp_root)
         return [("ext_ball", "one call", lambda: calls.append(side))]
 
-    monkeypatch.setattr(bench, "kernel_rows", lambda r: [])
-    monkeypatch.setattr(bench, "ball_rows", tiny_rows)
-    monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
-    monkeypatch.setattr(bench, "extract_rows", lambda r, pool: [])
+    monkeypatch.setattr(bench, "layer_rows", tiny_rows)
+    monkeypatch.setattr(bench, "memory_jobs", lambda: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
     out = tmp_path / "bench.json"
     monkeypatch.setattr(sys, "argv", ["bench_layers.py", "--out", str(out), "--label", "interleaved-1",
@@ -127,43 +137,25 @@ def test_interleaved_kernel_rows_call_each_checkouts_own_kernel(bench, tmp_path,
 
 def test_interleaved_rows_start_with_the_kernel_rows(bench, tmp_path, monkeypatch):
     other_src = _copy_of_raag(tmp_path)
-    monkeypatch.setattr(bench, "kernel_rows", lambda r: [("kernel", "one kernel call", lambda: None)])
-    monkeypatch.setattr(bench, "ball_rows", lambda r: [("ext_ball", "one ball", lambda: None)])
-    monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
-    monkeypatch.setattr(bench, "extract_rows", lambda r, pool: [])
+    monkeypatch.setattr(bench, "layer_rows", lambda r, pool: [("kernel", "one kernel call", lambda: None),
+                                                              ("ext_ball", "one ball", lambda: None)])
+    monkeypatch.setattr(bench, "memory_jobs", lambda: [("survivors", "one peak", ([1, -1], ((),)))])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
     rows = bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
-    assert [(row["layer"], row["case"]) for row in rows] == [("kernel", "one kernel call"), ("ext_ball", "one ball")]
+    assert [(row["layer"], row["case"]) for row in rows] == [
+        ("kernel", "one kernel call"), ("kernel memory", "one peak"), ("ext_ball", "one ball")]
+    # each checkout's kernel, and the copy's, has its peak
+    assert {key for key in rows[1] if key.endswith("_peak_mb")} == {"this_peak_mb", "against_peak_mb", "self_peak_mb"}
 
 
-def test_interleaved_repetitions_run_with_the_collector_collected_and_off(bench, tmp_path, monkeypatch):
+def test_interleaved_repetitions_run_with_the_collector_collected_and_off(bench, tmp_path, gc_events, monkeypatch):
     other_src = _copy_of_raag(tmp_path)
-    events = []
-
-    class RecordingGC:
-        def collect(self):
-            events.append("collect")
-            return gc.collect()
-
-        def disable(self):
-            events.append("disable")
-            gc.disable()
-
-        def enable(self):
-            events.append("enable")
-            gc.enable()
-
-    def tiny_rows(r):
-        return [("ext_ball", "one call", lambda: events.append(("run", gc.isenabled())))]
-
-    monkeypatch.setattr(bench, "gc", RecordingGC())
-    monkeypatch.setattr(bench, "kernel_rows", lambda r: [])
-    monkeypatch.setattr(bench, "ball_rows", tiny_rows)
-    monkeypatch.setattr(bench, "graph_rows", lambda r, pool: [])
-    monkeypatch.setattr(bench, "extract_rows", lambda r, pool: [])
+    monkeypatch.setattr(bench, "layer_rows", lambda r, pool: [
+        ("ext_ball", "one call", lambda: gc_events.append(("run", gc.isenabled())))])
+    monkeypatch.setattr(bench, "memory_jobs", lambda: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
     bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
-    assert events == ["collect", "disable", ("run", False), "enable"] * (4 * bench.INTERLEAVED_REPEATS)
+    assert gc_events == ["collect", "disable", ("run", False), "enable"] * (4 * bench.INTERLEAVED_REPEATS)
     assert gc.isenabled()
 
 
@@ -173,30 +165,55 @@ def test_interleaved_extract_rows_run_on_each_checkouts_own_pool(bench, tmp_path
     sides = (bench.THIS, other)
     rows = [bench.extract_rows(r, bench.fresh_pool(pool, r)) for r in sides]
     assert [(layer, case) for layer, case, _ in rows[0]] == [(layer, case) for layer, case, _ in rows[1]]
-    assert [layer for layer, _, _ in rows[0]] == ["extract", "extract", "harness"]
-    for r, (warm, cold, _) in zip(sides, rows):
+    assert [layer for layer, _, _ in rows[0]] == ["extract", "extract"]
+    for r, (cold, warm) in zip(sides, rows):
         warm[2]()
         setup, run = cold[2]
         first, second = setup(), setup()
         assert len(first) == 8 and all(type(h) is r.embedding.HomSpec for h in first + second)
         # every repetition of the cold row reads new image words
         assert all(a.images[v] is not b.images[v] for a, b in zip(first, second) for v in a.images)
-        assert [repr(out) for out in run(first)] == [repr(bench.extract_full(h)) for h in pool]
+        assert [repr(out) for out in run(first)] == [repr(bench.embedding.extract_full(h)) for h in pool]
 
 
-def test_a_timed_pair_builds_its_input_before_the_collection(bench, monkeypatch):
-    events = []
+def test_a_timed_pair_builds_its_input_before_the_collection(bench, gc_events):
+    bench.timed((lambda: gc_events.append("setup") or "input", lambda arg: gc_events.append(("run", arg))))
+    assert gc_events == ["setup", "collect", "disable", ("run", "input"), "enable"]
 
-    class RecordingGC:
-        def collect(self):
-            events.append("collect")
 
-        def disable(self):
-            events.append("disable")
+def test_both_runs_time_the_same_rows_in_the_same_order(bench, tmp_path, monkeypatch):
+    # the plain run and the --against run both time every row of
+    # layer_rows, the words, memory and instance-generation rows included
+    pool, real_jobs, real_memory = bench.extract_long_pool()[:8], bench.kernel_jobs(), bench.memory_jobs()
+    monkeypatch.setattr(bench, "kernel_jobs", lambda: [(name, jobs[:3]) for name, jobs in real_jobs])
+    monkeypatch.setattr(bench, "memory_jobs", lambda: [(f, case, (codes[:20], nn))
+                                                       for f, case, (codes, nn) in real_memory])
+    monkeypatch.setattr(bench, "extract_long_pool", lambda: pool)
+    monkeypatch.setattr(bench, "timed", lambda run: 0.0)
+    other_src = _copy_of_raag(tmp_path)
+    plain = [(row["layer"], row["case"]) for row in bench.rows()]
+    against = bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
+    assert plain == [(row["layer"], row["case"]) for row in against]
+    layers = [layer for layer, _ in plain]
+    assert len(plain) == 34 and layers.count("words") == 6 and layers[6:9] == ["kernel memory"] * 3
+    assert ("harness", "instance generation of run_harness(500 trials, seed 42)") in plain
 
-        def enable(self):
-            events.append("enable")
 
-    monkeypatch.setattr(bench, "gc", RecordingGC())
-    bench.timed((lambda: events.append("setup") or "input", lambda arg: events.append(("run", arg))))
-    assert events == ["setup", "collect", "disable", ("run", "input"), "enable"]
+def test_the_plain_run_alternates_the_kernels_each_bound_by_its_side(bench, compiled_kernel, gc_events, monkeypatch):
+    monkeypatch.setattr(bench, "_speedups", compiled_kernel)
+    for function in ("normalize", "survivors"):  # restored afterwards
+        monkeypatch.setattr(_kernel, function, getattr(_kernel, function))
+    monkeypatch.setattr(bench, "kernel_jobs", lambda: [("one", [([1, -2, -1], ((1,), (0,)))])])
+    monkeypatch.setattr(bench, "memory_jobs", lambda: [("normalize", "one peak", ([1, -2, -1], ((1,), (0,))))])
+    monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
+    monkeypatch.setattr(bench, "layer_rows", lambda r, pool: [
+        ("kernel", "one call", lambda: gc_events.append(("run", _kernel.normalize, gc.isenabled())))])
+    [row, memory] = bench.rows()
+    pure, compiled = bench._purekernel.normalize, compiled_kernel.normalize
+    assert gc_events == [event for k in range(bench.INTERLEAVED_REPEATS)
+                         for kernel in ((pure, compiled) if k % 2 == 0 else (compiled, pure))
+                         for event in ("collect", "disable", ("run", kernel, False), "enable")]
+    assert 0 <= row["pure_faster"] <= bench.INTERLEAVED_REPEATS
+    for side in ("pure", "compiled"):
+        low, high = row[f"{side}_quartiles_s"]
+        assert row[f"{side}_min_s"] <= low <= row[f"{side}_s"] <= high and memory[f"{side}_peak_mb"] >= 0

@@ -1329,6 +1329,22 @@ def test_certificate_check_rejects_existing_embedding():
     assert bad.check(h) == "certificate refuted: a full embedding into the support exists"
 
 
+@pytest.mark.parametrize("certificate, problem", [
+    (FullEmbedding({"v1": ["a"], "v2": "b", "v3": "c"}),
+     "embedding check failed: image ['a'] of 'v1' is not a target vertex"),
+    (FullEmbedding(None), "embedding check failed: map is not a mapping: None"),
+    (KernelWitness("v1", True, True), "witness word is not over the source graph"),
+    (StructuralCertificate((["v1"], "v2", "v3"), (), ()),
+     "certificate component does not name three distinct source vertices"),
+    (StructuralCertificate(None, (), ()), "certificate component does not name three distinct source vertices"),
+], ids=["embedding-with-a-list-image", "embedding-of-none", "witness-of-a-string", "certificate-with-a-list-vertex",
+        "certificate-of-none"])
+def test_a_malformed_certificate_gets_a_problem_not_an_exception(certificate, problem):
+    # a certificate read from a file can hold any value; check(h) promises
+    # None or the first problem, and each of these raised before
+    assert certificate.check(identity_spec(path_complement(3))) == problem
+
+
 def _p3c_into_edge_plus_point_spec():
     # a1-a3 is the one source edge; images a1 -> x, a2 -> z, a3 -> y
     lam = path_complement(3, prefix="a")

@@ -538,6 +538,13 @@ def test_ball_radius_negative_rejected():
         ext_ball(FREE2, -1)
 
 
+@pytest.mark.parametrize("radius", [True, 1.0, "1"])
+def test_ball_radius_must_be_an_integer(radius):
+    # ext_ball(g, True) built a ball whose graph was named ..._ballTrue
+    with pytest.raises(ValueError, match=f"radius must be an integer, not {radius!r}"):
+        ext_ball(FREE2, radius)
+
+
 def test_dedup_matches_quotient_triviality():
     rng = random.Random(41)
     checked_equal = 0

@@ -43,6 +43,14 @@ def test_graph_rejects_self_loop():
         Graph("g", ["a"], [("a", "a")])
 
 
+@pytest.mark.parametrize("n, message", [(-1, "n must be >= 0"), (True, "n must be an integer, not True"),
+                                        (2.0, "n must be an integer, not 2.0")])
+def test_complete_graph_rejects_a_negative_or_non_integer_count(n, message):
+    # complete_graph(-1) was an empty graph named K-1
+    with pytest.raises(ValueError, match=message):
+        complete_graph(n)
+
+
 def test_graph_rejects_duplicate_vertex():
     with pytest.raises(ValueError, match="duplicate"):
         Graph("g", ["a", "a"])

@@ -39,6 +39,16 @@ def test_rejects_bad_config():
             run_harness(HarnessConfig(trials=1, seed=1, component_sizes=sizes))
 
 
+@pytest.mark.parametrize("changes, name", [({"trials": True}, "trials"), ({"seed": 1.5}, "seed"),
+                                           ({"max_target_vertices": 2.5}, "max target vertices"),
+                                           ({"component_sizes": (2, 1.0)}, "component sizes")])
+def test_rejects_non_integer_counts(changes, name):
+    # trials=True ran one trial reported as "trials: True", and
+    # max_target_vertices=2.5 failed inside random
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
+        run_harness(HarnessConfig(**{"trials": 1, "seed": 1, **changes}))
+
+
 def test_same_seed_same_report():
     cfg = HarnessConfig(trials=40, seed=123)
     assert run_harness(cfg).format() == run_harness(cfg).format()
