@@ -1,12 +1,19 @@
 """Time each layer of raag on two sides, interleaved, and write the rows to
 a JSON file.
 
-Every run times one row list, layer_rows, on each of its sides. In the
-plain run the sides are this checkout's kernels: pure, and compiled when
-raag._speedups was built (`python setup.py build_ext --inplace`; without it
-the run has the pure side alone). Before each repetition, outside the
-timing, a side binds its kernel's normalize and survivors into
-raag._kernel, where every caller looks them up:
+Every run times one row list, layer_rows, on each of its sides, and then
+on the two sides of a control that runs the same code on both. Two sides
+that run the same code need not read 50/50: which side runs first, or
+where each side's objects sit in memory, can favour one. The row's "self"
+entry holds the control, under the keys this_* and against_*, and a gap
+that the control also reads is bias, not a change.
+
+In the plain run the sides are this checkout's kernels: pure, and compiled
+when raag._speedups was built (`python setup.py build_ext --inplace`;
+without it the run has the pure side alone). Before each repetition,
+outside the timing, a side binds its kernel's normalize and survivors into
+raag._kernel, where every caller looks them up. The control is the pure
+kernel against itself:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json --label kernels-1
 
@@ -14,14 +21,9 @@ With --against <src dir of another checkout>, the sides are the two
 checkouts. The other checkout's raag is loaded beside this one under the
 package name raag_against, the rows are built once per checkout from that
 checkout's own modules, and each side runs the kernel its own raag._kernel
-picked. Two sides that run the same code need not read 50/50: which side
-runs first, or where each side's objects sit in memory, can favour one. So
-every row is also timed against a copy of this checkout, loaded from a
-temporary directory as raag_self, right after the comparison with the
-other checkout; the row's "self" entry holds that control, and a
-this_faster that the control also reads is bias, not a change. The copy is
-removed when the run ends, and neither loaded checkout gets bytecode
-written:
+picked. The control is this checkout against a copy of itself, loaded
+from a temporary directory as raag_self. The copy is removed when the run
+ends, and neither loaded checkout gets bytecode written:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json \
         --label interleaved-1 --against ../parent/src
@@ -76,9 +78,10 @@ side's garbage triggers is not charged to this one. A row carries, per
 side (pure and compiled, or this and against), the median <side>_s, the
 minimum <side>_min_s and the quartiles <side>_quartiles_s, in seconds, and
 <first side>_faster, the number of repetitions in which the first side was
-faster. A kernel memory row carries <side>_peak_mb instead, per kernel or
-per checkout's raag._kernel (with the self copy's); a peak moves by at
-most a few kB between runs, so each is measured once.
+faster, and its "self" entry carries the same for the control. A kernel
+memory row carries <side>_peak_mb instead, per kernel or per checkout's
+raag._kernel (with the self copy's); a peak moves by at most a few kB
+between runs, so each is measured once.
 
 Runs go into one file, each under its own --label, so a change and its
 parent can be read side by side. A label already in the file is refused
@@ -473,8 +476,8 @@ def compared(sides):
 
 def measured(rows, memory):
     """The entries of rows, (layer, case, sides, control), each comparing
-    its sides and, unless control is None, under "self" its control; the
-    memory entries follow the kernel rows."""
+    its sides and, under "self", the two sides of its control; the memory
+    entries follow the kernel rows."""
     out = []
     for layer, case, sides, control in rows:
         entry = {"layer": layer, "case": case, **compared(sides)}
@@ -482,9 +485,8 @@ def measured(rows, memory):
         line = f"{layer:<8} {case:<58}" + "".join(f" {side} {entry[side + '_s']:>7}s" for side in sides)
         if len(sides) == 2:
             line += f"  faster {entry[first + '_faster']}/{INTERLEAVED_REPEATS}"
-        if control:
-            entry["self"] = compared(control)
-            line += f", against itself {entry['self']['this_faster']}/{INTERLEAVED_REPEATS}"
+        entry["self"] = compared(control)
+        line += f", against itself {entry['self']['this_faster']}/{INTERLEAVED_REPEATS}"
         out.append(entry)
         print(line, flush=True)
     k = sum(entry["layer"] == "kernel" for entry in out)
@@ -505,7 +507,7 @@ def on_kernel(kernel, run):
 
 def rows():
     """Every row of layer_rows on this checkout, with its kernels as the
-    sides."""
+    sides, and under "self" the pure kernel against itself."""
     kernels = {"pure": _purekernel, **({"compiled": _speedups} if _speedups else {})}
     if _speedups:
         for _, jobs in kernel_jobs():
@@ -513,7 +515,8 @@ def rows():
                 pure, compiled = getattr(_purekernel, function), getattr(_speedups, function)
                 assert all(pure(*job) == compiled(*job) for job in jobs[:50])
     memory = memory_rows(kernels)
-    return measured([(layer, case, {side: on_kernel(k, run) for side, k in kernels.items()}, None)
+    return measured([(layer, case, {side: on_kernel(k, run) for side, k in kernels.items()},
+                      {side: on_kernel(_purekernel, run) for side in ("this", "against")})
                      for layer, case, run in layer_rows(THIS, extract_long_pool())], memory)
 
 

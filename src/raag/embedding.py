@@ -170,10 +170,8 @@ class HomSpec:
                 piece = pieces[c] = img, syl
             codes += piece[0]
             syllables += piece[1]
-        out = Word._from_codes(self.target, tuple(codes))
-        if not _piled_syllables(syllables, self.target.nonneighbor_table()):
-            out._reduced = ()
-        return out
+        trivial = not _piled_syllables(syllables, self.target.nonneighbor_table())
+        return Word._from_codes(self.target, tuple(codes), () if trivial else None)
 
     def restricted(self, component: Graph) -> "HomSpec":
         """Restriction to an induced subgraph of the source; it shares this
@@ -278,10 +276,7 @@ def validate_hom(h: HomSpec) -> HomReport:
             failures.append((u, v))
     violations = tuple((v, frozenset(g._names(s))) for v, s in supports.items() if s & ~g._star_meet(s))
     trivial = tuple(v for v, s in supports.items() if not s)
-    union = 0
-    for s in supports.values():
-        union |= s
-    return HomReport(tuple(failures), violations, g._names(union), trivial)
+    return HomReport(tuple(failures), violations, g._names(_support_union(h, h.source.vertices)), trivial)
 
 
 # -- certificates -------------------------------------------------------------------
@@ -389,14 +384,20 @@ class StructuralCertificate:
         if _anti_path_order(comp_graph) is None:
             return "certificate component is not a 3-vertex anti-path"
         sub = _induced(h.target, _support_union(h, comp), h.target.name + "_sub")
-        if self.supp != sub.vertices:
+        if _as_tuple(self.supp) != sub.vertices:
             return "certificate support is not the union of the component image supports"
         names = _complete_complement_components(sub)
         if names is None:
             return "certificate refuted: a full embedding into the support exists"
-        if self.complement_components != names:
+        components = self.complement_components
+        if not isinstance(components, (tuple, list)) or tuple(map(_as_tuple, components)) != names:
             return "certificate complement components differ from those of the support"
         return None
+
+
+def _as_tuple(value):
+    """value as a tuple when it is a list (as read from JSON) or a tuple."""
+    return tuple(value) if isinstance(value, (tuple, list)) else value
 
 
 def _support_union(h: HomSpec, vertices) -> int:

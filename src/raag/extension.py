@@ -22,31 +22,17 @@ from raag.words import GroupElement, Word
 from raag.words import commutes  # noqa: F401  (unused here; perfbench's tests expect it bound in this module)
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ExtVertex:
-    """A conjugate of a generator: the conjugated generator (base) plus the
-    canonical form of the conjugated element (its identity).
+    """A conjugate of a generator: the conjugated generator (base), the
+    graph and the codes of the canonical word of the conjugate, which
+    ExtVertex(base, graph, codes) takes as ext_ball and ext_vertex build
+    them; element builds the GroupElement on each read. Immutable by
+    convention, like Word."""
 
-    A vertex holds its base, the graph and the codes of the canonical word;
-    element builds the GroupElement from them on each read. Immutable by
-    convention, like Word; equality and hashing read the base and the
-    canonical word. ExtVertex(base, element) takes an element in canonical
-    form, as ext_vertex builds it.
-    """
-
-    __slots__ = ("base", "graph", "_codes")
-
-    def __init__(self, base: str, element: GroupElement):
-        self.base = base
-        self.graph = element.word.graph
-        self._codes = element.word.codes()
-
-    @classmethod
-    def _from_codes(cls, base: str, graph: Graph, codes: tuple[int, ...]) -> "ExtVertex":
-        x = object.__new__(cls)
-        x.base = base
-        x.graph = graph
-        x._codes = codes
-        return x
+    base: str
+    graph: Graph
+    _codes: tuple[int, ...]
 
     @property
     def element(self) -> GroupElement:
@@ -56,14 +42,6 @@ class ExtVertex:
     def name(self) -> str:
         """Stable printable name: <base>@<canonical letters joined by '.'>."""
         return _vertex_name(self.base, self._codes, _letter_names(self.graph))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtVertex):
-            return NotImplemented
-        return self.base == other.base and self._codes == other._codes and self.graph == other.graph
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.graph, self._codes))
 
     def __repr__(self) -> str:
         return f"ExtVertex(base={self.base!r}, element={self.element!r})"
@@ -90,7 +68,7 @@ def ext_vertex(v: str, conjugator: Word) -> ExtVertex:
     if v not in g:
         raise ValueError(f"foreign vertex {v!r} for graph {g.name!r}")
     codes = conjugator.inverse().codes() + (g._index[v] + 1,) + conjugator.codes()
-    return ExtVertex._from_codes(v, g, tuple(_kernel.normalize(codes, g.nonneighbor_table())))
+    return ExtVertex(v, g, tuple(_kernel.normalize(codes, g.nonneighbor_table())))
 
 
 def _conjugators(g: Graph, max_len: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
@@ -348,7 +326,7 @@ def ext_ball(g: Graph, radius: int) -> ExtBall:
                 continue
             vid[n * num + gen] = i = len(vertices)
             with_base[gen].append(i)
-            vertices.append(ExtVertex._from_codes(v, g, hinv + (gen + 1,) + h))
+            vertices.append(ExtVertex(v, g, hinv + (gen + 1,) + h))
             cnum.append(num)
             bases.append(gen)
             lasts.append(last)

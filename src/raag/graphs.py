@@ -265,8 +265,7 @@ def _check_count(name: str, value: int, least: int) -> None:
 
 def path_graph(n: int, prefix: str = "v", name: Optional[str] = None) -> Graph:
     """The path on n >= 1 vertices prefix1 - prefix2 - ... - prefixn."""
-    if n < 1:
-        raise ValueError("a path graph has at least one vertex")
+    _check_count("n", n, 1)
     verts = [f"{prefix}{i}" for i in range(1, n + 1)]
     edges = [(verts[i], verts[i + 1]) for i in range(n - 1)]
     return Graph(name if name is not None else f"P{n}", verts, edges)

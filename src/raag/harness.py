@@ -266,6 +266,8 @@ def run_harness(cfg: HarnessConfig) -> HarnessReport:
     # random.Random seeds an int by its absolute value, so -s would
     # silently run the trials of s
     _check_count("seed", cfg.seed, 0)
+    if isinstance(cfg.edge_density, bool) or not isinstance(cfg.edge_density, (int, float)):
+        raise ValueError(f"edge density must be a number, not {cfg.edge_density!r}")
     if not 0.0 <= cfg.edge_density <= 1.0:
         raise ValueError("edge density must lie in [0, 1]")
     _check_count("max target vertices", cfg.max_target_vertices, 1)

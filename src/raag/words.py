@@ -34,6 +34,7 @@ the same value.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from raag import _kernel
@@ -42,6 +43,7 @@ from raag.graphs import Graph
 Letter = tuple[str, int]
 
 
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Word:
     """A raw (not necessarily reduced) word over an ambient graph, held as
     signed generator codes: +(i+1) for the vertex of insertion index i,
@@ -50,10 +52,13 @@ class Word:
     Immutable by convention; all operations return new words. Words refuse
     to combine with words over a different ambient graph. _reduced caches
     the codes of the reduced form (see _reduced_codes); None until first
-    asked for.
+    asked for. Word(graph, letters) checks letters from outside; _from_codes
+    takes trusted codes, and their reduced codes when they are known.
     """
 
-    __slots__ = ("graph", "_signed", "_reduced")
+    graph: Graph
+    _signed: tuple[int, ...]
+    _reduced: Optional[tuple[int, ...]] = field(default=None, compare=False)
 
     def __init__(self, graph: Graph, letters: Iterable[Letter]):
         index = graph._index
@@ -69,11 +74,11 @@ class Word:
         self._reduced = None
 
     @classmethod
-    def _from_codes(cls, graph: Graph, codes: tuple[int, ...]) -> "Word":
+    def _from_codes(cls, graph: Graph, codes: tuple[int, ...], reduced: Optional[tuple[int, ...]] = None) -> "Word":
         w = object.__new__(cls)
         w.graph = graph
         w._signed = codes
-        w._reduced = None
+        w._reduced = reduced
         return w
 
     def codes(self) -> tuple[int, ...]:
@@ -95,14 +100,6 @@ class Word:
     def __len__(self) -> int:
         return len(self._signed)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.graph == other.graph and self._signed == other._signed
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self._signed))
-
     def __str__(self) -> str:
         if not self._signed:
             return "1"
@@ -112,6 +109,7 @@ class Word:
         return f"Word({str(self)!r} over {self.graph.name!r})"
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class GroupElement:
     """An element of the group, held as its canonical word.
 
@@ -119,22 +117,11 @@ class GroupElement:
     canonical words are letter-identical.
     """
 
-    __slots__ = ("word",)
-
-    def __init__(self, word: Word):
-        self.word = word
+    word: Word
 
     @property
     def is_identity(self) -> bool:
         return not len(self.word)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash(self.word)
 
     def __str__(self) -> str:
         return str(self.word)
@@ -184,10 +171,6 @@ def _reduced_codes(w: Word) -> tuple[int, ...]:
     return reduced
 
 
-def _normal_codes(w: Word) -> list[int]:
-    return _kernel.normalize(w.codes(), w.graph.nonneighbor_table())
-
-
 def reduce(w: Word) -> Word:
     """One reduced word representing the same element: the letters of w
     that survive the piling pass of the kernel, in their original order.
@@ -200,9 +183,7 @@ def reduce(w: Word) -> Word:
     the canonical form.
     """
     reduced = _reduced_codes(w)
-    out = Word._from_codes(w.graph, reduced)
-    out._reduced = reduced
-    return out
+    return Word._from_codes(w.graph, reduced, reduced)
 
 
 def is_reduced(w: Word) -> bool:
@@ -216,7 +197,8 @@ def canonical_form(w: Word) -> GroupElement:
     shortlex-least among all words reachable from a reduced form by
     swapping adjacent commuting letters. Idempotent; equal elements yield
     letter-identical canonical words."""
-    return GroupElement(Word._from_codes(w.graph, tuple(_normal_codes(w))))
+    codes = _kernel.normalize(w._signed, w.graph.nonneighbor_table())
+    return GroupElement(Word._from_codes(w.graph, tuple(codes)))
 
 
 def is_trivial(w: Word) -> bool:

@@ -210,10 +210,35 @@ def test_the_plain_run_alternates_the_kernels_each_bound_by_its_side(bench, comp
         ("kernel", "one call", lambda: gc_events.append(("run", _kernel.normalize, gc.isenabled())))])
     [row, memory] = bench.rows()
     pure, compiled = bench._purekernel.normalize, compiled_kernel.normalize
-    assert gc_events == [event for k in range(bench.INTERLEAVED_REPEATS)
-                         for kernel in ((pure, compiled) if k % 2 == 0 else (compiled, pure))
+    n = bench.INTERLEAVED_REPEATS
+    # the kernels, then the control: the pure kernel against itself
+    assert gc_events == [event for kernels in ((pure, compiled), (pure, pure)) for k in range(n)
+                         for kernel in (kernels if k % 2 == 0 else kernels[::-1])
                          for event in ("collect", "disable", ("run", kernel, False), "enable")]
     assert 0 <= row["pure_faster"] <= bench.INTERLEAVED_REPEATS
     for side in ("pure", "compiled"):
         low, high = row[f"{side}_quartiles_s"]
         assert row[f"{side}_min_s"] <= low <= row[f"{side}_s"] <= high and memory[f"{side}_peak_mb"] >= 0
+
+
+def test_each_plain_run_row_carries_the_pure_kernel_against_itself(bench, monkeypatch):
+    # the control the --against run has, under the same keys, so a
+    # pure_faster on a small gap can be read against its own bias
+    monkeypatch.setattr(bench, "_speedups", None)
+    for function in ("normalize", "survivors"):  # restored afterwards
+        monkeypatch.setattr(_kernel, function, getattr(_kernel, function))
+    monkeypatch.setattr(bench, "memory_jobs", lambda: [])
+    monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
+    bound = []
+    monkeypatch.setattr(bench, "layer_rows", lambda r, pool: [
+        ("ext_ball", "one call", lambda: bound.append(_kernel.normalize)),
+        ("words", "one pair", (lambda: "input", lambda arg: bound.append(arg)))])
+    rows = bench.rows()
+    n = bench.INTERLEAVED_REPEATS
+    assert [row["case"] for row in rows] == ["one call", "one pair"]
+    assert bound == [bench._purekernel.normalize] * 3 * n + ["input"] * 3 * n
+    for row in rows:
+        assert {key for key in row if key.startswith("pure")} == {"pure_s", "pure_min_s", "pure_quartiles_s"}
+        assert set(row["self"]) == {f"{side}_{key}" for side in ("this", "against")
+                                    for key in ("s", "min_s", "quartiles_s")} | {"this_faster"}
+        assert 0 <= row["self"]["this_faster"] <= n

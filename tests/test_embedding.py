@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 import sys
 from pathlib import Path
@@ -1390,6 +1392,33 @@ def test_certificate_check_rejects_wrong_complement_components():
     assert isinstance(cert, StructuralCertificate)
     forged = StructuralCertificate(cert.component, cert.supp, cert.complement_components[:1])
     assert forged.check(h) == "certificate complement components differ from those of the support"
+
+
+SUPPORT_PROBLEM = "certificate support is not the union of the component image supports"
+COMPONENTS_PROBLEM = "certificate complement components differ from those of the support"
+
+
+@pytest.mark.parametrize("fields, problem", [
+    ({}, None),
+    ({"supp": "a1 a2 a3 a4"}, SUPPORT_PROBLEM),
+    ({"supp": ["a1", "a2", "a3", ["a4"]]}, SUPPORT_PROBLEM),
+    ({"supp": None}, SUPPORT_PROBLEM),
+    ({"complement_components": [["a1", "a3"], "a2 a4"]}, COMPONENTS_PROBLEM),
+    ({"complement_components": [["a2", "a4"], ["a1", "a3"]]}, COMPONENTS_PROBLEM),
+    ({"complement_components": [["a1", "a3"], 5]}, COMPONENTS_PROBLEM),
+    ({"complement_components": 5}, COMPONENTS_PROBLEM),
+], ids=["as-read", "support-as-a-string", "support-with-a-list-vertex", "support-of-none",
+        "component-as-a-string", "components-out-of-order", "component-of-a-number", "components-of-a-number"])
+def test_a_certificate_read_from_json_is_checked_like_the_original(fields, problem):
+    # JSON holds the tuples of a certificate as lists: a correct one read
+    # back passes, and a malformed field gets a problem, not an exception
+    c4 = cycle_graph(4)
+    h = HomSpec(path_complement(3), c4, {"v1": parse_word(c4, "a1 a2"), "v2": parse_word(c4, "a3 a4"),
+                                         "v3": parse_word(c4, "a1 a2")})
+    cert = extract_full(h)
+    assert cert == StructuralCertificate(("v1", "v2", "v3"), ("a1", "a2", "a3", "a4"), (("a1", "a3"), ("a2", "a4")))
+    read = StructuralCertificate(**{**json.loads(json.dumps(dataclasses.asdict(cert))), **fields})
+    assert isinstance(read.component, list) and read.check(h) == problem
 
 
 def test_embedding_check_rejects_map_that_is_not_total():

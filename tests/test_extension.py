@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -139,6 +140,18 @@ def test_ball_vertices_keep_the_ext_vertex_api():
     assert repr(ext_vertex("a", parse_word(FREE2, "b"))) == "ExtVertex(base='a', element=GroupElement('b^-1 a b' over 'free2'))"
     x = ext_vertex("a", Word(EDGE, []))
     assert x != ext_vertex("a", Word(FREE2, [])) and x != ext_vertex("b", Word(EDGE, [])) and x != "a@a"
+
+
+def test_the_value_types_take_equality_hashing_and_slots_from_their_fields():
+    # Word's cache is a field that equality and hashing skip
+    for cls, names, compared in ((Word, ("graph", "_signed", "_reduced"), ("graph", "_signed")),
+                                 (GroupElement, ("word",), ("word",)),
+                                 (extension.ExtVertex, ("base", "graph", "_codes"), ("base", "graph", "_codes"))):
+        fields = dataclasses.fields(cls)
+        assert cls.__slots__ == names == tuple(f.name for f in fields), cls
+        assert tuple(f.name for f in fields if f.compare) == compared, cls
+    x = ext_vertex("a", parse_word(FREE2, "b"))
+    assert x == extension.ExtVertex("a", FREE2, x._codes) and not hasattr(x, "__dict__")
 
 
 # -- reduced-word enumeration ------------------------------------------------------

@@ -51,6 +51,16 @@ def test_complete_graph_rejects_a_negative_or_non_integer_count(n, message):
         complete_graph(n)
 
 
+@pytest.mark.parametrize("build", [path_graph, path_complement])
+@pytest.mark.parametrize("n, message", [(0, "n must be >= 1"), (True, "n must be an integer, not True"),
+                                        (2.5, "n must be an integer, not 2.5")])
+def test_path_graphs_reject_a_small_or_non_integer_count(build, n, message):
+    # path_graph(True) was a graph named PTrue, and path_graph(2.5) failed
+    # inside range
+    with pytest.raises(ValueError, match=message):
+        build(n)
+
+
 def test_graph_rejects_duplicate_vertex():
     with pytest.raises(ValueError, match="duplicate"):
         Graph("g", ["a", "a"])

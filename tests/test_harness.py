@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,18 @@ def test_rejects_non_integer_counts(changes, name):
     # max_target_vertices=2.5 failed inside random
     with pytest.raises(ValueError, match=f"^{name} must be an integer, not "):
         run_harness(HarnessConfig(**{"trials": 1, "seed": 1, **changes}))
+
+
+@pytest.mark.parametrize("density", [True, "0.5", None, 1j])
+def test_rejects_an_edge_density_that_is_not_a_number(density):
+    # edge_density=True ran and printed "edge_density: True", and "0.5"
+    # failed inside the range check
+    with pytest.raises(ValueError, match=f"^edge density must be a number, not {re.escape(repr(density))}$"):
+        run_harness(HarnessConfig(trials=1, seed=1, edge_density=density))
+
+
+def test_accepts_an_integer_edge_density():
+    assert "edge_density: 1\n" in run_harness(HarnessConfig(trials=1, seed=1, edge_density=1)).format()
 
 
 def test_same_seed_same_report():
