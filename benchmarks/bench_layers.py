@@ -1,32 +1,38 @@
-"""Time each layer of raag on two sides, interleaved, and write the rows to
-a JSON file.
+"""Time each layer of raag on two checkouts, interleaved, and write the
+rows to a JSON file.
 
-Every run times one row list, layer_rows, on each of its sides, and then
-on the two sides of a control that runs the same code on both. Two sides
-that run the same code need not read 50/50: which side runs first, or
-where each side's objects sit in memory, can favour one. The row's "self"
-entry holds the control, under the keys this_* and against_*, and a gap
-that the control also reads is bias, not a change.
-
-In the plain run the sides are this checkout's kernels: pure, and compiled
-when raag._speedups was built (`python setup.py build_ext --inplace`;
-without it the run has the pure side alone). Before each repetition,
-outside the timing, a side binds its kernel's normalize and survivors into
-raag._kernel, where every caller looks them up. The control is the pure
-kernel against itself:
-
-    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json --label kernels-1
-
-With --against <src dir of another checkout>, the sides are the two
-checkouts. The other checkout's raag is loaded beside this one under the
+The sides are this checkout and another, whose src directory --against
+names. The other checkout's raag is loaded beside this one under the
 package name raag_against, the rows are built once per checkout from that
 checkout's own modules, and each side runs the kernel its own raag._kernel
-picked. The control is this checkout against a copy of itself, loaded
-from a temporary directory as raag_self. The copy is removed when the run
-ends, and neither loaded checkout gets bytecode written:
+picked. Before anything is timed, the two checkouts' normalize and
+survivors must agree on the first 50 jobs of each kernel row; if they do
+not, the run stops and names the row.
+
+Every row is timed on the two sides, and then on the two sides of a
+control: this checkout against a copy of itself, loaded from a temporary
+directory as raag_self, compiled kernel included when one is built. Two
+sides that run the same code need not read 50/50: which side runs first,
+or where each side's objects sit in memory, can favour one. The row's
+"self" entry holds the control, and a gap that the control also reads is
+bias, not a change. The copy is removed when the run ends, and neither
+loaded checkout gets bytecode written:
 
     PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json \
         --label interleaved-1 --against ../parent/src
+
+The compiled kernel is compared the same way, as two checkouts, in both
+directions: build it in a copy of this checkout outside the working tree,
+then time this checkout against the copy, where the control runs pure
+against pure, and the copy against this checkout, where the control runs
+compiled against compiled and the sides swap places:
+
+    git archive HEAD --prefix=built/ | tar -x -C ..
+    (cd ../built && python setup.py build_ext --inplace)
+    PYTHONPATH=src python benchmarks/bench_layers.py --out BENCH_<n>.json \
+        --label kernels-pure-against-compiled --against ../built/src
+    PYTHONPATH=../built/src python benchmarks/bench_layers.py --out BENCH_<n>.json \
+        --label kernels-compiled-against-pure --against src
 
 Rows, in order:
 - kernel: normalize and survivors on long single words, on large batches of
@@ -75,13 +81,12 @@ which moves separate runs by tens of percent, reaches both sides alike.
 Before each timed repetition the garbage collector runs, and it stays
 disabled while the repetition is timed, so a collection that the other
 side's garbage triggers is not charged to this one. A row carries, per
-side (pure and compiled, or this and against), the median <side>_s, the
-minimum <side>_min_s and the quartiles <side>_quartiles_s, in seconds, and
-<first side>_faster, the number of repetitions in which the first side was
-faster, and its "self" entry carries the same for the control. A kernel
-memory row carries <side>_peak_mb instead, per kernel or per checkout's
-raag._kernel (with the self copy's); a peak moves by at most a few kB
-between runs, so each is measured once.
+side (this and against), the median <side>_s, the minimum <side>_min_s and
+the quartiles <side>_quartiles_s, in seconds, and this_faster, the number
+of repetitions in which this checkout was faster, and its "self" entry
+carries the same for the control. A kernel memory row carries
+<side>_peak_mb instead, per checkout's raag._kernel and the self copy's; a
+peak moves by at most a few kB between runs, so each is measured once.
 
 Runs go into one file, each under its own --label, so a change and its
 parent can be read side by side. A label already in the file is refused
@@ -103,12 +108,7 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
-from raag import _kernel, _purekernel, embedding, extension, graphs, harness, words
-
-try:
-    from raag import _speedups
-except ImportError:
-    _speedups = None
+from raag import _kernel, embedding, extension, graphs, harness, words
 
 ROOT = Path(__file__).resolve().parent.parent
 INTERLEAVED_REPEATS = 11
@@ -149,12 +149,11 @@ def kernel_jobs():
 
 def kernel_rows(r):
     """(layer, case, run) of the kernel time rows, each calling the
-    _kernel module of the raag modules r, looked up at call time."""
+    _kernel module of the raag modules r."""
     out = []
     for name, jobs in kernel_jobs():
         for function in ("normalize", "survivors"):
-            def run_jobs(function=function, jobs=jobs):
-                call = getattr(r._kernel, function)
+            def run_jobs(call=getattr(r._kernel, function), jobs=jobs):
                 for job in jobs:
                     call(*job)
 
@@ -181,6 +180,16 @@ def peak_mb(call, job):
         return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
     finally:
         tracemalloc.stop()
+
+
+def check_kernels(this, other):
+    """Stop the run, naming the row, unless the kernels of the raag modules
+    this and other agree on the first 50 jobs of each kernel row."""
+    for name, jobs in kernel_jobs():
+        for function in ("normalize", "survivors"):
+            ours, theirs = getattr(this._kernel, function), getattr(other._kernel, function)
+            if any(ours(*job) != theirs(*job) for job in jobs[:50]):
+                sys.exit(f"kernel row {function}: {name}: the two checkouts' kernels disagree; nothing was timed")
 
 
 def memory_rows(kernels):
@@ -458,86 +467,53 @@ def timed(run):
         gc.enable()
 
 
-def compared(sides):
-    """The spread of each run of sides, {side: run}, under <side>_s,
-    <side>_min_s and <side>_quartiles_s, the sides alternating on every one
-    of INTERLEAVED_REPEATS repetitions; of two sides, also <first
-    side>_faster, the repetitions in which the first was faster."""
-    names = list(sides)
-    times = {name: [] for name in names}
+def compared(runs):
+    """The spread of each of runs, (this, against), under <side>_s,
+    <side>_min_s and <side>_quartiles_s, the two alternating on every one
+    of INTERLEAVED_REPEATS repetitions; and this_faster, the repetitions in
+    which this was faster."""
+    times = ([], [])
     for k in range(INTERLEAVED_REPEATS):
-        for name in names if k % 2 == 0 else names[::-1]:
-            times[name].append(timed(sides[name]))
-    out = {f"{name}_{key}": v for name in names for key, v in spread(times[name]).items()}
-    if len(names) == 2:
-        out[f"{names[0]}_faster"] = sum(a < b for a, b in zip(*times.values()))
+        for i in (0, 1) if k % 2 == 0 else (1, 0):
+            times[i].append(timed(runs[i]))
+    out = {f"{side}_{key}": v for side, t in zip(("this", "against"), times) for key, v in spread(t).items()}
+    out["this_faster"] = sum(a < b for a, b in zip(*times))
     return out
-
-
-def measured(rows, memory):
-    """The entries of rows, (layer, case, sides, control), each comparing
-    its sides and, under "self", the two sides of its control; the memory
-    entries follow the kernel rows."""
-    out = []
-    for layer, case, sides, control in rows:
-        entry = {"layer": layer, "case": case, **compared(sides)}
-        first = next(iter(sides))
-        line = f"{layer:<8} {case:<58}" + "".join(f" {side} {entry[side + '_s']:>7}s" for side in sides)
-        if len(sides) == 2:
-            line += f"  faster {entry[first + '_faster']}/{INTERLEAVED_REPEATS}"
-        entry["self"] = compared(control)
-        line += f", against itself {entry['self']['this_faster']}/{INTERLEAVED_REPEATS}"
-        out.append(entry)
-        print(line, flush=True)
-    k = sum(entry["layer"] == "kernel" for entry in out)
-    return out[:k] + memory + out[k:]
-
-
-def on_kernel(kernel, run):
-    """run as a (setup, run) pair whose setup first binds the kernel's
-    normalize and survivors into raag._kernel."""
-    setup, run = run if isinstance(run, tuple) else (None, run)
-
-    def bind():
-        _kernel.normalize, _kernel.survivors = kernel.normalize, kernel.survivors
-        return setup() if setup else None
-
-    return bind, run if setup else lambda _: run()
-
-
-def rows():
-    """Every row of layer_rows on this checkout, with its kernels as the
-    sides, and under "self" the pure kernel against itself."""
-    kernels = {"pure": _purekernel, **({"compiled": _speedups} if _speedups else {})}
-    if _speedups:
-        for _, jobs in kernel_jobs():
-            for function in ("normalize", "survivors"):
-                pure, compiled = getattr(_purekernel, function), getattr(_speedups, function)
-                assert all(pure(*job) == compiled(*job) for job in jobs[:50])
-    memory = memory_rows(kernels)
-    return measured([(layer, case, {side: on_kernel(k, run) for side, k in kernels.items()},
-                      {side: on_kernel(_purekernel, run) for side in ("this", "against")})
-                     for layer, case, run in layer_rows(THIS, extract_long_pool())], memory)
 
 
 def interleaved_rows(other, copy):
     """Every row of layer_rows on this checkout against the raag modules
-    other, and under "self" against copy, a copy of this checkout."""
+    other, and under "self" against copy, a copy of this checkout; the
+    memory entries follow the kernel rows. Stops before anything is
+    measured if this checkout's kernel and other's disagree."""
+    check_kernels(THIS, other)
     pool = extract_long_pool()
     memory = memory_rows({"this": _kernel, "against": other._kernel, "self": copy._kernel})
     out = []
     for (layer, case, run), (_, other_case, other_run), (_, copy_case, copy_run) in zip(
             layer_rows(THIS, pool), layer_rows(other, pool), layer_rows(copy, pool), strict=True):
         assert case == other_case == copy_case, (case, other_case, copy_case)
-        out.append((layer, case, {"this": run, "against": other_run}, {"this": run, "against": copy_run}))
-    return measured(out, memory)
+        entry = {"layer": layer, "case": case, **compared((run, other_run)), "self": compared((run, copy_run))}
+        print(f"{layer:<8} {case:<58} this {entry['this_s']:>7}s against {entry['against_s']:>7}s  faster "
+              f"{entry['this_faster']}/{INTERLEAVED_REPEATS}, against itself "
+              f"{entry['self']['this_faster']}/{INTERLEAVED_REPEATS}", flush=True)
+        out.append(entry)
+    k = sum(entry["layer"] == "kernel" for entry in out)
+    return out[:k] + memory + out[k:]
+
+
+def copy_checkout(package, directory):
+    """directory, now holding a copy of the raag package directory package,
+    its compiled kernel included, without bytecode."""
+    shutil.copytree(package, Path(directory) / "raag", ignore=shutil.ignore_patterns("__pycache__"))
+    return directory
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="JSON file to add this run to")
     parser.add_argument("--label", default="current", help="name of this run in the output file")
-    parser.add_argument("--against", type=Path, metavar="SRC",
+    parser.add_argument("--against", type=Path, metavar="SRC", required=True,
                         help="src directory of another checkout: time every row on both, interleaved, and on this "
                              "checkout against a copy of itself")
     args = parser.parse_args()
@@ -545,22 +521,15 @@ def main():
     if args.label in data["runs"]:
         sys.exit(f"{args.out} already holds a run labelled {args.label!r} (labels: {', '.join(data['runs'])}); "
                  "give each run its own label")
-    run = {"python": platform.python_version(), "machine": platform.machine(), "repeats": INTERLEAVED_REPEATS}
-    if args.against:
-        other = load_checkout(args.against)
-        with tempfile.TemporaryDirectory() as tmp:
-            shutil.copytree(Path(graphs.__file__).parent, Path(tmp) / "raag",
-                            ignore=shutil.ignore_patterns("__pycache__"))
-            copy = load_checkout(tmp, "raag_self")
-            run.update(against=str(args.against),
-                       kernels={"this": _kernel.kernel_name(), "against": other._kernel.kernel_name(),
-                                "self": copy._kernel.kernel_name()},
-                       rows=interleaved_rows(other, copy))
-    else:
-        if _speedups is None:
-            print("compiled kernel not built; build it with `python setup.py build_ext --inplace` to compare")
-        run.update(compiled_kernel=_speedups is not None, rows=rows())
-    data["runs"][args.label] = run
+    other = load_checkout(args.against)
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = load_checkout(copy_checkout(Path(graphs.__file__).parent, tmp), "raag_self")
+        data["runs"][args.label] = {
+            "python": platform.python_version(), "machine": platform.machine(), "repeats": INTERLEAVED_REPEATS,
+            "against": str(args.against), "kernels": {"this": _kernel.kernel_name(),
+                                                      "against": other._kernel.kernel_name(),
+                                                      "self": copy._kernel.kernel_name()},
+            "rows": interleaved_rows(other, copy)}
     args.out.write_text(json.dumps(data, indent=1) + "\n")
 
 

@@ -271,10 +271,14 @@ def run_harness(cfg: HarnessConfig) -> HarnessReport:
     if not 0.0 <= cfg.edge_density <= 1.0:
         raise ValueError("edge density must lie in [0, 1]")
     _check_count("max target vertices", cfg.max_target_vertices, 1)
-    if not cfg.component_sizes or min(cfg.component_sizes) < 1:
+    # a value that is not a list reads as no sizes; each size's type is
+    # checked before min compares them
+    sizes = cfg.component_sizes if isinstance(cfg.component_sizes, (tuple, list)) else ()
+    for size in sizes:
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise ValueError(f"component sizes must be an integer, not {size!r}")
+    if not sizes or min(sizes) < 1:
         raise ValueError("component sizes must be a non-empty list of sizes >= 1")
-    for size in cfg.component_sizes:
-        _check_count("component sizes", size, 1)
     master = random.Random(cfg.seed)
     report = HarnessReport(cfg)
     for index in range(1, cfg.trials + 1):

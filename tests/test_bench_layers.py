@@ -13,6 +13,8 @@ import raag
 from raag import _kernel, extension, graphs
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_layers.py"
+# one kernel row of one job, for runs whose kernels are checked but not timed
+ONE_KERNEL_JOB = [("one", [([1, -2, -1], ((1,), (0,)))])]
 
 
 @pytest.fixture
@@ -49,8 +51,9 @@ def test_a_label_already_in_the_file_is_refused_before_measuring(bench, tmp_path
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"runs": {"parent-1": {}, "change-1": {}}}))
     before = out.read_bytes()
-    monkeypatch.setattr(bench, "rows", lambda: pytest.fail("measured a refused run"))
-    monkeypatch.setattr(sys, "argv", ["bench_layers.py", "--out", str(out), "--label", "change-1"])
+    monkeypatch.setattr(bench, "load_checkout", lambda *args: pytest.fail("loaded a checkout for a refused run"))
+    monkeypatch.setattr(sys, "argv", ["bench_layers.py", "--out", str(out), "--label", "change-1",
+                                      "--against", str(tmp_path)])
     with pytest.raises(SystemExit) as exc:
         bench.main()
     assert exc.value.code != 0
@@ -90,6 +93,7 @@ def test_interleaved_rows_alternate_the_two_checkouts(bench, tmp_path, monkeypat
     monkeypatch.setattr(bench, "layer_rows", tiny_rows)
     monkeypatch.setattr(bench, "memory_jobs", lambda: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
+    monkeypatch.setattr(bench, "kernel_jobs", lambda: ONE_KERNEL_JOB)
     out = tmp_path / "bench.json"
     monkeypatch.setattr(sys, "argv", ["bench_layers.py", "--out", str(out), "--label", "interleaved-1",
                                       "--against", str(other_src)])
@@ -122,7 +126,7 @@ def test_interleaved_kernel_rows_call_each_checkouts_own_kernel(bench, tmp_path,
                 return real(*job)
             monkeypatch.setattr(r._kernel, function, recording)
     this_rows, other_rows = bench.kernel_rows(bench.THIS), bench.kernel_rows(other)
-    # the cases of the plain run's kernel rows: three workloads, two functions
+    # the kernel rows: three workloads, two functions
     assert [case for _, case, _ in this_rows] == [case for _, case, _ in other_rows]
     assert len(this_rows) == 6 and {layer for layer, _, _ in this_rows} == {"kernel"}
     for (_, case, run), (_, _, other_run) in zip(this_rows, other_rows):
@@ -141,6 +145,7 @@ def test_interleaved_rows_start_with_the_kernel_rows(bench, tmp_path, monkeypatc
                                                               ("ext_ball", "one ball", lambda: None)])
     monkeypatch.setattr(bench, "memory_jobs", lambda: [("survivors", "one peak", ([1, -1], ((),)))])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
+    monkeypatch.setattr(bench, "kernel_jobs", lambda: ONE_KERNEL_JOB)
     rows = bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
     assert [(row["layer"], row["case"]) for row in rows] == [
         ("kernel", "one kernel call"), ("kernel memory", "one peak"), ("ext_ball", "one ball")]
@@ -154,6 +159,7 @@ def test_interleaved_repetitions_run_with_the_collector_collected_and_off(bench,
         ("ext_ball", "one call", lambda: gc_events.append(("run", gc.isenabled())))])
     monkeypatch.setattr(bench, "memory_jobs", lambda: [])
     monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
+    monkeypatch.setattr(bench, "kernel_jobs", lambda: ONE_KERNEL_JOB)
     bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
     assert gc_events == ["collect", "disable", ("run", False), "enable"] * (4 * bench.INTERLEAVED_REPEATS)
     assert gc.isenabled()
@@ -181,9 +187,9 @@ def test_a_timed_pair_builds_its_input_before_the_collection(bench, gc_events):
     assert gc_events == ["setup", "collect", "disable", ("run", "input"), "enable"]
 
 
-def test_both_runs_time_the_same_rows_in_the_same_order(bench, tmp_path, monkeypatch):
-    # the plain run and the --against run both time every row of
-    # layer_rows, the words, memory and instance-generation rows included
+def test_the_run_times_every_row_in_order(bench, tmp_path, monkeypatch):
+    # every row of layer_rows on each side, the words, memory and
+    # instance-generation rows included
     pool, real_jobs, real_memory = bench.extract_long_pool()[:8], bench.kernel_jobs(), bench.memory_jobs()
     monkeypatch.setattr(bench, "kernel_jobs", lambda: [(name, jobs[:3]) for name, jobs in real_jobs])
     monkeypatch.setattr(bench, "memory_jobs", lambda: [(f, case, (codes[:20], nn))
@@ -191,54 +197,45 @@ def test_both_runs_time_the_same_rows_in_the_same_order(bench, tmp_path, monkeyp
     monkeypatch.setattr(bench, "extract_long_pool", lambda: pool)
     monkeypatch.setattr(bench, "timed", lambda run: 0.0)
     other_src = _copy_of_raag(tmp_path)
-    plain = [(row["layer"], row["case"]) for row in bench.rows()]
-    against = bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
-    assert plain == [(row["layer"], row["case"]) for row in against]
-    layers = [layer for layer, _ in plain]
-    assert len(plain) == 34 and layers.count("words") == 6 and layers[6:9] == ["kernel memory"] * 3
-    assert ("harness", "instance generation of run_harness(500 trials, seed 42)") in plain
+    rows = bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
+    cases = [(row["layer"], row["case"]) for row in rows]
+    layers = [layer for layer, _ in cases]
+    assert len(cases) == 34 and layers[:6] == ["kernel"] * 6 and layers[6:9] == ["kernel memory"] * 3
+    assert layers.count("words") == 6
+    assert ("harness", "instance generation of run_harness(500 trials, seed 42)") in cases
 
 
-def test_the_plain_run_alternates_the_kernels_each_bound_by_its_side(bench, compiled_kernel, gc_events, monkeypatch):
-    monkeypatch.setattr(bench, "_speedups", compiled_kernel)
-    for function in ("normalize", "survivors"):  # restored afterwards
-        monkeypatch.setattr(_kernel, function, getattr(_kernel, function))
-    monkeypatch.setattr(bench, "kernel_jobs", lambda: [("one", [([1, -2, -1], ((1,), (0,)))])])
-    monkeypatch.setattr(bench, "memory_jobs", lambda: [("normalize", "one peak", ([1, -2, -1], ((1,), (0,))))])
-    monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
-    monkeypatch.setattr(bench, "layer_rows", lambda r, pool: [
-        ("kernel", "one call", lambda: gc_events.append(("run", _kernel.normalize, gc.isenabled())))])
-    [row, memory] = bench.rows()
-    pure, compiled = bench._purekernel.normalize, compiled_kernel.normalize
-    n = bench.INTERLEAVED_REPEATS
-    # the kernels, then the control: the pure kernel against itself
-    assert gc_events == [event for kernels in ((pure, compiled), (pure, pure)) for k in range(n)
-                         for kernel in (kernels if k % 2 == 0 else kernels[::-1])
-                         for event in ("collect", "disable", ("run", kernel, False), "enable")]
-    assert 0 <= row["pure_faster"] <= bench.INTERLEAVED_REPEATS
-    for side in ("pure", "compiled"):
-        low, high = row[f"{side}_quartiles_s"]
-        assert row[f"{side}_min_s"] <= low <= row[f"{side}_s"] <= high and memory[f"{side}_peak_mb"] >= 0
+def test_kernels_that_disagree_stop_the_run_before_anything_is_timed(bench, tmp_path, monkeypatch):
+    other = bench.load_checkout(_copy_of_raag(tmp_path))
+    monkeypatch.setattr(other._kernel, "survivors", lambda codes, noncomm: [])
+    monkeypatch.setattr(bench, "kernel_jobs", lambda: ONE_KERNEL_JOB)
+    for name in ("timed", "peak_mb", "layer_rows"):
+        monkeypatch.setattr(bench, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    with pytest.raises(SystemExit) as exc:
+        bench.interleaved_rows(other, bench.load_checkout(_copy_of_raag(tmp_path / "copy"), "raag_self"))
+    assert str(exc.value.code).startswith("kernel row survivors: one: ")
 
 
-def test_each_plain_run_row_carries_the_pure_kernel_against_itself(bench, monkeypatch):
-    # the control the --against run has, under the same keys, so a
-    # pure_faster on a small gap can be read against its own bias
-    monkeypatch.setattr(bench, "_speedups", None)
-    for function in ("normalize", "survivors"):  # restored afterwards
-        monkeypatch.setattr(_kernel, function, getattr(_kernel, function))
-    monkeypatch.setattr(bench, "memory_jobs", lambda: [])
-    monkeypatch.setattr(bench, "extract_long_pool", lambda: [])
-    bound = []
-    monkeypatch.setattr(bench, "layer_rows", lambda r, pool: [
-        ("ext_ball", "one call", lambda: bound.append(_kernel.normalize)),
-        ("words", "one pair", (lambda: "input", lambda arg: bound.append(arg)))])
-    rows = bench.rows()
-    n = bench.INTERLEAVED_REPEATS
-    assert [row["case"] for row in rows] == ["one call", "one pair"]
-    assert bound == [bench._purekernel.normalize] * 3 * n + ["input"] * 3 * n
-    for row in rows:
-        assert {key for key in row if key.startswith("pure")} == {"pure_s", "pure_min_s", "pure_quartiles_s"}
-        assert set(row["self"]) == {f"{side}_{key}" for side in ("this", "against")
-                                    for key in ("s", "min_s", "quartiles_s")} | {"this_faster"}
-        assert 0 <= row["self"]["this_faster"] <= n
+def test_the_run_needs_another_checkout(bench, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bench_layers.py", "--out", str(tmp_path / "bench.json")])
+    with pytest.raises(SystemExit) as exc:
+        bench.main()
+    assert exc.value.code == 2 and "--against" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
+def test_a_built_checkout_and_its_self_copy_each_run_their_own_compiled_kernel(bench, compiled_kernel, tmp_path):
+    # the copy against this checkout: the compiled kernel on this side and
+    # on the control's, each loaded from its own directory
+    mine = (_kernel.kernel_name(), _kernel.normalize, _kernel.survivors)
+    built = _copy_of_raag(tmp_path)
+    shutil.copy(compiled_kernel.__file__, built / "raag")
+    sides = [bench.load_checkout(built), bench.load_checkout(bench.copy_checkout(built / "raag", tmp_path / "self"),
+                                                              "raag_self")]
+    assert [side._kernel.kernel_name() for side in sides] == ["compiled", "compiled"]
+    assert sides[0]._kernel.normalize is not sides[1]._kernel.normalize
+    assert Path(sides[1]._kernel.__file__).is_relative_to(tmp_path / "self")
+    assert sides[0]._kernel.normalize([1, -2, -1, 2], ((1,), (0,))) == sides[1]._kernel.normalize(
+        [1, -2, -1, 2], ((1,), (0,)))
+    assert (_kernel.kernel_name(), _kernel.normalize, _kernel.survivors) == mine
+    assert sys.modules["raag._kernel"] is _kernel

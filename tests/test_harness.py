@@ -35,14 +35,17 @@ def test_rejects_bad_config():
         run_harness(HarnessConfig(trials=1, seed=-5))
     with pytest.raises(ValueError, match="max target vertices must be >= 1"):
         run_harness(HarnessConfig(trials=1, seed=1, max_target_vertices=0))
-    for sizes in ((), (2, 0), (-1,)):
+    for sizes in ((), (2, 0), (-1,), "12", 5, None, {1: 2}):
         with pytest.raises(ValueError, match="component sizes must be a non-empty list of sizes >= 1"):
             run_harness(HarnessConfig(trials=1, seed=1, component_sizes=sizes))
 
 
 @pytest.mark.parametrize("changes, name", [({"trials": True}, "trials"), ({"seed": 1.5}, "seed"),
                                            ({"max_target_vertices": 2.5}, "max target vertices"),
-                                           ({"component_sizes": (2, 1.0)}, "component sizes")])
+                                           ({"component_sizes": (2, 1.0)}, "component sizes"),
+                                           ({"component_sizes": ("a",)}, "component sizes"),
+                                           ({"component_sizes": (None,)}, "component sizes"),
+                                           ({"component_sizes": [3, True]}, "component sizes")])
 def test_rejects_non_integer_counts(changes, name):
     # trials=True ran one trial reported as "trials: True", and
     # max_target_vertices=2.5 failed inside random
