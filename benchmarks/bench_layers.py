@@ -64,9 +64,10 @@ Rows, in order:
   at least 4 vertices of that pool; SEARCH_PASSES passes each, with every
   ball, ball graph and chain built once outside the timing;
 - extract: one pass of extract_full over the 800 homomorphisms of that
-  pool, cold; and one pass of extract_full plus perfbench's
-  check_extraction over it, warm (passed over once before the timing, as
-  perfbench's extract_long workload cycles one pool).
+  pool, cold; one pass of extract_full plus perfbench's check_extraction
+  over it, warm (passed over once before the timing, as perfbench's
+  extract_long workload cycles one pool); and one pass of validate_hom
+  over it, cold.
 
 The pool and the ext_query targets come from perfbench/workloads.py, which
 is only read; the pool is drawn once, and each side rebuilds it from names
@@ -422,13 +423,15 @@ def warm_extract_pass(r, pool):
 
 def extract_rows(r, pool):
     """(layer, case, run) of the extract rows, on the pool built by the
-    raag modules r: the cold row's run is a (setup, run) pair that rebuilds
-    the pool (see timed), and the warm row's passes over it."""
+    raag modules r: each cold row's run is a (setup, run) pair that
+    rebuilds the pool (see timed), and the warm row's passes over it."""
     return [
         ("extract", "extract_full on the extract_long pool (800 homs, seed 1, cold)",
          (lambda: fresh_pool(pool, r), lambda specs: [r.embedding.extract_full(h) for h in specs])),
         ("extract", "extract_full + check_extraction on the extract_long pool (800 homs, seed 1, warm)",
          warm_extract_pass(r, pool)),
+        ("extract", "validate_hom on the extract_long pool (800 homs, seed 1, cold)",
+         (lambda: fresh_pool(pool, r), lambda specs: [r.embedding.validate_hom(h) for h in specs])),
     ]
 
 

@@ -36,7 +36,9 @@ over its vertex indices; names are built only for outcomes and messages.
 Per-component machinery for an anti-path component v_1 .. v_n (consecutive
 vertices non-adjacent, all other pairs adjacent). Every route takes only
 the homomorphism: the order v_1 .. v_n is read from its source by
-raag.graphs._anti_path_order, and the clique chain carries it on.
+raag.graphs._anti_path_order, which join_decompose has already left on
+each factor graph that extract_full restricts to, so no route walks the
+complement again; the clique chain carries the order on.
 
 * the *clique chain* C_1..C_n collects the supports of the generator
   images; commuting images force every cross pair at distance > 1 to be
@@ -70,6 +72,7 @@ from raag.graphs import (
     _forward_check,
     _induced,
     _nonneighbor_masks,
+    _runs,
 )
 from raag.words import (
     Word,
@@ -175,9 +178,27 @@ class HomSpec:
 
     def restricted(self, component: Graph) -> "HomSpec":
         """Restriction to an induced subgraph of the source; it shares this
-        homomorphism's image words and image table."""
-        out = HomSpec(component, self.target, {v: self.images[v] for v in component.vertices})
-        out._table = self._table
+        homomorphism's image words, already checked, and image table. A
+        ValueError names the first vertex of component that is no source
+        vertex, or the first pair, in component order, whose adjacency
+        differs from the source's."""
+        src, names = self.source, component.vertices
+        at = [src._index.get(v) for v in names]
+        if None in at:
+            raise ValueError(f"restriction to non-source vertex {names[at.index(None)]!r}")
+        runs = _runs(at)
+        keep = sum(width << first for first, width, _ in runs)
+        for k, i in enumerate(at):
+            row, have = component._nbr[k], 0
+            for first, width, pos in runs:
+                have |= (row >> pos & width) << first
+            differ = have ^ src._nbr[i] & keep
+            if differ:
+                j = next(j for j, x in enumerate(at) if differ >> x & 1)
+                raise ValueError(f"restriction differs from the source at pair ({names[k]!r}, {names[j]!r})")
+        out = object.__new__(HomSpec)
+        out.source, out.target, out._table = component, self.target, self._table
+        out.images = {v: self.images[v] for v in names}
         return out
 
     def __repr__(self) -> str:
@@ -264,19 +285,26 @@ def validate_hom(h: HomSpec) -> HomReport:
     check, union of image supports (in target vertex order), and the list of
     generators mapped to the identity. A relator whose images have a
     clique-spanning support is decided from the supports alone (centralizer
-    theorem); only the others go to commutes."""
-    g = h.target
-    supports = {v: h._image(v)[0] for v in h.source.vertices}
+    theorem: the other support must lie in its star meet, computed once per
+    source vertex); only the others go to commutes."""
+    g, verts = h.target, h.source.vertices
+    supports = [h._image(v)[0] for v in verts]
+    meets = [g._star_meet(s) for s in supports]
+    cliques = [not s & ~meet for s, meet in zip(supports, meets)]
     failures = []
-    for u, v in h.source.edges():
-        decided = _centralizer_commutes(g, supports[u], supports[v])
-        if decided is None:
-            decided = commutes(h.images[u], h.images[v])
-        if not decided:
-            failures.append((u, v))
-    violations = tuple((v, frozenset(g._names(s))) for v, s in supports.items() if s & ~g._star_meet(s))
-    trivial = tuple(v for v, s in supports.items() if not s)
-    return HomReport(tuple(failures), violations, g._names(_support_union(h, h.source.vertices)), trivial)
+    for i, row in enumerate(h.source._nbr):
+        for j in _bits(row >> i + 1 << i + 1):
+            if cliques[i]:
+                decided = not supports[j] & ~meets[i]
+            elif cliques[j]:
+                decided = not supports[i] & ~meets[j]
+            else:
+                decided = commutes(h.images[verts[i]], h.images[verts[j]])
+            if not decided:
+                failures.append((verts[i], verts[j]))
+    violations = tuple((v, frozenset(g._names(s))) for v, s, c in zip(verts, supports, cliques) if not c)
+    trivial = tuple(v for v, s in zip(verts, supports) if not s)
+    return HomReport(tuple(failures), violations, g._names(_support_union(h, verts)), trivial)
 
 
 # -- certificates -------------------------------------------------------------------
@@ -380,8 +408,8 @@ class StructuralCertificate:
         comp = tuple(self.component) if isinstance(self.component, (tuple, list)) else ()
         if len(comp) != 3 or any(not isinstance(v, str) or v not in h.source for v in comp) or len(set(comp)) != 3:
             return "certificate component does not name three distinct source vertices"
-        comp_graph = induced_subgraph(h.source, comp)
-        if _anti_path_order(comp_graph) is None:
+        # three vertices complement a path iff they span exactly one edge
+        if induced_subgraph(h.source, comp).edge_count() != 1:
             return "certificate component is not a 3-vertex anti-path"
         sub = _induced(h.target, _support_union(h, comp), h.target.name + "_sub")
         if _as_tuple(self.supp) != sub.vertices:
@@ -523,20 +551,21 @@ def build_clique_chain(h: HomSpec) -> CliqueChain:
     complement), collect C_i = supp(image of v_i) and check the
     cross-adjacency forced by commuting clique-supported images: for
     |i-j| > 1 the images of v_i and v_j commute, which the centralizer
-    theorem decides from the two supports (every vertex of C_i identical to
-    or adjacent to every vertex of C_j)."""
+    theorem decides from the two supports: C_j lies in the star meet of the
+    clique C_i, computed once per image."""
     order = _anti_path_order(h.source)
     if order is None:
         raise ValueError("source is not the complement of a path")
     gamma = h.target
     supports = [h._image(v)[0] for v in order]
-    for v, supp_v in zip(order, supports):
-        if supp_v & ~gamma._star_meet(supp_v):
+    meets = [gamma._star_meet(s) for s in supports]
+    for v, supp_v, meet in zip(order, supports, meets):
+        if supp_v & ~meet:
             raise ValueError(f"clique-support condition violated at {v!r}")
     n = len(order)
     for i in range(n):
         for j in range(i + 2, n):
-            if not _centralizer_commutes(gamma, supports[i], supports[j]):
+            if supports[j] & ~meets[i]:
                 raise ValueError(
                     "not a homomorphism on this component: images of "
                     f"{order[i]!r} and {order[j]!r} do not commute"
@@ -754,11 +783,11 @@ def extract_full(h: HomSpec) -> ExtractionOutcome:
     decomp = join_decompose(h.source) if len(h.source) else None
     if decomp is None or any(c.order is None for c in decomp.components):
         raise ValueError("out of theorem scope: source is not the complement of a linear forest")
-    singles = [v for c in decomp.components if c.kind == "singleton" for v in c.graph.vertices]
+    # the singleton factors: the vertices without a non-neighbour
+    singles = sum(1 << i for i, m in enumerate(_nonneighbor_masks(h.source)) if not m)
     factors = []
     if singles:
-        abelian = induced_subgraph(h.source, singles, name=h.source.name + "_abelian")
-        factors.append((extract_abelian, abelian))
+        factors.append((extract_abelian, _induced(h.source, singles, h.source.name + "_abelian")))
     factors += [(extract_anti_path3 if len(c.graph) == 3 else extract_anti_path, c.graph)
                 for c in decomp.components if c.kind != "singleton"]
     embeddings: list[FullEmbedding] = []

@@ -58,11 +58,14 @@ class Graph:
     empty except where _from_masks is handed them (extension balls);
     every derived graph starts empty again, and equality and hashing
     ignore it. _stabchain caches the strong generators of the full
-    automorphism group and their basic orbits (_stabilizer_chain); every
-    graph, derived ones included, starts without them.
+    automorphism group and their basic orbits (_stabilizer_chain), and
+    _antipath the result of _anti_path_order, the order or None, with ()
+    for not yet computed; every graph, derived ones included, starts
+    without them. join_decompose computes the order of each factor it
+    builds, so the routes of raag.embedding read it from there.
     """
 
-    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_automorphisms", "_stabchain")
+    __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_automorphisms", "_stabchain", "_antipath")
 
     def __init__(self, name: str, vertices: Iterable[str], edges: Iterable = ()):
         verts = tuple(vertices)
@@ -87,7 +90,7 @@ class Graph:
         self._index = index
         self._nbr = tuple(nbr)
         self._nonadj = self._stabchain = None
-        self._automorphisms = ()
+        self._automorphisms = self._antipath = ()
 
     @classmethod
     def _from_masks(
@@ -109,7 +112,7 @@ class Graph:
             raise ValueError(f"duplicate vertex name {dup!r}")
         g._nbr = tuple(nbr)
         g._nonadj = g._stabchain = None
-        g._automorphisms = tuple(automorphisms)
+        g._automorphisms, g._antipath = tuple(automorphisms), ()
         return g
 
     # -- accessors ---------------------------------------------------------
@@ -229,11 +232,30 @@ def induced_subgraph(g: Graph, names: Iterable[str], name: Optional[str] = None)
 
 def _induced(g: Graph, keep: int, name: str) -> Graph:
     """Induced subgraph on the vertices of the mask keep, in g's insertion
-    order: each kept neighbour mask compressed to the kept indices."""
+    order: each kept neighbour mask compressed to the kept indices, by one
+    shift and mask per run of consecutive kept indices."""
     idxs = list(_bits(keep))
-    pos = {i: k for k, i in enumerate(idxs)}
-    nbr = [sum(1 << pos[j] for j in _bits(g._nbr[i] & keep)) for i in idxs]
-    return Graph._from_masks(name, g._names(keep), nbr)
+    runs = _runs(idxs)
+    nbr = []
+    for i in idxs:
+        m, packed = g._nbr[i], 0
+        for first, width, at in runs:
+            packed |= (m >> first & width) << at
+        nbr.append(packed)
+    return Graph._from_masks(name, [g.vertices[i] for i in idxs], nbr)
+
+
+def _runs(idxs: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The maximal runs of consecutive values in idxs, each as its first
+    value, the mask of its length and its position in idxs: bits first to
+    first + length - 1 of a mask over the values are bits position onwards
+    of the same mask over the positions of idxs."""
+    runs, start = [], 0
+    for k in range(1, len(idxs) + 1):
+        if k == len(idxs) or idxs[k] != idxs[k - 1] + 1:
+            runs.append((idxs[start], (1 << k - start) - 1, start))
+            start = k
+    return runs
 
 
 def graph_join(parts: Sequence[Graph], name: str = "join") -> Graph:
@@ -293,7 +315,8 @@ class JoinComponent:
     """One join factor of a graph. order is _anti_path_order of the factor:
     when the factor is the complement of a path v_1 - ... - v_n (a single
     vertex included), that path's order v_1..v_n, so consecutive entries
-    are exactly the non-adjacent pairs; None otherwise."""
+    are exactly the non-adjacent pairs; None otherwise. graph caches the
+    same order, so _anti_path_order(graph) does not walk it again."""
 
     graph: Graph
     order: Optional[tuple[str, ...]]
@@ -334,22 +357,20 @@ def _components_of(nbr: Sequence[int]) -> list[int]:
 
 def _anti_path_order(g: Graph) -> Optional[tuple[str, ...]]:
     """If g is the complement of a path (one vertex counts, none does not),
-    the path's order from its insertion-order-first endpoint; else None.
-    The walk in the complement from its first vertex of degree <= 1 marks
-    all unvisited neighbours of each vertex it visits but moves to one, so
-    it visits every vertex iff the complement is that path."""
-    non = _nonneighbor_masks(g)
-    start = next((i for i, m in enumerate(non) if m.bit_count() <= 1), None)
-    if start is None:
-        return None
-    order = [start]
-    seen = 1 << start
-    while step := non[order[-1]] & ~seen:
-        seen |= step
-        order.append(step.bit_length() - 1)
-    if len(order) != len(non):
-        return None
-    return tuple(g.vertices[i] for i in order)
+    the path's order from its insertion-order-first endpoint; else None;
+    cached on g (Graph._antipath). The walk in the complement from its
+    first vertex of degree <= 1 marks all unvisited neighbours of each
+    vertex it visits but moves to one, so it visits every vertex iff the
+    complement is that path."""
+    if g._antipath == ():
+        non = _nonneighbor_masks(g)
+        start = next((i for i, m in enumerate(non) if m.bit_count() <= 1), None)
+        order, seen = ([], 0) if start is None else ([start], 1 << start)
+        while order and (step := non[order[-1]] & ~seen):
+            seen |= step
+            order.append(step.bit_length() - 1)
+        g._antipath = tuple(g.vertices[i] for i in order) if order and len(order) == len(non) else None
+    return g._antipath
 
 
 def join_decompose(g: Graph) -> JoinDecomposition:

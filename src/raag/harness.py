@@ -15,8 +15,9 @@ set of generators with nonzero exponent sum, and that set spans a clique.
 By Servatius's centralizer theorem ("Automorphisms of graph groups",
 J. Algebra 1989) two such images a and b commute iff supp(b) lies in the
 star meet of supp(a), the AND of the stars of its vertices, and
-raag.words._centralizer_commutes, the test validate_hom and commutes
-use, decides every relator from the two supports. The loop that draws an
+raag.words._centralizer_commutes, the test commutes uses (validate_hom
+runs it from one star meet per image), decides every relator from the
+two supports. The loop that draws an
 image word also sums its exponents and returns that support as a
 bitmask, so a table is accepted or rejected from bitmasks alone, without
 reducing or recounting a word; validate_hom runs once per trial, inside

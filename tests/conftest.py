@@ -88,6 +88,16 @@ def drawn_graphs(draw, min_vertices, max_vertices, prefix):
     return random_graph(rnd, rnd.randint(min_vertices, max_vertices), rnd.random(), prefix=prefix)
 
 
+def extract_long_pool(seed):
+    """The homomorphisms of the benchmark's extract_long workload for seed."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.ExtractLong(seed).specs
+
+
 def cycle_graph(n, prefix="a"):
     verts = [f"{prefix}{i}" for i in range(1, n + 1)]
     edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]

@@ -171,15 +171,16 @@ def test_interleaved_extract_rows_run_on_each_checkouts_own_pool(bench, tmp_path
     sides = (bench.THIS, other)
     rows = [bench.extract_rows(r, bench.fresh_pool(pool, r)) for r in sides]
     assert [(layer, case) for layer, case, _ in rows[0]] == [(layer, case) for layer, case, _ in rows[1]]
-    assert [layer for layer, _, _ in rows[0]] == ["extract", "extract"]
-    for r, (cold, warm) in zip(sides, rows):
+    assert [layer for layer, _, _ in rows[0]] == ["extract", "extract", "extract"]
+    for r, (cold, warm, validate) in zip(sides, rows):
         warm[2]()
-        setup, run = cold[2]
-        first, second = setup(), setup()
-        assert len(first) == 8 and all(type(h) is r.embedding.HomSpec for h in first + second)
-        # every repetition of the cold row reads new image words
-        assert all(a.images[v] is not b.images[v] for a, b in zip(first, second) for v in a.images)
-        assert [repr(out) for out in run(first)] == [repr(bench.embedding.extract_full(h)) for h in pool]
+        for (_, _, (setup, run)), want in ((cold, bench.embedding.extract_full),
+                                           (validate, bench.embedding.validate_hom)):
+            first, second = setup(), setup()
+            assert len(first) == 8 and all(type(h) is r.embedding.HomSpec for h in first + second)
+            # every repetition of a cold row reads new image words
+            assert all(a.images[v] is not b.images[v] for a, b in zip(first, second) for v in a.images)
+            assert [repr(out) for out in run(first)] == [repr(want(h)) for h in pool]
 
 
 def test_a_timed_pair_builds_its_input_before_the_collection(bench, gc_events):
@@ -200,7 +201,7 @@ def test_the_run_times_every_row_in_order(bench, tmp_path, monkeypatch):
     rows = bench.interleaved_rows(bench.load_checkout(other_src), bench.load_checkout(other_src, "raag_self"))
     cases = [(row["layer"], row["case"]) for row in rows]
     layers = [layer for layer, _ in cases]
-    assert len(cases) == 34 and layers[:6] == ["kernel"] * 6 and layers[6:9] == ["kernel memory"] * 3
+    assert len(cases) == 35 and layers[:6] == ["kernel"] * 6 and layers[6:9] == ["kernel memory"] * 3
     assert layers.count("words") == 6
     assert ("harness", "instance generation of run_harness(500 trials, seed 42)") in cases
 

@@ -2,8 +2,6 @@ import dataclasses
 import itertools
 import json
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,7 +57,15 @@ from raag.words import (
     _support_mask,
 )
 
-from conftest import SEEDS, all_labeled_graphs, cycle_graph, drawn_graphs, random_graph, random_word_letters
+from conftest import (
+    SEEDS,
+    all_labeled_graphs,
+    cycle_graph,
+    drawn_graphs,
+    extract_long_pool,
+    random_graph,
+    random_word_letters,
+)
 from reference import full_embedding_problem, peel_divergence_stage, reach_sets_by_name
 
 
@@ -111,6 +117,25 @@ def test_homspec_rejects_wrong_ambient():
     other = complete_graph(2)
     with pytest.raises(ValueError, match="not a word over the target"):
         HomSpec(g, g, {"v1": Word(other, [("v1", 1)]), "v2": Word(g, [("v2", 1)])})
+
+
+def test_restricted_names_a_component_vertex_outside_the_source():
+    h = identity_spec(path_complement(4))
+    with pytest.raises(ValueError, match="non-source vertex 'zz'"):
+        h.restricted(Graph("c", ["v1", "zz"]))
+
+
+def test_restricted_names_the_first_pair_whose_adjacency_differs():
+    h = identity_spec(path_complement(4))
+    # v1-v2 is not a source edge; v1-v3 and v1-v4 are, but are missing
+    with pytest.raises(ValueError, match=r"differs from the source at pair \('v1', 'v2'\)"):
+        h.restricted(Graph("c", ["v1", "v2", "v3", "v4"], [("v1", "v2")]))
+    with pytest.raises(ValueError, match=r"at pair \('v4', 'v2'\)"):
+        h.restricted(Graph("c", ["v4", "v2", "v1"], [("v1", "v4")]))
+    # any vertex order is accepted when the adjacency is the source's
+    r = h.restricted(Graph("c", ["v4", "v2", "v1"], [("v1", "v4"), ("v2", "v4")]))
+    assert (r.source.vertices, r.target, list(r.images)) == (("v4", "v2", "v1"), h.target, ["v4", "v2", "v1"])
+    assert r._table is h._table
 
 
 def test_validate_identity_on_p4c():
@@ -689,16 +714,6 @@ def _peel_stage(h, chain, reach):
     return None
 
 
-def _extract_long_pool(seed):
-    """The homomorphisms of the benchmark's extract_long workload for seed."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return workloads.ExtractLong(seed).specs
-
-
 def test_peel_stops_where_the_two_tower_reference_does():
     # every anti-path chain of 3 or more vertices in the pools of seeds 1
     # and 2, with its genuine reach sets and three forgeries: random
@@ -707,7 +722,7 @@ def test_peel_stops_where_the_two_tower_reference_does():
     stages = set()
     rnd = random.Random(33)
     for seed in (1, 2):
-        for h in _extract_long_pool(seed):
+        for h in extract_long_pool(seed):
             for c in join_decompose(h.source).components:
                 if c.kind == "singleton" or len(c.graph) < 3:
                     continue

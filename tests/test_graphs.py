@@ -603,6 +603,41 @@ def test_induced_subgraph_keeps_order():
     assert sub.edges() == [("a", "c")]
 
 
+@settings(max_examples=300, deadline=None)
+@given(g=drawn_graphs(0, 12, "a"), keep=st.one_of(st.just(0), st.just(-1), st.integers(0, 2**12 - 1)))
+def test_induced_packs_any_mask_as_the_graph_built_from_names(g, keep):
+    # empty, full and non-contiguous masks alike
+    keep &= (1 << len(g)) - 1
+    names = [v for i, v in enumerate(g.vertices) if keep >> i & 1]
+    sub = graphs._induced(g, keep, "sub")
+    built = Graph("sub", names, [(u, v) for u, v in g.edges() if u in names and v in names])
+    assert (sub.name, sub.vertices, sub.edges()) == (built.name, built.vertices, built.edges())
+    assert_same_as_rebuilt(sub)
+
+
+def test_join_factors_keep_their_anti_path_order_on_their_graph():
+    kinds = set()
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            for comp in join_decompose(g).components:
+                fresh = Graph("fresh", comp.graph.vertices, comp.graph.edges())
+                assert comp.graph._antipath == comp.order == graphs._anti_path_order(fresh)
+                # read from the slot, not walked again
+                assert graphs._anti_path_order(comp.graph) is comp.order
+                kinds.add(comp.order is None)
+    assert kinds == {True, False}
+
+
+def test_new_graphs_start_without_an_anti_path_order():
+    g = Graph("g", ["a", "b", "c"], [("a", "c")])
+    assert g._antipath == ()
+    assert graphs._anti_path_order(g) == ("a", "b", "c") == g._antipath
+    assert Graph("e", [])._antipath == () and graphs._anti_path_order(Graph("e", [])) is None
+    derived = [Graph._from_masks("m", g.vertices, g._nbr), complement(g), induced_subgraph(g, ["a", "b"]),
+               graph_join([g, path_complement(2)]), path_complement(4)]
+    assert all(d._antipath == () for d in derived)
+
+
 def test_path_builders():
     p = path_graph(4)
     assert p.edges() == [("v1", "v2"), ("v2", "v3"), ("v3", "v4")]

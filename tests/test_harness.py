@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from raag.embedding import FullEmbedding, HomSpec, KernelWitness, extract_full, validate_hom
+from raag.graphs import Graph
 from raag.harness import (
     _IMAGE_ATTEMPTS,
     HarnessConfig,
@@ -23,7 +24,7 @@ from raag.harness import (
 )
 from raag.words import Word, _support_mask
 
-from conftest import SEEDS, drawn_graphs, random_graph
+from conftest import SEEDS, drawn_graphs, extract_long_pool, random_graph
 
 
 def test_rejects_bad_config():
@@ -193,6 +194,23 @@ def test_outcomes_pinned_across_commits():
     assert sum(line.startswith("witness") and line.endswith(" True") for line in lines) == 62
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "e9c64aba59779b2133137d1817ab461747090c9b44eb5b6c2123633fa0075fc2"
+
+
+def test_extract_long_outcomes_pinned_across_commits():
+    # the 800 homomorphisms of the benchmark's extract_long pool of seed 1,
+    # rebuilt from names and codes so that no word carries a cached reduced
+    # form: each outcome and its check(h)
+    lines = []
+    for spec in extract_long_pool(1):
+        source = Graph(spec.source.name, spec.source.vertices, spec.source.edges())
+        target = Graph(spec.target.name, spec.target.vertices, spec.target.edges())
+        h = HomSpec(source, target, {v: Word._from_codes(target, w.codes()) for v, w in spec.images.items()})
+        outcome = extract_full(h)
+        lines.append(f"{_outcome_line(h, outcome)} | {outcome.check(h)!r}")
+    kinds = [line.split(" ", 1)[0] for line in lines]
+    assert (kinds.count("embedding"), kinds.count("witness"), kinds.count("certificate")) == (236, 332, 232)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1dfbec7bfb50016dc8d5aae759c01d4eb64fbf1602a52192b5c6ab00862afc85"
 
 
 def _reference_random_clique(rng, g):
