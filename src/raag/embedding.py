@@ -19,15 +19,17 @@ Every output is re-checkable from its own data by its check(h) method;
 injectivity of the input map is never assumed.
 
 An image matters only as a group element. Each HomSpec reads its images
-through one image table, filled once per image from the reduced codes its
-Word caches (raag.words._reduced_codes) and shared by its restrictions:
-the support mask and the syllables, which for a clique-supported image are
-its exponent vector, since A(K) is free abelian for a clique K. Supports,
-clique chains, the relator and clique-support checks and the abelian
-exponent matrix read the table; HomSpec.apply spells an image from the
-cached codes and decides its triviality by piling syllables; peel_words
-decides each stage from supports by the centralizer theorem. So the word
-spelling an image never changes an outcome, and each image is piled once
+through one image table, filled once per image and shared by its
+restrictions: the support mask and the syllables, which for a
+clique-supported image are its exponent vector, since A(K) is free
+abelian for a clique K. An image whose letters span a clique is counted
+from its letters; any other is read from the reduced codes its Word
+caches (raag.words._reduced_codes). Supports, clique chains, the relator
+and clique-support checks and the abelian exponent matrix read the table;
+a witness check decides triviality by piling syllables, and
+HomSpec.apply spells an image from the cached codes; peel_words decides
+each stage from supports by the centralizer theorem. So the word spelling
+an image never changes an outcome, and each image is piled at most once
 for all routes and checks.
 
 Vertex sets of the target (supports, chains, reach sets) are bitmasks
@@ -107,8 +109,9 @@ class HomSpec:
     never changed after construction.
 
     Each image is read as a group element through a private image table,
-    shared by the restricted() views and filled per vertex on first read
-    from the reduced codes its Word caches (no further kernel call). An
+    shared by the restricted() views and filled per vertex on first read:
+    counted from the image's letters when they span a clique, otherwise
+    from the reduced codes its Word caches (see _image_entry). An
     entry holds the support mask, then the syllables, (generator index,
     exponent) pairs whose product is the element, flattened into the same
     tuple, which takes half the memory of a tuple of pairs. A
@@ -147,34 +150,41 @@ class HomSpec:
     def apply(self, w: Word) -> Word:
         """Image of a source word, the same element as letterwise
         substitution: each letter becomes its image's reduced codes,
-        negated and reversed for an inverse letter.
-
-        The images' syllables, inverted likewise, are piled as well (see
-        _piled_syllables); when none is left the element is the identity,
-        and the result's cached reduced codes are set to (), which is what
-        the kernel would give. So is_trivial of an image in the kernel
-        piles a few syllables per letter instead of every letter it
-        spells; a nontrivial image leaves the cache empty.
+        negated and reversed for an inverse letter. When _maps_to_identity
+        finds the element trivial, the result's cached reduced codes are
+        set to (), which is what the kernel would give; a nontrivial image
+        leaves the cache empty.
         """
         if w.graph != self.source:
             raise ValueError("word is not over the source graph")
         verts = self.source.vertices
-        pieces: dict = {}  # per letter code: its image's codes and syllables
+        pieces: dict = {}  # per letter code: its image's codes
         codes: list = []
+        for c in w.codes():
+            piece = pieces.get(c)
+            if piece is None:
+                img = _reduced_codes(self.images[verts[abs(c) - 1]])
+                piece = pieces[c] = img if c > 0 else tuple(-x for x in reversed(img))
+            codes += piece
+        return Word._from_codes(self.target, tuple(codes), () if self._maps_to_identity(w) else None)
+
+    def _maps_to_identity(self, w: Word) -> bool:
+        """Whether the image of the source word w is the identity: the
+        syllables of its letters' images, inverted for an inverse letter,
+        are piled (see _piled_syllables), a few per letter instead of every
+        letter the image spells, and none is left."""
+        verts = self.source.vertices
+        pieces: dict = {}  # per letter code: its image's syllables
         syllables: list = []
         for c in w.codes():
             piece = pieces.get(c)
             if piece is None:
-                v = verts[abs(c) - 1]
-                img, syl = _reduced_codes(self.images[v]), self._image(v)[1:]
+                syl = self._image(verts[abs(c) - 1])[1:]
                 if c < 0:
-                    img = tuple(-x for x in reversed(img))
                     syl = tuple(x for k in range(len(syl) - 2, -1, -2) for x in (syl[k], -syl[k + 1]))
-                piece = pieces[c] = img, syl
-            codes += piece[0]
-            syllables += piece[1]
-        trivial = not _piled_syllables(syllables, self.target.nonneighbor_table())
-        return Word._from_codes(self.target, tuple(codes), () if trivial else None)
+                piece = pieces[c] = syl
+            syllables += piece
+        return not _piled_syllables(syllables, self.target.nonneighbor_table())
 
     def restricted(self, component: Graph) -> "HomSpec":
         """Restriction to an induced subgraph of the source; it shares this
@@ -207,17 +217,26 @@ class HomSpec:
 
 def _image_entry(w: Word) -> tuple[int, ...]:
     """The image table entry of w: its support mask and its flattened
-    syllables, read from its cached reduced codes. In a clique-supported
-    reduced word every letter of one generator has the same sign (a pair
-    of opposite signs would cancel across the commuting letters between
-    them), so a generator's exponent is its count of one sign."""
-    codes = _reduced_codes(w)
-    mask = _code_mask(codes)
-    entry = [mask]
+    syllables. When the letters of w span a clique, w lies in A(K) = Z^|K|
+    and its syllables are its nonzero exponent sums, counted from its
+    letters without a kernel call. Otherwise the entry is read from its
+    cached reduced codes; a clique-supported reduced word is counted the
+    same way (every letter of one generator has the same sign, since a
+    pair of opposite signs would cancel across the commuting letters
+    between them), any other keeps its codes with runs merged."""
+    codes = w._signed
+    mask = _code_mask(set(codes))
+    if mask & ~w.graph._star_meet(mask):
+        codes = _reduced_codes(w)
+        mask = _code_mask(codes)
     if not mask & ~w.graph._star_meet(mask):
+        entry = [0]
         for i in _bits(mask):
-            entry += (i, codes.count(i + 1) or -codes.count(-i - 1))
+            if e := codes.count(i + 1) - codes.count(-i - 1):
+                entry[0] |= 1 << i
+                entry += (i, e)
         return tuple(entry)
+    entry = [mask]
     for c in codes:
         i, e = (c - 1, 1) if c > 0 else (-c - 1, -1)
         if len(entry) > 1 and entry[-2] == i:
@@ -370,7 +389,7 @@ class KernelWitness:
             return "witness word is not over the source graph"
         if is_trivial(self.word):
             return "witness word is trivial over the source"
-        if not is_trivial(h.apply(self.word)):
+        if not h._maps_to_identity(self.word):
             return "witness image does not reduce to the identity"
         return None
 

@@ -252,7 +252,8 @@ def test_image_table_holds_the_kernels_support_and_element():
             assert mask == _support_mask(Word._from_codes(t, w.codes()))
             assert all(e for _, e in syllables)
             clique = t.spans_clique(t._names(mask))
-            kinds.add(clique)
+            # read by counting letters, from reduced codes, or as runs
+            kinds.add((t.spans_clique({t.vertices[abs(c) - 1] for c in w.codes()}), clique))
             if clique:
                 # the exponent vector, in generator order
                 assert [i for i, _ in syllables] == sorted({abs(c) - 1 for c in reduce(w).codes()})
@@ -264,7 +265,7 @@ def test_image_table_holds_the_kernels_support_and_element():
             assert h.restricted(induced_subgraph(h.source, [v]))._image(v) is h._image(v)
 
     check()
-    assert kinds == {True, False}
+    assert kinds == {(True, True), (False, True), (False, False)}
 
 
 def test_apply_piles_syllables_as_the_kernel_piles_letters():
