@@ -74,7 +74,7 @@ from raag.graphs import (
     _forward_check,
     _induced,
     _nonneighbor_masks,
-    _runs,
+    _packed,
 )
 from raag.words import (
     Word,
@@ -116,8 +116,8 @@ class HomSpec:
     exponent) pairs whose product is the element, flattened into the same
     tuple, which takes half the memory of a tuple of pairs. A
     clique-supported image lies in A(K) = Z^|K|, so its syllables are its
-    exponent vector in generator order; any other image keeps its reduced
-    codes, with each run of one generator merged into a power.
+    exponent vector in generator order; any other image spells its reduced
+    codes, one unit syllable (generator index, +-1) per letter.
     """
 
     __slots__ = ("source", "target", "images", "_table")
@@ -191,20 +191,15 @@ class HomSpec:
         homomorphism's image words, already checked, and image table. A
         ValueError names the first vertex of component that is no source
         vertex, or the first pair, in component order, whose adjacency
-        differs from the source's."""
+        differs from the source's: the source's masks are packed to the
+        component's positions (raag.graphs._packed) and compared row by row."""
         src, names = self.source, component.vertices
         at = [src._index.get(v) for v in names]
         if None in at:
             raise ValueError(f"restriction to non-source vertex {names[at.index(None)]!r}")
-        runs = _runs(at)
-        keep = sum(width << first for first, width, _ in runs)
-        for k, i in enumerate(at):
-            row, have = component._nbr[k], 0
-            for first, width, pos in runs:
-                have |= (row >> pos & width) << first
-            differ = have ^ src._nbr[i] & keep
-            if differ:
-                j = next(j for j, x in enumerate(at) if differ >> x & 1)
+        for k, (row, have) in enumerate(zip(component._nbr, _packed(src, at))):
+            if differ := row ^ have:
+                j = (differ & -differ).bit_length() - 1
                 raise ValueError(f"restriction differs from the source at pair ({names[k]!r}, {names[j]!r})")
         out = object.__new__(HomSpec)
         out.source, out.target, out._table = component, self.target, self._table
@@ -223,7 +218,8 @@ def _image_entry(w: Word) -> tuple[int, ...]:
     cached reduced codes; a clique-supported reduced word is counted the
     same way (every letter of one generator has the same sign, since a
     pair of opposite signs would cancel across the commuting letters
-    between them), any other keeps its codes with runs merged."""
+    between them); any other gives each reduced code as a unit syllable
+    (i, +-1), which _piled_syllables joins as the kernel would."""
     codes = w._signed
     mask = _code_mask(set(codes))
     if mask & ~w.graph._star_meet(mask):
@@ -238,11 +234,7 @@ def _image_entry(w: Word) -> tuple[int, ...]:
         return tuple(entry)
     entry = [mask]
     for c in codes:
-        i, e = (c - 1, 1) if c > 0 else (-c - 1, -1)
-        if len(entry) > 1 and entry[-2] == i:
-            entry[-1] += e
-        else:
-            entry += (i, e)
+        entry += (abs(c) - 1, 1 if c > 0 else -1)
     return tuple(entry)
 
 

@@ -50,19 +50,20 @@ class Graph:
 
     The constructor checks names and edges given from outside; graphs
     derived from other masks come from _from_masks, which checks only that
-    no name repeats.
+    no name repeats. Both set every slot through _set.
 
     _automorphisms holds vertex permutations (tuples of indices) known to
     be automorphisms, which full_embedding_search uses to prune its root.
     Only the code that builds a graph can vouch for them, so the slot is
     empty except where _from_masks is handed them (extension balls);
     every derived graph starts empty again, and equality and hashing
-    ignore it. _stabchain caches the strong generators of the full
-    automorphism group and their basic orbits (_stabilizer_chain), and
-    _antipath the result of _anti_path_order, the order or None, with ()
-    for not yet computed; every graph, derived ones included, starts
-    without them. join_decompose computes the order of each factor it
-    builds, so the routes of raag.embedding read it from there.
+    ignore it. Three caches start empty on every graph, derived ones
+    included: _nonadj (None) the nonneighbor_table, _stabchain (None) the
+    strong generators of the full automorphism group and their basic
+    orbits (_stabilizer_chain), and _antipath (()) the result of
+    _anti_path_order, the order or None. join_decompose computes the
+    order of each factor it builds, so JoinComponent.order and the routes
+    of raag.embedding read it from there.
     """
 
     __slots__ = ("name", "vertices", "_index", "_nbr", "_nonadj", "_automorphisms", "_stabchain", "_antipath")
@@ -85,12 +86,7 @@ class Graph:
                 raise ValueError(f"self-loop at {u!r}")
             nbr[index[u]] |= 1 << index[v]
             nbr[index[v]] |= 1 << index[u]
-        self.name = name
-        self.vertices = verts
-        self._index = index
-        self._nbr = tuple(nbr)
-        self._nonadj = self._stabchain = None
-        self._automorphisms = self._antipath = ()
+        self._set(name, verts, index, nbr)
 
     @classmethod
     def _from_masks(
@@ -102,18 +98,24 @@ class Graph:
         symmetric and irreflexive over the vertex indices, and each
         automorphism a permutation of those indices that keeps the
         masks."""
-        g = object.__new__(cls)
-        g.name = name
-        g.vertices = tuple(vertices)
-        g._index = {v: i for i, v in enumerate(g.vertices)}
-        if len(g._index) != len(g.vertices):
+        verts = tuple(vertices)
+        index = {v: i for i, v in enumerate(verts)}
+        if len(index) != len(verts):
             seen: set[str] = set()
-            dup = next(v for v in g.vertices if v in seen or seen.add(v))
+            dup = next(v for v in verts if v in seen or seen.add(v))
             raise ValueError(f"duplicate vertex name {dup!r}")
-        g._nbr = tuple(nbr)
-        g._nonadj = g._stabchain = None
-        g._automorphisms, g._antipath = tuple(automorphisms), ()
+        g = object.__new__(cls)
+        g._set(name, verts, index, nbr, automorphisms)
         return g
+
+    def _set(
+        self, name: str, vertices: tuple[str, ...], index: dict, nbr: Sequence[int], automorphisms: Sequence = ()
+    ) -> None:
+        """Set every slot, the caches empty: the one initialiser of both
+        constructors."""
+        self.name, self.vertices, self._index, self._nbr = name, vertices, index, tuple(nbr)
+        self._nonadj = self._stabchain = None
+        self._automorphisms, self._antipath = tuple(automorphisms), ()
 
     # -- accessors ---------------------------------------------------------
 
@@ -232,30 +234,29 @@ def induced_subgraph(g: Graph, names: Iterable[str], name: Optional[str] = None)
 
 def _induced(g: Graph, keep: int, name: str) -> Graph:
     """Induced subgraph on the vertices of the mask keep, in g's insertion
-    order: each kept neighbour mask compressed to the kept indices, by one
-    shift and mask per run of consecutive kept indices."""
+    order."""
     idxs = list(_bits(keep))
-    runs = _runs(idxs)
-    nbr = []
-    for i in idxs:
-        m, packed = g._nbr[i], 0
-        for first, width, at in runs:
-            packed |= (m >> first & width) << at
-        nbr.append(packed)
-    return Graph._from_masks(name, [g.vertices[i] for i in idxs], nbr)
+    return Graph._from_masks(name, [g.vertices[i] for i in idxs], _packed(g, idxs))
 
 
-def _runs(idxs: Sequence[int]) -> list[tuple[int, int, int]]:
-    """The maximal runs of consecutive values in idxs, each as its first
-    value, the mask of its length and its position in idxs: bits first to
-    first + length - 1 of a mask over the values are bits position onwards
-    of the same mask over the positions of idxs."""
+def _packed(g: Graph, idxs: Sequence[int]) -> list[int]:
+    """The neighbour masks of g at the distinct indices idxs, in any order,
+    each compressed to positions in idxs: bit k of row r is set iff
+    idxs[r] and idxs[k] are adjacent. Each maximal run of consecutive
+    values first, first + 1, ... in idxs, from position at on, moves by
+    one shift and mask."""
     runs, start = [], 0
     for k in range(1, len(idxs) + 1):
         if k == len(idxs) or idxs[k] != idxs[k - 1] + 1:
             runs.append((idxs[start], (1 << k - start) - 1, start))
             start = k
-    return runs
+    rows = []
+    for i in idxs:
+        m, packed = g._nbr[i], 0
+        for first, width, at in runs:
+            packed |= (m >> first & width) << at
+        rows.append(packed)
+    return rows
 
 
 def graph_join(parts: Sequence[Graph], name: str = "join") -> Graph:
@@ -312,14 +313,17 @@ def complete_graph(n: int, prefix: str = "v", name: Optional[str] = None) -> Gra
 
 @dataclass(frozen=True)
 class JoinComponent:
-    """One join factor of a graph. order is _anti_path_order of the factor:
-    when the factor is the complement of a path v_1 - ... - v_n (a single
-    vertex included), that path's order v_1..v_n, so consecutive entries
-    are exactly the non-adjacent pairs; None otherwise. graph caches the
-    same order, so _anti_path_order(graph) does not walk it again."""
+    """One join factor of a graph. order is _anti_path_order of the factor,
+    read from the cache on graph (join_decompose fills it): when the factor
+    is the complement of a path v_1 - ... - v_n (a single vertex
+    included), that path's order v_1..v_n, so consecutive entries are
+    exactly the non-adjacent pairs; None otherwise."""
 
     graph: Graph
-    order: Optional[tuple[str, ...]]
+
+    @property
+    def order(self) -> Optional[tuple[str, ...]]:
+        return _anti_path_order(self.graph)
 
     @property
     def kind(self) -> str:
@@ -379,15 +383,17 @@ def join_decompose(g: Graph) -> JoinDecomposition:
     The factors are the induced subgraphs on the connected components of
     the complement of g (a graph is join-irreducible iff its complement is
     connected). Components are ordered by their smallest vertex in
-    insertion order. Path complements, single vertices included, carry
-    their anti-path order; the other components carry None.
+    insertion order. Each factor graph caches its anti-path order, None
+    unless it is a path complement (single vertices included), which
+    JoinComponent.order reads.
     """
     if len(g) == 0:
         raise ValueError("empty input")
     comps = []
     for keep in _components_of(_nonneighbor_masks(g)):
         sub = _induced(g, keep, f"{g.name}_comp{len(comps) + 1}")
-        comps.append(JoinComponent(sub, _anti_path_order(sub)))
+        _anti_path_order(sub)
+        comps.append(JoinComponent(sub))
     return JoinDecomposition(tuple(comps))
 
 

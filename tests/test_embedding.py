@@ -138,6 +138,38 @@ def test_restricted_names_the_first_pair_whose_adjacency_differs():
     assert r._table is h._table
 
 
+def test_restricted_accepts_exactly_the_source_adjacency_in_any_order():
+    kinds = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(SEEDS)
+    def check(seed):
+        rnd = random.Random(seed)
+        src = random_graph(rnd, rnd.randint(1, 12), rnd.random(), prefix="s")
+        h = identity_spec(src)
+        names = rnd.sample(src.vertices, rnd.randint(0, len(src)))
+        pairs = list(itertools.combinations(names, 2))
+        adjacent = {p for p in pairs if src.adjacent(*p)}
+        if pairs and rnd.random() < 0.5:
+            # one to three flips, so that the row holding the first pair can differ twice
+            for _ in range(rnd.randint(1, 3)):
+                adjacent ^= {rnd.choice(pairs)}
+        comp = Graph("c", names, adjacent)
+        # brute force, in component order: row k, then the first l > k
+        first = next(((u, v) for u, v in pairs if comp.adjacent(u, v) != src.adjacent(u, v)), None)
+        kinds.add(first is None)
+        if first is None:
+            r = h.restricted(comp)
+            assert r.source is comp and list(r.images) == names
+        else:
+            with pytest.raises(ValueError) as err:
+                h.restricted(comp)
+            assert str(err.value) == f"restriction differs from the source at pair ({first[0]!r}, {first[1]!r})"
+
+    check()
+    assert kinds == {True, False}
+
+
 def test_validate_identity_on_p4c():
     report = validate_hom(identity_spec(path_complement(4)))
     assert report.is_homomorphism
@@ -258,7 +290,7 @@ def test_image_table_holds_the_kernels_support_and_element():
                 # the exponent vector, in generator order
                 assert [i for i, _ in syllables] == sorted({abs(c) - 1 for c in reduce(w).codes()})
             else:
-                assert all(a[0] != b[0] for a, b in zip(syllables, syllables[1:]))
+                assert syllables == [(abs(c) - 1, 1 if c > 0 else -1) for c in reduce(w).codes()]
             spelled = [(t.vertices[i], 1 if e > 0 else -1) for i, e in syllables for _ in range(abs(e))]
             assert canonical_form(Word(t, spelled)) == canonical_form(w)
             # restrictions share the table

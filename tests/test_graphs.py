@@ -23,6 +23,7 @@ from raag.graphs import (
     verify_full_embedding,
     _automorphism_generators,
 )
+from raag.extension import ball_as_graph, ext_ball
 
 from conftest import (
     all_labeled_graphs,
@@ -636,6 +637,17 @@ def test_new_graphs_start_without_an_anti_path_order():
     derived = [Graph._from_masks("m", g.vertices, g._nbr), complement(g), induced_subgraph(g, ["a", "b"]),
                graph_join([g, path_complement(2)]), path_complement(4)]
     assert all(d._antipath == () for d in derived)
+    # every constructor path sets every slot through one initialiser, caches empty
+    ball = ext_ball(path_graph(3), 1)
+    built = [Graph("f", ["a", "b"], [("a", "b")]), Graph._from_masks("m", g.vertices, g._nbr), complement(g),
+             induced_subgraph(g, ["c", "a"]), graphs._induced(g, 0b101, "i"), graph_join([g, complete_graph(1)]),
+             path_graph(3), path_complement(3), complete_graph(3), parse_graph(format_graph(g)),
+             ball_as_graph(ball)]
+    for d in built:
+        assert all(hasattr(d, slot) for slot in Graph.__slots__)
+        assert d._nonadj is None and d._stabchain is None and d._antipath == ()
+    assert all(d._automorphisms == () for d in built[:-1])
+    assert built[-1]._automorphisms == ball.automorphisms != ()
 
 
 def test_path_builders():
